@@ -22,7 +22,6 @@ import (
 	"cexplorer/internal/expt"
 	"cexplorer/internal/gen"
 	"cexplorer/internal/kcore"
-	"cexplorer/internal/ktruss"
 )
 
 var (
@@ -393,15 +392,6 @@ type writeCounter struct{ n int64 }
 func (w *writeCounter) Write(p []byte) (int, error) {
 	w.n += int64(len(p))
 	return len(p), nil
-}
-
-// BenchmarkKTrussDecompose times truss decomposition on the DBLP graph.
-func BenchmarkKTrussDecompose(b *testing.B) {
-	g := gen.GenerateDBLP(gen.SmallDBLPConfig()).Graph
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ktruss.Decompose(g)
-	}
 }
 
 // TestFacadeSmoke exercises the public facade end to end (the README

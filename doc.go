@@ -73,27 +73,42 @@
 //
 // The read path is built for parallel query serving. A Graph and a built
 // Index (CL-tree) are immutable and safely shared by any number of
-// goroutines. An Engine is the opposite: it carries per-query scratch (the
-// peeler's epoch-stamped membership arrays, candidate buffers, interned
-// keyword-set IDs) and must be confined to one goroutine at a time.
+// goroutines. An Engine is the opposite: it carries per-query state
+// (candidate buffers, interned keyword-set IDs) and must be confined to one
+// goroutine at a time.
 //
 // There are two ways to honor that contract:
 //
-//   - Engine-per-goroutine: call NewEngine(idx) in each worker. Engines are
-//     cheap relative to the index, but construction is O(n) in the graph
-//     size, so per-request construction wastes work under load.
+//   - Engine-per-goroutine: call NewEngine(idx) in each worker. An engine
+//     is a few words; its buffers grow on first use.
 //   - Pooled engines (what the server does): a Dataset keeps a sync.Pool of
 //     warm engines over its CL-tree. Handlers call AcquireEngine /
-//     ReleaseEngine, so concurrent searches on one dataset reuse scratch
-//     that is already sized to the graph and run fully in parallel — the
-//     dataset's lazy indexes are built once behind sync.Once, and reads
-//     after that take no lock.
+//     ReleaseEngine, so concurrent searches on one dataset reuse buffers
+//     that are already grown and run fully in parallel — the dataset's lazy
+//     indexes are built once behind sync.Once, and reads after that take no
+//     lock.
 //
 // The HTTP layer (internal/server) additionally bounds concurrent search
 // execution with a worker limit (default 2×GOMAXPROCS, -search.limit on the
 // cexplorer command), deadline-bounds search-class requests when
 // -search.timeout is set (the budget covers queue wait plus computation),
 // and reports request-level counters at /api/stats.
+//
+// # Query pipeline
+//
+// A search that misses the result cache hashes nothing and sorts almost
+// nothing. The CL-tree locates the anchor of (q,k) — the node whose subtree
+// is the connected k-core containing q; the subtree's ascending vertex list
+// is computed once per tree, memoized on the node and shared read-only by
+// ACQ (its candidate universe), exploration sessions (the ring) and Global
+// (whose answer it is). ACQ rejects a keyword set in O(deg q) when q lacks
+// k neighbors carrying it, and otherwise peels the set's candidates on a
+// graph.Scratch — epoch-stamped vertex sets, a degree array, worklists,
+// borrowed from the graph's own pool for one search and reset in O(1).
+// Local, k-truss search, Induce and the theme counter run on the same
+// scratch, and communities come out ascending by reading the marks back in
+// id order. Vertex lists are immutable once returned: they may be the
+// index's memo, sit in the result cache, or belong to a session.
 //
 // # Parallel index construction
 //

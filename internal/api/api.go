@@ -195,9 +195,10 @@ type Dataset struct {
 	trussReady atomic.Bool
 	trussNanos atomic.Int64
 
-	// engines holds warm *core.Engine values (each with its peeler and
-	// per-query scratch already sized to the graph) so concurrent handlers
-	// check one out instead of paying O(n) construction per request.
+	// engines holds warm *core.Engine values (their interned keyword-set
+	// tables and candidate buffers already grown) so concurrent handlers
+	// check one out instead of regrowing them per request. The O(n) working
+	// memory of a search is pooled on the graph (graph.Scratch), not here.
 	engines sync.Pool
 }
 
@@ -429,17 +430,24 @@ func (GlobalAlgorithm) Search(ctx context.Context, ds *Dataset, q Query) ([]Comm
 	if err != nil {
 		return nil, err
 	}
-	r, err := csearch.GlobalContext(ctx, ds.Graph, ds.CoreNumbers(), q.Vertices[0], int32(q.K))
-	if err != nil {
+	v, k := q.Vertices[0], int32(q.K)
+	var comp []int32
+	// The CL-tree spells out every connected k-core: with the index
+	// resident, Global is a lookup that shares the anchor's vertex list.
+	if ds.treeReady.Load() {
+		comp = ds.Tree().ConnectedKCore(v, k)
+	} else if r, err := csearch.GlobalContext(ctx, ds.Graph, ds.CoreNumbers(), v, k); err != nil {
 		return nil, err
+	} else if r != nil {
+		comp = r.Vertices
 	}
-	if r == nil {
+	if comp == nil {
 		return nil, nil
 	}
 	return p.truncate([]Community{{
 		Method:   "Global",
-		Vertices: r.Vertices,
-		Theme:    metrics.Theme(ds.Graph, r.Vertices, 5),
+		Vertices: comp,
+		Theme:    metrics.Theme(ds.Graph, comp, 5),
 	}}), nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -429,15 +428,12 @@ func (s *exploreSession) run(ctx context.Context) error {
 	if a == nil {
 		return fmt.Errorf("%w: no community at k=%d", ErrInvalidQuery, s.k)
 	}
-	ring := tree.SubtreeVertices(a, nil)
-	slices.Sort(ring)
-
 	res, err := s.eng.SearchContext(ctx, s.q, k, resolveKeywords(s.ds.Graph, s.keywords), core.Dec)
 	if err != nil {
 		return err
 	}
 	s.anchor = a
-	s.ring = ring
+	s.ring = tree.SubtreeAscending(a) // shared with the index: read-only
 	s.comms = make([]Community, 0, len(res))
 	for _, c := range res {
 		s.comms = append(s.comms, Community{

@@ -97,6 +97,29 @@ func TestSnapshotRoundTripSearchFidelity(t *testing.T) {
 	}
 }
 
+// TestWarmOpenDoesNoIndexBuildWork: a dataset opened from a snapshot arrives
+// with every index pre-seeded and pays no build — not at open, not when the
+// first search of each kind reaches for its index. (The wall-clock side of
+// this, warm open vs cold start, is the harness's snapshot.warm_vs_cold_ratio.)
+func TestWarmOpenDoesNoIndexBuildWork(t *testing.T) {
+	cfg := gen.DefaultDBLPConfig()
+	cfg.Authors = 1500
+	cfg.Seed = 5
+	loaded := roundTrip(t, NewDataset("dblp", gen.GenerateDBLP(cfg).Graph))
+	if st := loaded.Indexes(); !st.CLTree || !st.Core || !st.Truss {
+		t.Fatalf("indexes not pre-seeded: %+v", st)
+	}
+	for _, a := range []CSAlgorithm{&ACQAlgorithm{}, GlobalAlgorithm{}, LocalAlgorithm{}, KTrussAlgorithm{}} {
+		if _, err := a.Search(context.Background(), loaded, Query{Vertices: []int32{0}, K: 3}); err != nil {
+			t.Fatalf("%s: %v", a.Name(), err)
+		}
+	}
+	loaded.BuildIndexes()
+	if got := loaded.BuildTimings(); got != (IndexTimings{}) {
+		t.Fatalf("warm-opened dataset spent time building indexes: %+v", got)
+	}
+}
+
 // TestOpenSnapshotNameOverride checks the name precedence rules.
 func TestOpenSnapshotNameOverride(t *testing.T) {
 	ds := NewDataset("embedded", gen.Figure5())

@@ -18,6 +18,7 @@ package cltree
 import (
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"cexplorer/internal/ds"
 	"cexplorer/internal/graph"
@@ -35,6 +36,12 @@ type Node struct {
 	// (keyword, vertex). invOff is unused; lookups binary-search invKw.
 	invKw []int32
 	invV  []int32
+
+	// sub memoizes SubtreeAscending for large subtrees. A node is shared
+	// between tree versions, or cloned with its memo (cloneSubtree), only
+	// when its subtree is unchanged, so the memo is valid wherever it is
+	// reachable, and it dies with the last version that holds it.
+	sub atomic.Pointer[[]int32]
 }
 
 // Tree is the CL-tree index over one graph.
@@ -236,6 +243,7 @@ func (t *Tree) topsDeeperThan(upTo int32) []*Node {
 // clone's vertices are pointed at their new nodes in t.nodeOf.
 func (t *Tree) cloneSubtree(on *Node) *Node {
 	nn := &Node{Core: on.Core, Vertices: on.Vertices, invKw: on.invKw, invV: on.invV}
+	nn.sub.Store(on.sub.Load()) // same subtree, same memoized vertex list
 	if len(on.Children) > 0 {
 		nn.Children = make([]*Node, len(on.Children))
 		for i, ch := range on.Children {
@@ -508,9 +516,6 @@ func (n *Node) VerticesWithKeyword(w int32) []int32 {
 	return n.invV[lo:hi]
 }
 
-// KeywordCount returns how many node-local vertices carry keyword w.
-func (n *Node) KeywordCount(w int32) int { return len(n.VerticesWithKeyword(w)) }
-
 // Graph returns the indexed graph.
 func (t *Tree) Graph() *graph.Graph { return t.g }
 
@@ -558,11 +563,8 @@ func (t *Tree) Anchor(q, k int32) *Node {
 }
 
 // SubtreeVertices appends all vertices in the subtree rooted at n to dst and
-// returns it. With a nil dst it allocates exactly.
+// returns it.
 func (t *Tree) SubtreeVertices(n *Node, dst []int32) []int32 {
-	if dst == nil {
-		dst = make([]int32, 0, t.subtreeSize(n))
-	}
 	var walk func(x *Node)
 	walk = func(x *Node) {
 		dst = append(dst, x.Vertices...)
@@ -574,12 +576,50 @@ func (t *Tree) SubtreeVertices(n *Node, dst []int32) []int32 {
 	return dst
 }
 
-func (t *Tree) subtreeSize(n *Node) int {
-	sz := len(n.Vertices)
-	for _, ch := range n.Children {
-		sz += t.subtreeSize(ch)
+// memoMinVertices is the subtree size from which SubtreeAscending keeps its
+// result. Smaller subtrees are cheap to order again, and there are many of
+// them; the large ones are the few giant-core anchors most queries land on.
+// All memoized lists together hold at most one entry per vertex and core
+// level, Σ(core(v)+1) ≤ 2m+n — no more than the adjacency arena.
+const memoMinVertices = 1024
+
+// SubtreeAscending returns the vertices of the subtree rooted at n in
+// ascending order. The slice may be shared with every other caller on this
+// node and must not be modified.
+func (t *Tree) SubtreeAscending(n *Node) []int32 {
+	if p := n.sub.Load(); p != nil {
+		return *p
 	}
-	return sz
+	s := t.g.AcquireScratch()
+	defer s.Release()
+	s.List = t.SubtreeVertices(n, s.List[:0])
+	s.In.Set(len(t.nodeOf), s.List)
+	vs := s.In.Ascending(s.List)
+	if len(vs) >= memoMinVertices && !n.sub.CompareAndSwap(nil, &vs) {
+		return *n.sub.Load() // a concurrent caller published first; share its copy
+	}
+	return vs
+}
+
+// ConnectedKCore returns, ascending, the vertices of the connected
+// component of the k-core containing q — the Global community of (q,k) —
+// or nil when core(q) < k or k < 0. It is an index lookup: for k ≥ 1 the
+// component is the anchor subtree. The slice is read-only like
+// SubtreeAscending's.
+func (t *Tree) ConnectedKCore(q, k int32) []int32 {
+	if q < 0 || int(q) >= len(t.core) || k < 0 || t.core[q] < k {
+		return nil
+	}
+	if k == 0 {
+		// The 0-core is the whole graph and the root's subtree is all of
+		// it, connected or not: q's component is q alone when isolated,
+		// else its connected 1-core.
+		if t.core[q] == 0 {
+			return []int32{q}
+		}
+		k = 1
+	}
+	return t.SubtreeAscending(t.Anchor(q, k))
 }
 
 // SubtreeKeywordVertices appends the subtree vertices carrying keyword w to
@@ -594,15 +634,6 @@ func (t *Tree) SubtreeKeywordVertices(n *Node, w int32, dst []int32) []int32 {
 	}
 	walk(n)
 	return dst
-}
-
-// SubtreeKeywordCount returns how many subtree vertices carry keyword w.
-func (t *Tree) SubtreeKeywordCount(n *Node, w int32) int {
-	cnt := n.KeywordCount(w)
-	for _, ch := range n.Children {
-		cnt += t.SubtreeKeywordCount(ch, w)
-	}
-	return cnt
 }
 
 // Bytes estimates the retained index size in bytes (E6's "linear space"

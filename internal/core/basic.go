@@ -19,7 +19,7 @@ func (e *Engine) searchBasic(qc *queryContext, S []int32) ([]Community, error) {
 				return err
 			}
 			if comp != nil {
-				answers = append(answers, qc.finish(comp, S))
+				answers = append(answers, qc.finish(comp, T, S))
 			}
 			return nil
 		})

@@ -26,7 +26,7 @@ func (e *Engine) searchDec(qc *queryContext, S []int32) ([]Community, error) {
 		return nil, nil
 	}
 	if len(admissible) == 1 {
-		return []Community{qc.finish(comms[admissible[0]], S)}, nil
+		return []Community{qc.finish(comms[admissible[0]], admissible, S)}, nil
 	}
 
 	current := [][]int32{admissible} // start from the full admissible set
@@ -48,7 +48,7 @@ func (e *Engine) searchDec(qc *queryContext, S []int32) ([]Community, error) {
 				}
 			}
 			if comp != nil {
-				answers = append(answers, qc.finish(comp, S))
+				answers = append(answers, qc.finish(comp, T, S))
 				continue
 			}
 			// Enqueue all (size-1)-subsets.

@@ -88,19 +88,21 @@ type Stats struct {
 // keep their pinned engine — and with it their version — for their whole
 // lifetime.
 type Engine struct {
-	tree   *cltree.Tree
-	g      *graph.Graph
-	peeler *kcore.Peeler
-	stats  Stats
+	tree  *cltree.Tree
+	g     *graph.Graph
+	stats Stats
 
-	// Per-query scratch, reused across Search calls.
+	// Per-query scratch, reused across Search calls. The O(n) working
+	// memory of a search is not here: each search borrows a graph.Scratch
+	// from the graph's pool for its own duration, so an idle engine (a
+	// pooled one, or one pinned by an exploration session) holds none.
 	sets    setIDs  // interned keyword-set IDs
 	candBuf []int32 // candidate-intersection workspace
 }
 
 // NewEngine returns an engine over the given index.
 func NewEngine(tree *cltree.Tree) *Engine {
-	return &Engine{tree: tree, g: tree.Graph(), peeler: kcore.NewPeeler(tree.Graph())}
+	return &Engine{tree: tree, g: tree.Graph()}
 }
 
 // Graph returns the underlying graph.
@@ -144,10 +146,11 @@ func (e *Engine) SearchContext(ctx context.Context, q int32, k int32, S []int32,
 		S = ds.IntersectSorted(sortedCopy(S), e.g.Keywords(q))
 	}
 
-	qc := newQueryContext(ctx, e, q, k)
+	qc := newQueryContext(ctx, e, []int32{q}, k)
 	if qc == nil {
 		return nil, nil // core(q) < k: no community at all
 	}
+	defer qc.s.Release()
 	e.stats.UniverseSize = len(qc.universe)
 
 	var answers []Community
@@ -169,160 +172,193 @@ func (e *Engine) SearchContext(ctx context.Context, q int32, k int32, S []int32,
 	}
 
 	if len(answers) == 0 {
-		// Keywordless fallback: the connected k-core containing q.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		comp := e.peeler.ConnectedKCoreContaining(qc.universe, k, q)
-		if comp == nil {
-			return nil, nil
-		}
-		answers = []Community{{Vertices: sortedCopy(comp)}}
+		return qc.keywordless()
 	}
 	return sortAnswers(answers), nil
 }
 
 // queryContext carries the per-query candidate universe: the CL-tree anchor
-// subtree for (q,k) and lazily materialized per-keyword vertex lists.
+// subtree for (q,k), lazily materialized per-keyword vertex lists, and the
+// dense scratch the query's peels run on.
 type queryContext struct {
 	ctx      context.Context
 	e        *Engine
-	q        int32
+	qs       []int32 // the query vertices: all must be in the AC
 	k        int32
-	universe []int32           // ascending
-	kwLists  map[int32][]int32 // keyword -> ascending universe vertices carrying it
+	universe []int32           // ascending; shared with the index, read-only
+	kwLists  map[int32][]int32 // keyword -> universe vertices carrying it, in index order
 	anchor   *cltree.Node
-	multi    []int32 // non-nil for multi-vertex queries: all must be in the AC
+	s        *graph.Scratch
+	peeler   kcore.Peeler
 }
 
-func newQueryContext(ctx context.Context, e *Engine, q, k int32) *queryContext {
-	anchor := e.tree.Anchor(q, k)
+// newQueryContext locates the anchor of (qs[0],k) — the caller has checked
+// that it is every query vertex's — and borrows a scratch from the graph's
+// pool, which the caller releases. It returns nil when core(qs[0]) < k.
+func newQueryContext(ctx context.Context, e *Engine, qs []int32, k int32) *queryContext {
+	anchor := e.tree.Anchor(qs[0], k)
 	if anchor == nil {
 		return nil
 	}
-	universe := e.tree.SubtreeVertices(anchor, nil)
-	slices.Sort(universe)
-	return &queryContext{
+	qc := &queryContext{
 		ctx:      ctx,
 		e:        e,
-		q:        q,
+		qs:       qs,
 		k:        k,
-		universe: universe,
+		universe: e.tree.SubtreeAscending(anchor),
 		kwLists:  make(map[int32][]int32),
 		anchor:   anchor,
+		s:        e.g.AcquireScratch(),
 	}
+	qc.peeler = kcore.NewPeeler(qc.s)
+	return qc
 }
 
-// keywordVertices returns the ascending list of universe vertices carrying
-// w, materializing it from the CL-tree inverted lists on first use.
+// keywordless is the answer when no keyword admits a community: the
+// connected k-core containing the query vertices, which is the universe
+// itself — the CL-tree spells it out without a peel.
+func (qc *queryContext) keywordless() ([]Community, error) {
+	if err := qc.ctx.Err(); err != nil {
+		return nil, err
+	}
+	comp := qc.universe
+	if qc.k == 0 {
+		// The root's subtree is the whole graph, connected or not.
+		comp = qc.e.tree.ConnectedKCore(qc.qs[0], 0)
+		for _, q := range qc.qs[1:] {
+			if !ds.ContainsSorted(comp, q) {
+				return nil, nil
+			}
+		}
+	}
+	return []Community{{Vertices: comp}}, nil
+}
+
+// keywordVertices returns the universe vertices carrying w, gathered from
+// the CL-tree inverted lists on first use (ascending within each tree node,
+// not across nodes — candidates are intersected through the scratch, which
+// needs no order).
 func (qc *queryContext) keywordVertices(w int32) []int32 {
 	if lst, ok := qc.kwLists[w]; ok {
 		return lst
 	}
 	lst := qc.e.tree.SubtreeKeywordVertices(qc.anchor, w, nil)
-	slices.Sort(lst)
 	qc.kwLists[w] = lst
 	return lst
 }
 
-// candidates returns the ascending vertex list {v ∈ universe : T ⊆ W(v)},
-// or nil if any query vertex is excluded (then no AC for T can exist). The
-// result may alias the engine's candidate buffer: it is valid only until the
-// next candidates/refineVerify call (verification peels it immediately, so
-// nothing downstream retains it).
+// restrict returns the vertices of list that are also in set, in list
+// order. The result lives in the engine's candidate buffer, which set may
+// itself alias: set is read in full before the first write.
+func (qc *queryContext) restrict(set, list []int32) []int32 {
+	in := &qc.s.Aux
+	in.Set(qc.e.g.N(), set)
+	buf := qc.e.candBuf[:0]
+	for _, v := range list {
+		if in.Has(v) {
+			buf = append(buf, v)
+		}
+	}
+	qc.e.candBuf = buf
+	return buf
+}
+
+// candidates returns the vertex list {v ∈ universe : T ⊆ W(v)}, T not
+// empty, in no particular order. The result may alias the engine's candidate buffer: it
+// is valid only until the next candidates/refineVerify call (verification
+// peels it immediately, so nothing downstream retains it).
 func (qc *queryContext) candidates(T []int32) []int32 {
-	if len(T) == 0 {
-		return qc.universe
-	}
 	cur := qc.keywordVertices(T[0])
-	if len(T) > 1 {
-		// Intersections land in the engine's reusable buffer: the first
-		// merge writes into it from the cached keyword lists, later merges
-		// shrink it in place (the write index never passes the read index).
-		buf := ds.IntersectSortedInto(qc.e.candBuf[:0], cur, qc.keywordVertices(T[1]))
-		for _, w := range T[2:] {
-			if len(buf) == 0 {
-				break
-			}
-			buf = ds.IntersectSortedInto(buf[:0], buf, qc.keywordVertices(w))
+	for _, w := range T[1:] {
+		if len(cur) == 0 {
+			break
 		}
-		qc.e.candBuf = buf
-		cur = buf
-	}
-	if len(cur) == 0 {
-		return nil
-	}
-	for _, q := range qc.queryVertices() {
-		if !ds.ContainsSorted(cur, q) {
-			return nil
-		}
+		cur = qc.restrict(cur, qc.keywordVertices(w))
 	}
 	return cur
 }
 
-func (qc *queryContext) queryVertices() []int32 {
-	if qc.multi != nil {
-		return qc.multi
+// supported reports whether every query vertex has at least k neighbors
+// among T's candidates — a neighbor of a universe vertex is itself in the
+// universe exactly when its core number reaches k. A query vertex short of
+// k such neighbors is evicted by the first round of any peel, so T admits
+// no AC and the candidates need not even be gathered.
+func (qc *queryContext) supported(T []int32) bool {
+	g, core := qc.e.g, qc.e.tree.CoreNumbers()
+	for _, q := range qc.qs {
+		need := qc.k
+		for _, u := range g.Neighbors(q) {
+			if need == 0 {
+				break
+			}
+			if core[u] >= qc.k && ds.ContainsAllSorted(g.Keywords(u), T) {
+				need--
+			}
+		}
+		if need > 0 {
+			return false
+		}
 	}
-	return []int32{qc.q}
+	return true
 }
 
-// peelContaining runs the k-core peel over cand and returns the component
-// holding every query vertex (nil if any is evicted or separated).
+// peelContaining runs the k-core peel over cand and returns, ascending, the
+// component holding every query vertex (nil if any is missing, evicted or
+// separated).
 func (qc *queryContext) peelContaining(cand []int32) []int32 {
-	if qc.multi != nil {
-		return qc.e.peeler.ConnectedKCoreContainingAll(cand, qc.k, qc.multi)
+	if len(cand) < int(qc.k)+1 {
+		return nil
 	}
-	return qc.e.peeler.ConnectedKCoreContaining(cand, qc.k, qc.q)
+	return qc.peeler.ConnectedKCoreContainingAll(cand, qc.k, qc.qs)
 }
 
 // verify checks whether keyword set T admits an AC: it computes the k-core
 // of the subgraph induced by T's candidates and returns the connected
-// component containing the query vertices (nil if none). The returned
-// vertices are in BFS order. It polls the query context first — every
-// candidate keyword set funnels through here (or refineVerify), so this is
-// the cancellation point of all four query algorithms.
+// component containing the query vertices (nil if none), ascending and
+// freshly allocated. It polls the query context first — every candidate
+// keyword set funnels through here (or refineVerify), so this is the
+// cancellation point of all four query algorithms.
 func (qc *queryContext) verify(T []int32) ([]int32, error) {
 	if err := qc.ctx.Err(); err != nil {
 		return nil, err
 	}
 	qc.e.stats.Verifications++
-	cand := qc.candidates(T)
-	if len(cand) < int(qc.k)+1 {
+	if !qc.supported(T) {
 		return nil, nil
 	}
-	return qc.peelContaining(cand), nil
+	return qc.peelContaining(qc.candidates(T)), nil
 }
 
 // refineVerify re-peels an already-known parent community restricted to the
 // vertices carrying one extra keyword — the Inc-T sharing step. parent must
-// be the AC for some T' with the refined set being T' ∪ {w}, in ascending
-// order (level entries store their communities sorted so the parent is
-// sorted once, not once per join partner).
+// be the AC for some T' with the refined set being T' ∪ {w}.
 func (qc *queryContext) refineVerify(parent []int32, w int32) ([]int32, error) {
 	if err := qc.ctx.Err(); err != nil {
 		return nil, err
 	}
 	qc.e.stats.Verifications++
-	e := qc.e
-	cand := ds.IntersectSortedInto(e.candBuf[:0], parent, qc.keywordVertices(w))
-	e.candBuf = cand
-	if len(cand) < int(qc.k)+1 {
-		return nil, nil
-	}
-	return qc.peelContaining(cand), nil
+	return qc.peelContaining(qc.restrict(parent, qc.keywordVertices(w))), nil
 }
 
-// finish converts a verified vertex set into a Community, recomputing the
-// exact shared keyword set L(Gq,S) for reporting.
-func (qc *queryContext) finish(vertices []int32, S []int32) Community {
-	vs := sortedCopy(vertices)
-	sub := qc.e.g.Induce(vs)
-	return Community{Vertices: vs, SharedKeywords: sub.SharedKeywords(S)}
+// finish converts the community verified for keyword set T into a
+// Community, computing the exact shared keyword set L(Gq,S) for reporting:
+// the intersection of S with every member's keywords. Every member carries
+// T, so the running intersection can stop as soon as it has shrunk to T's
+// size. vertices must be ascending and is adopted, not copied.
+func (qc *queryContext) finish(vertices, T, S []int32) Community {
+	g := qc.e.g
+	shared := ds.IntersectSorted(g.Keywords(vertices[0]), S)
+	for _, v := range vertices[1:] {
+		if len(shared) == len(T) {
+			break
+		}
+		shared = ds.IntersectSortedInto(shared, shared, g.Keywords(v))
+	}
+	return Community{Vertices: vertices, SharedKeywords: shared}
 }
 
 // filterAdmissibleKeywords verifies every singleton {w}, w ∈ S, and returns
-// the admissible keywords with their communities (in BFS order, as verify
+// the admissible keywords with their communities (ascending, as verify
 // produces them). Anti-monotonicity makes this a complete filter: a keyword
 // whose singleton fails appears in no admissible set.
 func (qc *queryContext) filterAdmissibleKeywords(S []int32) ([]int32, map[int32][]int32, error) {
@@ -351,11 +387,10 @@ func sortedCopy(s []int32) []int32 {
 // set) and collapses exact duplicates. For a fixed keyword set the AC is
 // unique, so distinct answers should never coincide — but different
 // candidate orders can surface the same community more than once, and the
-// guard makes that a collapse instead of a duplicated result.
+// guard makes that a collapse instead of a duplicated result. Vertex lists
+// arrive ascending and are never written: an answer may share its list with
+// the index or with a cached result.
 func sortAnswers(answers []Community) []Community {
-	for _, a := range answers {
-		slices.Sort(a.Vertices)
-	}
 	slices.SortFunc(answers, func(x, y Community) int {
 		if c := slices.Compare(x.SharedKeywords, y.SharedKeywords); c != 0 {
 			return c

@@ -1,7 +1,5 @@
 package core
 
-import "slices"
-
 // The incremental algorithms verify candidate keyword sets from small to
 // large (paper §3.2: "incremental algorithms (from examining smaller
 // candidate sets to larger ones)"). Both walk the admissible-set lattice
@@ -17,7 +15,7 @@ import "slices"
 
 type levelEntry struct {
 	set  []int32
-	comm []int32 // Inc-T only: the AC for set, ascending (refineVerify needs sorted parents)
+	comm []int32 // Inc-T only: the AC for set
 }
 
 // searchIncS is the space-efficient incremental algorithm.
@@ -54,7 +52,7 @@ func (e *Engine) searchIncS(qc *queryContext, S []int32) ([]Community, error) {
 			return nil, err
 		}
 		if comp != nil {
-			answers = append(answers, qc.finish(comp, S))
+			answers = append(answers, qc.finish(comp, ent.set, S))
 		}
 	}
 	return qc.dedupAnswers(answers), nil
@@ -72,7 +70,6 @@ func (e *Engine) searchIncT(qc *queryContext, S []int32) ([]Community, error) {
 	}
 	level := make([]levelEntry, 0, len(admissible))
 	for _, w := range admissible {
-		slices.Sort(comms[w]) // refineVerify needs ascending parents
 		level = append(level, levelEntry{set: []int32{w}, comm: comms[w]})
 	}
 	for {
@@ -88,7 +85,7 @@ func (e *Engine) searchIncT(qc *queryContext, S []int32) ([]Community, error) {
 	}
 	answers := make([]Community, 0, len(level))
 	for _, ent := range level {
-		answers = append(answers, qc.finish(ent.comm, S))
+		answers = append(answers, qc.finish(ent.comm, ent.set, S))
 	}
 	return qc.dedupAnswers(answers), nil
 }
@@ -149,11 +146,6 @@ func joinAndVerify(qc *queryContext, level []levelEntry, refine bool) ([]levelEn
 				return nil, err
 			}
 			if comp != nil {
-				if refine {
-					// Keep Inc-T level communities ascending for the next
-					// refine; Inc-S never reads comm, so skip the sort there.
-					slices.Sort(comp)
-				}
 				next = append(next, levelEntry{set: cand, comm: comp})
 			}
 		}

@@ -63,26 +63,19 @@ func (e *Engine) SearchMultiContext(ctx context.Context, qs []int32, k int32, S 
 		S = ds.IntersectSorted(S, e.g.Keywords(q))
 	}
 
-	qc := newQueryContext(ctx, e, qs[0], k)
+	qc := newQueryContext(ctx, e, qs, k)
 	if qc == nil {
 		return nil, nil
 	}
+	defer qc.s.Release()
 	e.stats.UniverseSize = len(qc.universe)
-	qc.multi = qs
 
 	answers, err := e.searchDec(qc, S)
 	if err != nil {
 		return nil, err
 	}
 	if len(answers) == 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		comp := e.peeler.ConnectedKCoreContainingAll(qc.universe, k, qs)
-		if comp == nil {
-			return nil, nil
-		}
-		answers = []Community{{Vertices: sortedCopy(comp)}}
+		return qc.keywordless()
 	}
 	return sortAnswers(answers), nil
 }

@@ -11,7 +11,6 @@ package csearch
 
 import (
 	"context"
-	"slices"
 
 	"cexplorer/internal/graph"
 	"cexplorer/internal/kcore"
@@ -60,13 +59,14 @@ func GlobalContext(ctx context.Context, g *graph.Graph, core []int32, q int32, k
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	slices.Sort(comp)
 	if visited == 0 {
 		visited = len(comp)
 	}
+	s := g.AcquireScratch()
+	defer s.Release()
 	return &GlobalResult{
 		Vertices:  comp,
-		MinDegree: minInducedDegree(g, comp),
+		MinDegree: minInducedDegree(s, comp),
 		Visited:   visited,
 	}, nil
 }
@@ -85,25 +85,20 @@ func GlobalMax(g *graph.Graph, core []int32, q int32) *GlobalResult {
 	return Global(g, core, q, core[q])
 }
 
-func minInducedDegree(g *graph.Graph, comp []int32) int32 {
-	in := make(map[int32]bool, len(comp))
-	for _, v := range comp {
-		in[v] = true
-	}
-	minDeg := int32(-1)
+// minInducedDegree returns the smallest degree inside the subgraph induced
+// by comp (0 for an empty comp). It uses s's Seen set.
+func minInducedDegree(s *graph.Scratch, comp []int32) int32 {
+	g, in := s.Graph(), &s.Seen
+	in.Set(g.N(), comp)
+	minDeg := int32(len(comp))
 	for _, v := range comp {
 		d := int32(0)
 		for _, u := range g.Neighbors(v) {
-			if in[u] {
+			if in.Has(u) {
 				d++
 			}
 		}
-		if minDeg == -1 || d < minDeg {
-			minDeg = d
-		}
-	}
-	if minDeg < 0 {
-		minDeg = 0
+		minDeg = min(minDeg, d)
 	}
 	return minDeg
 }

@@ -2,9 +2,7 @@ package csearch
 
 import (
 	"context"
-	"slices"
 
-	"cexplorer/internal/ds"
 	"cexplorer/internal/graph"
 	"cexplorer/internal/kcore"
 )
@@ -51,15 +49,29 @@ func LocalContext(ctx context.Context, g *graph.Graph, q int32, k int32, opts Lo
 		budget = 256 * int(k+1)
 	}
 
-	inCand := map[int32]bool{q: true}
+	s := g.AcquireScratch()
+	defer s.Release()
+	// Aux holds every vertex the expansion has touched; Val tells them
+	// apart: inCandidate for members of the candidate set, otherwise the
+	// vertex's number of edges into it. The peeler overwrites Val only for
+	// candidates, whose connection counts are no longer needed.
+	const inCandidate = -1
+	touched, conn := &s.Aux, s.Val
+	touched.Reset(g.N())
+	touched.Add(q)
+	conn[q] = inCandidate
 	cand := []int32{q}
 	// Frontier priority: more edges into the candidate set = better
 	// (min-heap on negated connection count, degree as tiebreak to prefer
 	// low-degree vertices, keeping candidate sets small).
-	frontier := ds.NewPairHeap(64)
-	conn := map[int32]int{}
+	frontier := &s.Heap
+	frontier.Reset(g.N())
 	push := func(v int32) {
-		if inCand[v] {
+		if !touched.Has(v) {
+			touched.Add(v)
+			conn[v] = 0
+		}
+		if conn[v] == inCandidate {
 			return
 		}
 		conn[v]++
@@ -69,7 +81,20 @@ func LocalContext(ctx context.Context, g *graph.Graph, q int32, k int32, opts Lo
 		push(u)
 	}
 
-	peeler := kcore.NewPeeler(g)
+	peeler := kcore.NewPeeler(s)
+	// check tests whether the candidates already hold a connected k-core
+	// around q.
+	check := func() *LocalResult {
+		comp := peeler.ConnectedKCoreContaining(cand, k, q)
+		// The peel left induced degrees in the candidates' Val entries.
+		for _, v := range cand {
+			conn[v] = inCandidate
+		}
+		if comp == nil {
+			return nil
+		}
+		return &LocalResult{Vertices: comp, MinDegree: minInducedDegree(s, comp), Visited: len(cand)}
+	}
 	nextCheck := int(k) + 1
 	for {
 		if len(cand) >= nextCheck {
@@ -79,13 +104,8 @@ func LocalContext(ctx context.Context, g *graph.Graph, q int32, k int32, opts Lo
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			if comp := peeler.ConnectedKCoreContaining(cand, k, q); comp != nil {
-				slices.Sort(comp)
-				return &LocalResult{
-					Vertices:  comp,
-					MinDegree: minInducedDegree(g, comp),
-					Visited:   len(cand),
-				}, nil
+			if r := check(); r != nil {
+				return r, nil
 			}
 			// Exponential back-off on checks to amortize peeling.
 			nextCheck = len(cand) + len(cand)/2 + 1
@@ -94,7 +114,7 @@ func LocalContext(ctx context.Context, g *graph.Graph, q int32, k int32, opts Lo
 			break
 		}
 		v, _ := frontier.Pop()
-		inCand[v] = true
+		conn[v] = inCandidate
 		cand = append(cand, v)
 		for _, u := range g.Neighbors(v) {
 			push(u)
@@ -104,13 +124,5 @@ func LocalContext(ctx context.Context, g *graph.Graph, q int32, k int32, opts Lo
 		return nil, err
 	}
 	// Final check before giving up.
-	if comp := peeler.ConnectedKCoreContaining(cand, k, q); comp != nil {
-		slices.Sort(comp)
-		return &LocalResult{
-			Vertices:  comp,
-			MinDegree: minInducedDegree(g, comp),
-			Visited:   len(cand),
-		}, nil
-	}
-	return nil, nil
+	return check(), nil
 }

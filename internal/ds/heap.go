@@ -1,47 +1,42 @@
 package ds
 
-// PairHeap is a binary min-heap of (id, priority) pairs with a
-// decrease/increase-key operation, used by the Local expansion strategy and
-// by layout refinement. Priorities are float64; ties break on insertion
-// order (heap order is unspecified for equal priorities, which is fine for
-// all users in this repo because they re-check priorities on pop).
+// PairHeap is a binary min-heap of (id, priority) pairs over a dense id
+// space with a decrease/increase-key operation, used by the Local expansion
+// strategy. Priorities are float64; heap order is unspecified for equal
+// priorities. Positions are indexed by id in a flat array, so the heap
+// hashes nothing; the zero value is ready for Reset.
 type PairHeap struct {
-	ids   []int32
-	prio  []float64
-	index map[int32]int // id -> position in ids; -1 when absent
+	ids  []int32
+	prio []float64
+	pos  []int32 // id -> position in ids plus one; 0 when absent
 }
 
-// NewPairHeap returns an empty heap with the given initial capacity hint.
-func NewPairHeap(capHint int) *PairHeap {
-	return &PairHeap{
-		ids:   make([]int32, 0, capHint),
-		prio:  make([]float64, 0, capHint),
-		index: make(map[int32]int, capHint),
+// NewPairHeap returns an empty heap for ids in [0,n).
+func NewPairHeap(n int) *PairHeap {
+	h := &PairHeap{}
+	h.Reset(n)
+	return h
+}
+
+// Reset empties the heap, keeping its storage, and sizes it for ids in
+// [0,n). It costs O(items still queued).
+func (h *PairHeap) Reset(n int) {
+	for _, id := range h.ids {
+		h.pos[id] = 0
+	}
+	h.ids, h.prio = h.ids[:0], h.prio[:0]
+	if len(h.pos) < n {
+		h.pos = make([]int32, n)
 	}
 }
 
 // Len returns the number of queued items.
 func (h *PairHeap) Len() int { return len(h.ids) }
 
-// Contains reports whether id is currently queued.
-func (h *PairHeap) Contains(id int32) bool {
-	_, ok := h.index[id]
-	return ok
-}
-
-// Priority returns the current priority of id; ok is false if absent.
-func (h *PairHeap) Priority(id int32) (p float64, ok bool) {
-	i, ok := h.index[id]
-	if !ok {
-		return 0, false
-	}
-	return h.prio[i], true
-}
-
 // Push inserts id with priority p, or updates its priority if already
 // present (moving it up or down as needed).
 func (h *PairHeap) Push(id int32, p float64) {
-	if i, ok := h.index[id]; ok {
+	if i := int(h.pos[id]) - 1; i >= 0 {
 		old := h.prio[i]
 		h.prio[i] = p
 		if p < old {
@@ -53,7 +48,7 @@ func (h *PairHeap) Push(id int32, p float64) {
 	}
 	h.ids = append(h.ids, id)
 	h.prio = append(h.prio, p)
-	h.index[id] = len(h.ids) - 1
+	h.pos[id] = int32(len(h.ids))
 	h.up(len(h.ids) - 1)
 }
 
@@ -65,35 +60,18 @@ func (h *PairHeap) Pop() (id int32, p float64) {
 	h.swap(0, last)
 	h.ids = h.ids[:last]
 	h.prio = h.prio[:last]
-	delete(h.index, id)
+	h.pos[id] = 0
 	if last > 0 {
 		h.down(0)
 	}
 	return id, p
 }
 
-// Remove deletes id from the heap if present.
-func (h *PairHeap) Remove(id int32) {
-	i, ok := h.index[id]
-	if !ok {
-		return
-	}
-	last := len(h.ids) - 1
-	h.swap(i, last)
-	h.ids = h.ids[:last]
-	h.prio = h.prio[:last]
-	delete(h.index, id)
-	if i < last {
-		h.down(i)
-		h.up(i)
-	}
-}
-
 func (h *PairHeap) swap(i, j int) {
 	h.ids[i], h.ids[j] = h.ids[j], h.ids[i]
 	h.prio[i], h.prio[j] = h.prio[j], h.prio[i]
-	h.index[h.ids[i]] = i
-	h.index[h.ids[j]] = j
+	h.pos[h.ids[i]] = int32(i + 1)
+	h.pos[h.ids[j]] = int32(j + 1)
 }
 
 func (h *PairHeap) up(i int) {

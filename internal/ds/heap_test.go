@@ -48,31 +48,23 @@ func TestPairHeapDecreaseKey(t *testing.T) {
 	}
 }
 
-func TestPairHeapRemove(t *testing.T) {
-	h := NewPairHeap(8)
-	for i := int32(0); i < 10; i++ {
-		h.Push(i, float64(10-i))
-	}
-	h.Remove(9)  // currently minimum (priority 1)
-	h.Remove(0)  // maximum
-	h.Remove(42) // absent: no-op
-	id, _ := h.Pop()
-	if id != 8 {
-		t.Fatalf("after removals Pop = %d, want 8", id)
-	}
-	if h.Contains(9) || h.Contains(0) {
-		t.Fatal("removed ids still present")
-	}
-}
-
-func TestPairHeapPriorityLookup(t *testing.T) {
+// TestPairHeapReset checks that Reset forgets queued ids, so a reused heap
+// treats them as absent again.
+func TestPairHeapReset(t *testing.T) {
 	h := NewPairHeap(4)
-	h.Push(7, 3.5)
-	if p, ok := h.Priority(7); !ok || p != 3.5 {
-		t.Fatalf("Priority(7) = %v,%v", p, ok)
+	h.Push(1, 5)
+	h.Push(3, 2)
+	h.Reset(8)
+	if h.Len() != 0 {
+		t.Fatalf("Len after Reset = %d", h.Len())
 	}
-	if _, ok := h.Priority(8); ok {
-		t.Fatal("Priority(8) should be absent")
+	h.Push(3, 9) // must insert, not update a stale position
+	h.Push(7, 1)
+	if id, p := h.Pop(); id != 7 || p != 1 {
+		t.Fatalf("Pop = (%d,%f), want (7,1)", id, p)
+	}
+	if id, p := h.Pop(); id != 3 || p != 9 {
+		t.Fatalf("Pop = (%d,%f), want (3,9)", id, p)
 	}
 }
 

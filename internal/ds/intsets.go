@@ -89,29 +89,6 @@ func UnionSize(a, b []int32) int {
 	return len(a) + len(b) - IntersectionSize(a, b)
 }
 
-// UnionSorted returns a ∪ b as a new slice.
-func UnionSorted(a, b []int32) []int32 {
-	out := make([]int32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
 // ContainsAllSorted reports whether sub ⊆ super.
 func ContainsAllSorted(super, sub []int32) bool {
 	i, j := 0, 0

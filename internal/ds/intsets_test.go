@@ -27,8 +27,8 @@ func TestSetOpsBasic(t *testing.T) {
 	if got := IntersectSorted(a, b); !reflect.DeepEqual(got, []int32{3, 5}) {
 		t.Fatalf("Intersect = %v", got)
 	}
-	if got := UnionSorted(a, b); !reflect.DeepEqual(got, []int32{1, 3, 4, 5, 7, 8}) {
-		t.Fatalf("Union = %v", got)
+	if got := UnionSize(a, b); got != 6 {
+		t.Fatalf("UnionSize = %d", got)
 	}
 	if got := IntersectionSize(a, b); got != 2 {
 		t.Fatalf("IntersectionSize = %d", got)
@@ -101,15 +101,6 @@ func TestSetOpsMatchMaps(t *testing.T) {
 		}
 		if UnionSize(a, b) != len(ma)+len(mb)-cnt {
 			return false
-		}
-		union := UnionSorted(a, b)
-		if len(union) != UnionSize(a, b) {
-			return false
-		}
-		for i := 1; i < len(union); i++ {
-			if union[i-1] >= union[i] {
-				return false
-			}
 		}
 		return true
 	}

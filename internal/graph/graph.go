@@ -52,6 +52,9 @@ type Graph struct {
 	edgeIDOnce  sync.Once
 	edgeIDs     []int32
 	edgeIDReady atomic.Bool
+
+	// scratch pools the query kernels' dense working memory (scratch.go).
+	scratch sync.Pool
 }
 
 // N returns the number of vertices.
@@ -161,21 +164,6 @@ func (g *Graph) Edges(fn func(u, v int32) bool) {
 			}
 		}
 	}
-}
-
-// InducedSize returns the number of edges in the subgraph induced by the
-// member set (given as a bitset over vertex IDs).
-func (g *Graph) InducedSize(member *ds.BitSet) int {
-	m := 0
-	member.ForEach(func(i int) bool {
-		for _, w := range g.Neighbors(int32(i)) {
-			if int32(i) < w && member.Test(int(w)) {
-				m++
-			}
-		}
-		return true
-	})
-	return m
 }
 
 // Validate checks structural invariants (sorted, symmetric, loop-free

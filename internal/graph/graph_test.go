@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -179,21 +180,6 @@ func TestTraversals(t *testing.T) {
 	if labels[0] != labels[2] || labels[0] == labels[3] || labels[5] == labels[0] {
 		t.Fatalf("labels = %v", labels)
 	}
-	comp := g.ComponentOf(1)
-	if len(comp) != 3 {
-		t.Fatalf("ComponentOf(1) = %v", comp)
-	}
-	within := g.BFSWithin(0, func(v int32) bool { return v != 1 })
-	if len(within) != 1 || within[0] != 0 {
-		t.Fatalf("BFSWithin blocked = %v", within)
-	}
-	if got := g.BFSWithin(0, func(v int32) bool { return false }); got != nil {
-		t.Fatalf("BFSWithin with excluded start = %v", got)
-	}
-	dist := g.Distances(0)
-	if dist[2] != 2 || dist[3] != -1 {
-		t.Fatalf("Distances = %v", dist)
-	}
 }
 
 func TestDiameter(t *testing.T) {
@@ -222,10 +208,6 @@ func TestStats(t *testing.T) {
 	}
 	if s.AvgDegree != 2 {
 		t.Fatalf("avg degree = %f", s.AvgDegree)
-	}
-	hist := g.DegreeHistogram()
-	if hist[1] != 1 || hist[2] != 2 || hist[3] != 1 {
-		t.Fatalf("hist = %v", hist)
 	}
 }
 
@@ -327,8 +309,15 @@ func TestInducedSizeMatchesSubgraph(t *testing.T) {
 		if len(vs) == 0 {
 			return true
 		}
-		sub := g.Induce(vs)
-		return g.InducedSize(sub.MemberSet()) == sub.M()
+		// Count the induced edges independently of Induce.
+		m := 0
+		g.Edges(func(u, v int32) bool {
+			if slices.Contains(vs, u) && slices.Contains(vs, v) {
+				m++
+			}
+			return true
+		})
+		return g.Induce(vs).M() == m
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -44,37 +44,38 @@ func (g *Graph) ComputeStats() Stats {
 	return s
 }
 
-// DegreeHistogram returns counts[d] = number of vertices with degree d.
-func (g *Graph) DegreeHistogram() []int {
-	counts := make([]int, g.MaxDegree()+1)
-	for v := int32(0); v < int32(g.N()); v++ {
-		counts[g.Degree(v)]++
-	}
-	return counts
-}
-
 // TopKeywords returns the most frequent keyword IDs among the given
 // vertices, by descending frequency (ties broken by ID). This powers the
-// community "Theme" display of Figure 1.
+// community "Theme" display of Figure 1. Frequencies are counted in a dense
+// per-keyword array from the graph's scratch pool; only the keywords that
+// occur are ranked.
 func (g *Graph) TopKeywords(vertices []int32, limit int) []int32 {
-	freq := make(map[int32]int)
+	s := g.AcquireScratch()
+	defer s.Release()
+	if len(s.kwCount) < g.vocab.Len() {
+		s.kwCount = make([]int32, g.vocab.Len())
+	}
+	freq, seen := s.kwCount, s.kwTouched[:0]
 	for _, v := range vertices {
 		for _, w := range g.Keywords(v) {
+			if freq[w] == 0 {
+				seen = append(seen, w)
+			}
 			freq[w]++
 		}
 	}
-	ids := make([]int32, 0, len(freq))
-	for w := range freq {
-		ids = append(ids, w)
-	}
-	slices.SortFunc(ids, func(a, b int32) int {
+	slices.SortFunc(seen, func(a, b int32) int {
 		if freq[a] != freq[b] {
-			return freq[b] - freq[a]
+			return int(freq[b] - freq[a])
 		}
-		return int(a) - int(b)
+		return int(a - b)
 	})
-	if limit > 0 && len(ids) > limit {
-		ids = ids[:limit]
+	for _, w := range seen {
+		freq[w] = 0
 	}
-	return ids
+	s.kwTouched = seen
+	if limit > 0 && len(seen) > limit {
+		seen = seen[:limit]
+	}
+	return slices.Clone(seen)
 }

@@ -1,6 +1,10 @@
 package graph
 
-import "cexplorer/internal/ds"
+import (
+	"slices"
+
+	"cexplorer/internal/ds"
+)
 
 // Subgraph is a materialized induced subgraph with local vertex IDs plus the
 // mapping back to the parent graph. It is what community-search algorithms
@@ -8,57 +12,56 @@ import "cexplorer/internal/ds"
 type Subgraph struct {
 	Parent   *Graph
 	Vertices []int32 // parent IDs, sorted ascending
-	local    map[int32]int32
-	adj      [][]int32 // local adjacency, sorted
-	m        int
+	off      []int32 // local CSR: adj[off[l]:off[l+1]] is l's adjacency, sorted
+	adj      []int32
 }
 
 // Induce materializes the subgraph of g induced by vertices (parent IDs;
 // duplicates are removed, order normalized to ascending).
 func (g *Graph) Induce(vertices []int32) *Subgraph {
-	vs := make([]int32, len(vertices))
-	copy(vs, vertices)
-	vs = sortDedup(vs)
-	local := make(map[int32]int32, len(vs))
+	vs := sortDedup(slices.Clone(vertices))
+	s := g.AcquireScratch()
+	defer s.Release()
+	member, local := &s.In, s.Val
+	member.Reset(g.N())
 	for i, v := range vs {
+		member.Add(v)
 		local[v] = int32(i)
 	}
-	adj := make([][]int32, len(vs))
-	m := 0
+	off := make([]int32, len(vs)+1)
+	var adj []int32
 	for i, v := range vs {
 		for _, u := range g.Neighbors(v) {
-			if lu, ok := local[u]; ok {
-				adj[i] = append(adj[i], lu)
-				if u > v {
-					m++
-				}
+			if member.Has(u) {
+				adj = append(adj, local[u])
 			}
 		}
+		off[i+1] = int32(len(adj))
 	}
-	return &Subgraph{Parent: g, Vertices: vs, local: local, adj: adj, m: m}
+	return &Subgraph{Parent: g, Vertices: vs, off: off, adj: adj}
 }
 
 // N returns the number of vertices in the subgraph.
 func (s *Subgraph) N() int { return len(s.Vertices) }
 
 // M returns the number of edges in the subgraph.
-func (s *Subgraph) M() int { return s.m }
+func (s *Subgraph) M() int { return len(s.adj) / 2 }
 
 // LocalID maps a parent vertex ID to the local ID; ok is false for
 // non-members.
 func (s *Subgraph) LocalID(parent int32) (int32, bool) {
-	l, ok := s.local[parent]
-	return l, ok
+	l, ok := slices.BinarySearch(s.Vertices, parent)
+	return int32(l), ok
 }
 
 // ParentID maps a local ID back to the parent graph.
 func (s *Subgraph) ParentID(local int32) int32 { return s.Vertices[local] }
 
 // Degree returns the local degree of the local vertex l.
-func (s *Subgraph) Degree(l int32) int { return len(s.adj[l]) }
+func (s *Subgraph) Degree(l int32) int { return int(s.off[l+1] - s.off[l]) }
 
 // Neighbors returns the local adjacency of local vertex l.
-func (s *Subgraph) Neighbors(l int32) []int32 { return s.adj[l] }
+func (s *Subgraph) Neighbors(l int32) []int32 { return s.adj[s.off[l]:s.off[l+1]] }
 
 // MinDegree returns the minimum degree inside the subgraph (0 for empty).
 func (s *Subgraph) MinDegree() int {
@@ -79,7 +82,7 @@ func (s *Subgraph) AvgDegree() float64 {
 	if s.N() == 0 {
 		return 0
 	}
-	return 2 * float64(s.m) / float64(s.N())
+	return 2 * float64(s.M()) / float64(s.N())
 }
 
 // IsConnected reports whether the subgraph is connected (vacuously true for
@@ -96,7 +99,7 @@ func (s *Subgraph) IsConnected() bool {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, u := range s.adj[v] {
+		for _, u := range s.Neighbors(v) {
 			if !seen[u] {
 				seen[u] = true
 				cnt++
@@ -131,27 +134,4 @@ func (s *Subgraph) SharedKeywords(filter []int32) []int32 {
 		shared, buf = buf, shared
 	}
 	return shared
-}
-
-// MemberSet returns membership as a bitset over the parent graph.
-func (s *Subgraph) MemberSet() *ds.BitSet {
-	b := ds.NewBitSet(s.Parent.N())
-	for _, v := range s.Vertices {
-		b.Set(int(v))
-	}
-	return b
-}
-
-// Edges calls fn for every edge as a pair of parent vertex IDs (u < v).
-func (s *Subgraph) Edges(fn func(u, v int32) bool) {
-	for l := int32(0); l < int32(s.N()); l++ {
-		for _, u := range s.adj[l] {
-			if u <= l {
-				continue
-			}
-			if !fn(s.Vertices[l], s.Vertices[u]) {
-				return
-			}
-		}
-	}
 }

@@ -1,7 +1,7 @@
 package graph
 
-// Traversal helpers shared by the community-search algorithms. All of them
-// are allocation-light: callers on hot paths pass reusable scratch space.
+// Whole-graph and per-community traversals. The query kernels' own walks run
+// on a Scratch (scratch.go).
 
 // ConnectedComponents labels every vertex with a component ID in [0, count)
 // and returns the labels and the component count.
@@ -33,92 +33,33 @@ func (g *Graph) ConnectedComponents() (labels []int32, count int) {
 	return labels, count
 }
 
-// ComponentOf returns the vertices of the connected component containing q,
-// in BFS order.
-func (g *Graph) ComponentOf(q int32) []int32 {
-	return g.BFSWithin(q, nil)
-}
-
-// BFSWithin returns the vertices reachable from start while staying inside
-// the member predicate (nil means the whole graph). start itself must
-// satisfy the predicate; the function checks and returns nil otherwise.
-// Output is in BFS order.
-func (g *Graph) BFSWithin(start int32, member func(int32) bool) []int32 {
-	if member != nil && !member(start) {
-		return nil
-	}
-	visited := make(map[int32]bool)
-	visited[start] = true
-	out := []int32{start}
-	for head := 0; head < len(out); head++ {
-		v := out[head]
-		for _, u := range g.Neighbors(v) {
-			if visited[u] {
-				continue
-			}
-			if member != nil && !member(u) {
-				continue
-			}
-			visited[u] = true
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// Distances computes unweighted shortest-path distances from start to every
-// vertex (-1 for unreachable). Used by layout seeding and analysis.
-func (g *Graph) Distances(start int32) []int32 {
-	n := g.N()
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[start] = 0
-	queue := []int32{start}
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		for _, u := range g.Neighbors(v) {
-			if dist[u] == -1 {
-				dist[u] = dist[v] + 1
-				queue = append(queue, u)
-			}
-		}
-	}
-	return dist
-}
-
 // Diameter returns the exact diameter of the subgraph induced by vertices
 // (must be connected), via BFS from every member. Intended for communities
 // (tens to hundreds of vertices), not whole graphs.
 func (g *Graph) Diameter(vertices []int32) int {
-	member := make(map[int32]bool, len(vertices))
-	for _, v := range vertices {
-		member[v] = true
-	}
-	diam := 0
-	dist := make(map[int32]int, len(vertices))
-	for _, s := range vertices {
-		for k := range dist {
-			delete(dist, k)
-		}
-		dist[s] = 0
-		queue := []int32{s}
+	s := g.AcquireScratch()
+	defer s.Release()
+	member, dist := &s.In, s.Val
+	member.Set(g.N(), vertices)
+	diam := int32(0)
+	for _, src := range vertices {
+		s.Seen.Reset(g.N())
+		s.Seen.Add(src)
+		dist[src] = 0
+		queue := append(s.Queue[:0], src)
 		for head := 0; head < len(queue); head++ {
 			v := queue[head]
 			for _, u := range g.Neighbors(v) {
-				if !member[u] {
-					continue
-				}
-				if _, seen := dist[u]; !seen {
+				if member.Has(u) && !s.Seen.Has(u) {
+					s.Seen.Add(u)
 					dist[u] = dist[v] + 1
 					queue = append(queue, u)
-					if dist[u] > diam {
-						diam = dist[u]
-					}
 				}
 			}
 		}
+		// Breadth-first order: the last vertex reached is a farthest one.
+		diam = max(diam, dist[queue[len(queue)-1]])
+		s.Queue = queue
 	}
-	return diam
+	return int(diam)
 }

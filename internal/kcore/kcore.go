@@ -177,10 +177,10 @@ func VerticesWithCoreAtLeast(core []int32, k int32) []int32 {
 	return out
 }
 
-// ConnectedKCore returns the connected component of q inside the k-core of
-// g, or nil when core(q) < k. core may be nil, in which case it is computed.
-// This is exactly the Global [Sozio–Gionis] community with parameter k as the
-// C-Explorer UI exposes it ("Structure: degree ≥ k").
+// ConnectedKCore returns, ascending, the connected component of q inside
+// the k-core of g, or nil when core(q) < k. core may be nil, in which case it
+// is computed. This is exactly the Global [Sozio–Gionis] community with
+// parameter k as the C-Explorer UI exposes it ("Structure: degree ≥ k").
 func ConnectedKCore(g *graph.Graph, core []int32, q int32, k int32) []int32 {
 	if core == nil {
 		core = Decompose(g)
@@ -188,5 +188,13 @@ func ConnectedKCore(g *graph.Graph, core []int32, q int32, k int32) []int32 {
 	if q < 0 || int(q) >= g.N() || core[q] < k {
 		return nil
 	}
-	return g.BFSWithin(q, func(v int32) bool { return core[v] >= k })
+	p := NewPeeler(g.AcquireScratch())
+	defer p.s.Release()
+	p.s.In.Reset(g.N())
+	for v, c := range core {
+		if c >= k {
+			p.s.In.Add(int32(v))
+		}
+	}
+	return p.s.Seen.Ascending(p.component(q))
 }

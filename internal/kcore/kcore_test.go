@@ -3,6 +3,7 @@ package kcore
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -177,37 +178,40 @@ func TestKCoreInvariant(t *testing.T) {
 	}
 }
 
-func TestPeelerKCore(t *testing.T) {
+func TestPeelerRestrictedSets(t *testing.T) {
 	g := buildPaperGraph(t)
-	p := NewPeeler(g)
+	p := NewPeeler(g.AcquireScratch())
 	// Full graph at k=3 leaves the K4.
 	all := make([]int32, g.N())
 	for i := range all {
 		all[i] = int32(i)
 	}
-	got := p.KCore(all, 3)
+	got := p.ConnectedKCoreContaining(all, 3, 0)
 	if !reflect.DeepEqual(got, []int32{0, 1, 2, 3}) {
-		t.Fatalf("KCore(all,3) = %v", got)
+		t.Fatalf("peel(all,3) around A = %v", got)
 	}
 	// Restricted set {A,C,D,E} at k=2: triangle ACD plus E connected to C,D —
-	// all four survive (each has ≥2 neighbors inside).
-	got = p.KCore([]int32{0, 2, 3, 4}, 2)
+	// all four survive (each has ≥2 neighbors inside). Input order is free.
+	got = p.ConnectedKCoreContaining([]int32{4, 0, 3, 2}, 2, 0)
 	if !reflect.DeepEqual(got, []int32{0, 2, 3, 4}) {
-		t.Fatalf("KCore({A,C,D,E},2) = %v", got)
+		t.Fatalf("peel({A,C,D,E},2) = %v", got)
 	}
 	// Restricted set {A,C,E} at k=2: A-C edge, E-C edge: peels to empty.
-	if got = p.KCore([]int32{0, 2, 4}, 2); got != nil {
-		t.Fatalf("KCore({A,C,E},2) = %v", got)
+	if got = p.ConnectedKCoreContaining([]int32{0, 2, 4}, 2, 0); got != nil {
+		t.Fatalf("peel({A,C,E},2) = %v", got)
 	}
-	// k=0 keeps everything.
-	if got = p.KCore([]int32{9}, 0); !reflect.DeepEqual(got, []int32{9}) {
-		t.Fatalf("KCore({J},0) = %v", got)
+	// k=0 keeps everything; the query vertex must be in the set.
+	if got = p.ConnectedKCoreContaining([]int32{9}, 0, 9); !reflect.DeepEqual(got, []int32{9}) {
+		t.Fatalf("peel({J},0) = %v", got)
+	}
+	if got = p.ConnectedKCoreContaining([]int32{9}, 0, 0); got != nil {
+		t.Fatalf("peel({J},0) around A = %v", got)
 	}
 }
 
 func TestPeelerConnectedContaining(t *testing.T) {
 	g := buildPaperGraph(t)
-	p := NewPeeler(g)
+	p := NewPeeler(g.AcquireScratch())
 	all := make([]int32, g.N())
 	for i := range all {
 		all[i] = int32(i)
@@ -236,27 +240,77 @@ func TestPeelerConnectedContaining(t *testing.T) {
 	}
 }
 
-// TestPeelerMatchesGlobalKCore: peeling the full vertex set must equal the
-// decomposition-derived k-core, for all k, on random graphs.
-func TestPeelerMatchesGlobalKCore(t *testing.T) {
+// peelOracle is the by-definition connected k-core of q inside the subgraph
+// induced by vertices: repeated whole-set degree recounts in a map, then a
+// map-visited walk. Ascending; nil when q does not survive.
+func peelOracle(g *graph.Graph, vertices []int32, k, q int32) []int32 {
+	in := map[int32]bool{}
+	for _, v := range vertices {
+		in[v] = true
+	}
+	for changed := true; changed; {
+		changed = false
+		for v := range in {
+			d := int32(0)
+			for _, u := range g.Neighbors(v) {
+				if in[u] {
+					d++
+				}
+			}
+			if d < k {
+				delete(in, v)
+				changed = true
+			}
+		}
+	}
+	if !in[q] {
+		return nil
+	}
+	seen := map[int32]bool{q: true}
+	out := []int32{q}
+	for head := 0; head < len(out); head++ {
+		for _, u := range g.Neighbors(out[head]) {
+			if in[u] && !seen[u] {
+				seen[u] = true
+				out = append(out, u)
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestPeelerMatchesOracle: on random graphs, random vertex subsets and every
+// k, the peeler's connected k-core equals the by-definition one, and on the
+// full vertex set it equals the decomposition-derived ConnectedKCore. One
+// Peeler serves every query, which exercises the epoch-stamp reuse.
+func TestPeelerMatchesOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(50)
 		g := randomGraph(rng, n, rng.Intn(4*n))
 		core := Decompose(g)
-		p := NewPeeler(g)
+		p := NewPeeler(g.AcquireScratch())
 		all := make([]int32, n)
 		for i := range all {
 			all[i] = int32(i)
 		}
 		for k := int32(0); k <= Degeneracy(core)+1; k++ {
-			want := VerticesWithCoreAtLeast(core, k)
-			got := p.KCore(all, k)
-			if len(want) != len(got) {
-				return false
+			for q := int32(0); q < int32(n); q++ {
+				if got, want := p.ConnectedKCoreContaining(all, k, q), ConnectedKCore(g, core, q, k); !slices.Equal(got, want) {
+					t.Errorf("seed %d k=%d q=%d: full set %v, want %v", seed, k, q, got, want)
+					return false
+				}
 			}
-			for i := range want {
-				if want[i] != got[i] {
+			var sub []int32
+			for _, v := range rng.Perm(n) {
+				if rng.Intn(3) > 0 {
+					sub = append(sub, int32(v))
+				}
+			}
+			for q := int32(0); q < int32(n); q++ {
+				if got, want := p.ConnectedKCoreContaining(sub, k, q), peelOracle(g, sub, k, q); !slices.Equal(got, want) {
+					t.Errorf("seed %d k=%d q=%d: subset %v → %v, want %v", seed, k, q, sub, got, want)
 					return false
 				}
 			}
@@ -265,27 +319,6 @@ func TestPeelerMatchesGlobalKCore(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestPeelerEpochReuse hammers one Peeler with many queries to exercise the
-// epoch-stamping reuse logic.
-func TestPeelerEpochReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	g := randomGraph(rng, 80, 300)
-	p := NewPeeler(g)
-	core := Decompose(g)
-	all := make([]int32, g.N())
-	for i := range all {
-		all[i] = int32(i)
-	}
-	for iter := 0; iter < 500; iter++ {
-		k := int32(rng.Intn(5))
-		got := p.KCore(all, k)
-		want := VerticesWithCoreAtLeast(core, k)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("iter %d k=%d: %v != %v", iter, k, got, want)
-		}
 	}
 }
 

@@ -2,197 +2,114 @@ package kcore
 
 import "cexplorer/internal/graph"
 
-// Peeler computes k-cores of induced subgraphs without allocating per call.
-// It is the verification workhorse of the ACQ engine: every candidate
-// keyword set is checked by peeling the keyword-induced vertex set down to
-// its k-core (paper §3.2, "verify whether a keyword combination results in
-// an AC"). The Local baseline uses it on expansion frontiers too.
+// Peeler finds connected k-cores of induced subgraphs on a graph.Scratch,
+// without allocating anything but its answers. It is the verification
+// workhorse of the ACQ engine: every candidate keyword set is checked by
+// peeling the keyword-induced vertex set down to its k-core (paper §3.2,
+// "verify whether a keyword combination results in an AC"). The Local
+// baseline uses it on expansion frontiers too.
 //
-// All membership bookkeeping is epoch-stamped dense scratch: starting a new
-// working set or BFS is O(1) (bump the epoch), and the steady-state peel and
-// component walk allocate nothing. Only slices returned to the caller are
-// freshly allocated, because callers retain them (the engine caches
-// per-keyword-set communities across a query).
-//
-// A Peeler carries O(n) scratch space bound to one graph; it is not safe for
-// concurrent use (each query goroutine owns its own Peeler).
-type Peeler struct {
-	g     *graph.Graph
-	mark  []int32 // epoch stamp: in current working set iff mark[v] == epoch
-	deg   []int32 // induced degree while peeling
-	epoch int32
-	queue []int32 // peel worklist, reused across calls
+// A peel uses the scratch's In set (the working set, then the survivors),
+// Seen (the component walk), Val (induced degrees, written only for vertices
+// of the working set), Queue and List; the holder's Aux set and every other
+// Val entry are left alone. A Peeler is as single-goroutine as the Scratch
+// under it.
+type Peeler struct{ s *graph.Scratch }
 
-	// BFS scratch for componentWithin, separate from the peel marking so a
-	// component walk never disturbs the working-set stamps.
-	seen      []int32 // visited iff seen[v] == seenEpoch
-	seenEpoch int32
-	bfs       []int32 // frontier/output order, reused across calls
-}
+// NewPeeler returns a Peeler working on s, for s's graph.
+func NewPeeler(s *graph.Scratch) Peeler { return Peeler{s} }
 
-// NewPeeler returns a Peeler for g.
-func NewPeeler(g *graph.Graph) *Peeler {
-	return &Peeler{
-		g:    g,
-		mark: make([]int32, g.N()),
-		deg:  make([]int32, g.N()),
-		seen: make([]int32, g.N()),
-		// epoch 0 would match the zero-valued mark array; begin() bumps to 1
-		// before first use.
-		epoch:     0,
-		seenEpoch: 0,
-	}
-}
-
-// begin starts a new working set containing vertices.
-func (p *Peeler) begin(vertices []int32) {
-	p.epoch++
-	if p.epoch == 0 { // wrapped; re-zero and restart
-		for i := range p.mark {
-			p.mark[i] = 0
-		}
-		p.epoch = 1
-	}
-	for _, v := range vertices {
-		p.mark[v] = p.epoch
-	}
-}
-
-func (p *Peeler) inSet(v int32) bool { return p.mark[v] == p.epoch }
-
-// peel runs the k-core peel over vertices and returns the number of
-// survivors. Afterwards p.mark identifies survivors (mark[v] == epoch);
-// nothing is allocated.
-func (p *Peeler) peel(vertices []int32, k int32) int {
-	p.begin(vertices)
-	g := p.g
-	p.queue = p.queue[:0]
-	// Pass 1: induced degrees with the full set marked. Evictions must not
-	// start until all degrees are computed, or vertices initialized after an
-	// eviction would be decremented twice for the same neighbor.
+// peel runs the k-core peel over vertices (no duplicates) and leaves the
+// survivors in the working set In.
+func (p Peeler) peel(vertices []int32, k int32) {
+	s, g := p.s, p.s.Graph()
+	s.In.Set(g.N(), vertices)
+	// Degrees are computed with the full set marked: evictions must not
+	// start earlier, or a vertex initialized after an eviction would be
+	// decremented twice for the same neighbor.
+	queue := s.Queue[:0]
 	for _, v := range vertices {
 		d := int32(0)
 		for _, u := range g.Neighbors(v) {
-			if p.inSet(u) {
+			if s.In.Has(u) {
 				d++
 			}
 		}
-		p.deg[v] = d
-	}
-	// Pass 2: seed the peel queue.
-	survivors := 0
-	for _, v := range vertices {
-		if p.inSet(v) {
-			survivors++
-			if p.deg[v] < k {
-				p.queue = append(p.queue, v)
-				p.mark[v] = p.epoch - 1
-				survivors--
-			}
+		s.Val[v] = d
+		if d < k {
+			queue = append(queue, v)
 		}
 	}
-	for len(p.queue) > 0 {
-		v := p.queue[len(p.queue)-1]
-		p.queue = p.queue[:len(p.queue)-1]
+	for _, v := range queue {
+		s.In.Remove(v)
+	}
+	for len(queue) > 0 {
+		v := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
 		for _, u := range g.Neighbors(v) {
-			if !p.inSet(u) {
+			if !s.In.Has(u) {
 				continue
 			}
-			p.deg[u]--
-			if p.deg[u] < k {
-				p.mark[u] = p.epoch - 1
-				p.queue = append(p.queue, u)
-				survivors--
+			s.Val[u]--
+			if s.Val[u] < k {
+				s.In.Remove(u)
+				queue = append(queue, u)
 			}
 		}
 	}
-	return survivors
+	s.Queue = queue
 }
 
-// KCore peels the subgraph induced by vertices down to its k-core and
-// returns the surviving vertices in input order (nil when the k-core is
-// empty). The input slice is not modified and should not contain duplicates
-// (a surviving duplicate would be echoed twice in the output).
-func (p *Peeler) KCore(vertices []int32, k int32) []int32 {
-	n := p.peel(vertices, k)
-	if n == 0 {
+// component walks the connected component of start inside the working set,
+// breadth first, and returns it in visit order (nil when start is not in
+// the set). The list aliases the scratch's List and the same vertices are
+// left in Seen. The walk takes each vertex out of the working set as it
+// reaches it, so one stamp read per edge tells "member, not yet reached".
+func (p Peeler) component(start int32) []int32 {
+	s, g := p.s, p.s.Graph()
+	if !s.In.Has(start) {
 		return nil
 	}
-	out := make([]int32, 0, n)
-	for _, v := range vertices {
-		if p.inSet(v) {
-			out = append(out, v)
+	s.Seen.Reset(g.N())
+	s.In.Remove(start)
+	s.Seen.Add(start)
+	list := append(s.List[:0], start)
+	for head := 0; head < len(list); head++ {
+		for _, u := range g.Neighbors(list[head]) {
+			if s.In.Has(u) {
+				s.In.Remove(u)
+				s.Seen.Add(u)
+				list = append(list, u)
+			}
 		}
 	}
-	return out
+	s.List = list
+	return list
 }
 
-// ConnectedKCoreContaining peels vertices to the k-core and returns the
-// connected component containing q, or nil if q did not survive. The result
-// is in BFS order from q.
-func (p *Peeler) ConnectedKCoreContaining(vertices []int32, k int32, q int32) []int32 {
-	if p.peel(vertices, k) == 0 {
-		return nil
-	}
-	// p.mark still identifies survivors (epoch unchanged since peel).
-	if !p.inSet(q) {
-		return nil
-	}
-	return p.componentWithin(q)
+// ConnectedKCoreContaining returns, ascending, the connected component of q
+// in the k-core of the subgraph induced by vertices, or nil if q does not
+// survive the peel.
+func (p Peeler) ConnectedKCoreContaining(vertices []int32, k int32, q int32) []int32 {
+	return p.ConnectedKCoreContainingAll(vertices, k, []int32{q})
 }
 
 // ConnectedKCoreContainingAll is the multi-query-vertex variant: all of qs
-// must survive the peel and lie in one component; that component is
-// returned, else nil.
-func (p *Peeler) ConnectedKCoreContainingAll(vertices []int32, k int32, qs []int32) []int32 {
+// must be among vertices, survive the peel and lie in one component; that
+// component is returned ascending, else nil.
+func (p Peeler) ConnectedKCoreContainingAll(vertices []int32, k int32, qs []int32) []int32 {
 	if len(qs) == 0 {
 		return nil
 	}
-	if p.peel(vertices, k) == 0 {
+	p.peel(vertices, k)
+	comp := p.component(qs[0])
+	if comp == nil {
 		return nil
 	}
-	for _, q := range qs {
-		if !p.inSet(q) {
-			return nil
-		}
-	}
-	comp := p.componentWithin(qs[0])
-	// componentWithin leaves seen stamps valid for exactly the vertices of
-	// comp, so the remaining query vertices are membership-checked in O(1)
-	// each — no per-call set allocation.
 	for _, q := range qs[1:] {
-		if p.seen[q] != p.seenEpoch {
+		if !p.s.Seen.Has(q) {
 			return nil
 		}
 	}
-	return comp
-}
-
-// componentWithin runs BFS from q over the current working set (survivors of
-// the last peel). It does not disturb the epoch marking; visited bookkeeping
-// lives in the separate seen/seenEpoch scratch. The returned slice is fresh
-// (callers retain results), but the frontier buffer is reused.
-func (p *Peeler) componentWithin(q int32) []int32 {
-	g := p.g
-	p.seenEpoch++
-	if p.seenEpoch == 0 { // wrapped; re-zero and restart
-		for i := range p.seen {
-			p.seen[i] = 0
-		}
-		p.seenEpoch = 1
-	}
-	p.seen[q] = p.seenEpoch
-	p.bfs = append(p.bfs[:0], q)
-	for head := 0; head < len(p.bfs); head++ {
-		v := p.bfs[head]
-		for _, u := range g.Neighbors(v) {
-			if p.inSet(u) && p.seen[u] != p.seenEpoch {
-				p.seen[u] = p.seenEpoch
-				p.bfs = append(p.bfs, u)
-			}
-		}
-	}
-	out := make([]int32, len(p.bfs))
-	copy(out, p.bfs)
-	return out
+	return p.s.Seen.Ascending(comp)
 }

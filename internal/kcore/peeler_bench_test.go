@@ -37,10 +37,10 @@ func BenchmarkPeelerSteadyState(b *testing.B) {
 	for i := range vertices {
 		vertices[i] = int32(i)
 	}
-	p := NewPeeler(g)
+	p := NewPeeler(g.AcquireScratch())
 	// Locate a vertex that survives a k=4 peel so the BFS runs a real
 	// component walk each iteration.
-	surv := p.KCore(vertices, 4)
+	surv := VerticesWithCoreAtLeast(Decompose(g), 4)
 	if len(surv) == 0 {
 		b.Skip("no 4-core in benchmark graph")
 	}
@@ -62,8 +62,8 @@ func BenchmarkPeelerMultiContaining(b *testing.B) {
 	for i := range vertices {
 		vertices[i] = int32(i)
 	}
-	p := NewPeeler(g)
-	surv := p.KCore(vertices, 4)
+	p := NewPeeler(g.AcquireScratch())
+	surv := VerticesWithCoreAtLeast(Decompose(g), 4)
 	if len(surv) < 2 {
 		b.Skip("no 4-core in benchmark graph")
 	}

@@ -396,7 +396,7 @@ func (d *Decomposition) Communities(q int32, k int32) [][]int32 {
 // CommunitiesContext is Communities with cooperative cancellation: the
 // triangle-connectivity BFS polls ctx every few thousand edge expansions.
 func (d *Decomposition) CommunitiesContext(ctx context.Context, q int32, k int32) ([][]int32, error) {
-	full, err := d.communitiesWithEdges(ctx, q, k)
+	full, err := d.communities(ctx, q, k, false)
 	if err != nil || full == nil {
 		return nil, err
 	}
@@ -410,29 +410,37 @@ func (d *Decomposition) CommunitiesContext(ctx context.Context, q int32, k int32
 // CommunitiesWithEdges is Communities with the defining edge classes
 // retained (used by analysis and by invariant tests).
 func (d *Decomposition) CommunitiesWithEdges(q int32, k int32) []Community {
-	out, _ := d.communitiesWithEdges(context.Background(), q, k)
+	out, _ := d.communities(context.Background(), q, k, true)
 	return out
 }
 
-func (d *Decomposition) communitiesWithEdges(ctx context.Context, q int32, k int32) ([]Community, error) {
+// communities finds the edge classes around q; the classes' edge lists are
+// collected only when withEdges asks for them.
+func (d *Decomposition) communities(ctx context.Context, q int32, k int32, withEdges bool) ([]Community, error) {
 	if q < 0 || int(q) >= d.g.N() || k < 2 {
 		return nil, nil
 	}
 	g := d.g
-	visited := make(map[int32]bool)
+	s := g.AcquireScratch()
+	defer s.Release()
+	// Edge classes partition the trussness-≥k edges, so one visited set
+	// spans the whole call; the vertex set restarts per class.
+	visited, verts := &s.Edges, &s.Seen
+	visited.Reset(g.M())
 	var out []Community
 	expansions := 0
 	qnb, qids := g.Neighbors(q), g.EdgeIDs(q)
 	for qi := range qnb {
 		seed := qids[qi]
-		if d.truss[seed] < k || visited[seed] {
+		if d.truss[seed] < k || visited.Has(seed) {
 			continue
 		}
 		// BFS over triangle-adjacent edges of trussness ≥ k.
-		verts := map[int32]bool{}
-		var classEdges [][2]int32
-		queue := []int32{seed}
-		visited[seed] = true
+		verts.Reset(g.N())
+		members := s.List[:0]
+		var classIDs []int32
+		queue := append(s.Queue[:0], seed)
+		visited.Add(seed)
 		for len(queue) > 0 {
 			if expansions%cancelCheckStride == 0 {
 				if err := ctx.Err(); err != nil {
@@ -442,37 +450,42 @@ func (d *Decomposition) communitiesWithEdges(ctx context.Context, q int32, k int
 			expansions++
 			id := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
+			for _, v := range d.edges[id] {
+				if !verts.Has(v) {
+					verts.Add(v)
+					members = append(members, v)
+				}
+			}
+			if withEdges {
+				classIDs = append(classIDs, id)
+			}
 			u, w := d.edges[id][0], d.edges[id][1]
-			verts[u] = true
-			verts[w] = true
-			classEdges = append(classEdges, d.edges[id])
 			forEachCommonEdge(g.Neighbors(u), g.EdgeIDs(u), g.Neighbors(w), g.EdgeIDs(w),
 				func(_, e1, e2 int32) {
 					if d.truss[e1] < k || d.truss[e2] < k {
 						return
 					}
-					if !visited[e1] {
-						visited[e1] = true
+					if !visited.Has(e1) {
+						visited.Add(e1)
 						queue = append(queue, e1)
 					}
-					if !visited[e2] {
-						visited[e2] = true
+					if !visited.Has(e2) {
+						visited.Add(e2)
 						queue = append(queue, e2)
 					}
 				})
 		}
-		vs := make([]int32, 0, len(verts))
-		for v := range verts {
-			vs = append(vs, v)
-		}
-		slices.Sort(vs)
-		slices.SortFunc(classEdges, func(a, b [2]int32) int {
-			if a[0] != b[0] {
-				return int(a[0] - b[0])
+		s.Queue, s.List = queue, members
+		c := Community{Vertices: verts.Ascending(members)}
+		if withEdges {
+			// Edge ids ascend in (u<v)-lexicographic order.
+			slices.Sort(classIDs)
+			c.Edges = make([][2]int32, len(classIDs))
+			for i, id := range classIDs {
+				c.Edges[i] = d.edges[id]
 			}
-			return int(a[1] - b[1])
-		})
-		out = append(out, Community{Vertices: vs, Edges: classEdges})
+		}
+		out = append(out, c)
 	}
 	slices.SortFunc(out, func(a, b Community) int {
 		if len(a.Vertices) != len(b.Vertices) {

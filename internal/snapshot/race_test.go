@@ -3,5 +3,5 @@
 package snapshot
 
 // raceEnabled reports that the race detector instruments this build; the
-// wall-clock speedup assertion is skipped there (see TestWarmStartSpeedup).
+// allocation ceiling is not asserted there (see TestWarmOpenBuildsNothing).
 const raceEnabled = true

@@ -195,6 +195,10 @@ type Dataset struct {
 	trussReady atomic.Bool
 	trussNanos atomic.Int64
 
+	// nameForm memoizes a form derived from the graph's name table alone
+	// (see NameForm); Mutate hands it to every successor that adds no vertex.
+	nameForm atomic.Pointer[any]
+
 	// engines holds warm *core.Engine values (their interned keyword-set
 	// tables and candidate buffers already grown) so concurrent handlers
 	// check one out instead of regrowing them per request. The O(n) working
@@ -343,6 +347,20 @@ func (d *Dataset) BuildIndexes() {
 		func() { d.Truss() },
 	}
 	par.Each(len(builds), 0, func(i int) { builds[i]() })
+}
+
+// NameForm returns build(d.Graph), computed on first use and kept for this
+// version and every successor with the same names. build must read only the
+// graph's names and return something immutable that does not alias them: the
+// server keeps its pre-quoted JSON name table here. Racing first callers may
+// both build; one result wins.
+func (d *Dataset) NameForm(build func(*graph.Graph) any) any {
+	if p := d.nameForm.Load(); p != nil {
+		return *p
+	}
+	v := build(d.Graph)
+	d.nameForm.CompareAndSwap(nil, &v)
+	return *d.nameForm.Load()
 }
 
 // AcquireEngine checks a warm ACQ engine out of the dataset's pool, building
@@ -722,6 +740,19 @@ func (e *Explorer) Dataset(name string) (*Dataset, bool) {
 	return d, ok
 }
 
+// Pin resolves a dataset by name once and pins that version's backing
+// memory until the returned release is called: the entry point for a
+// request that searches and then reads the graph by the answer's ids, all
+// on the one version (see SearchOn).
+func (e *Explorer) Pin(dataset string) (*Dataset, func(), error) {
+	ds, ok := e.Dataset(dataset)
+	if !ok {
+		return nil, nil, fmt.Errorf("%w: %q", ErrDatasetNotFound, dataset)
+	}
+	unpin, err := ds.Pin()
+	return ds, unpin, err
+}
+
 // Datasets lists registered dataset names, sorted.
 func (e *Explorer) Datasets() []string {
 	e.mu.RLock()
@@ -749,6 +780,18 @@ func (e *Explorer) Search(ctx context.Context, dataset, algo string, q Query) ([
 	if !ok {
 		return nil, fmt.Errorf("%w: search: %q", ErrDatasetNotFound, dataset)
 	}
+	return e.SearchOn(ctx, ds, algo, q)
+}
+
+// SearchOn is Search on a dataset version the caller has already resolved.
+// A caller that goes on to read the graph by the answer's ids (names, a
+// layout) must use the version that produced them: a mutation landing
+// between two lookups by name can add vertices the older version lacks.
+// Resolve once with Pin, search with SearchOn, and unpin when done reading.
+func (e *Explorer) SearchOn(ctx context.Context, ds *Dataset, algo string, q Query) ([]Community, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, wrapContextErr(err)
+	}
 	e.mu.RLock()
 	a, ok := e.cs[algo]
 	c := e.cache
@@ -757,16 +800,16 @@ func (e *Explorer) Search(ctx context.Context, dataset, algo string, q Query) ([
 		return nil, fmt.Errorf("%w: search: no CS algorithm %q", ErrUnknownAlgorithm, algo)
 	}
 	if c == nil {
-		return e.searchOn(ctx, ds, a, q)
+		return e.searchKernel(ctx, ds, a, q)
 	}
-	return e.cachedCommunities(ctx, c, dataset, ds.Version, searchKey(algo, q), func(ctx context.Context) ([]Community, error) {
-		return e.searchOn(ctx, ds, a, q)
+	return e.cachedCommunities(ctx, c, ds.Name, ds.Version, searchKey(algo, q), func(ctx context.Context) ([]Community, error) {
+		return e.searchKernel(ctx, ds, a, q)
 	})
 }
 
-// searchOn is the uncached search core: pin the dataset version for the
+// searchKernel is the uncached search core: pin the dataset version for the
 // computation's lifetime and run the kernel.
-func (e *Explorer) searchOn(ctx context.Context, ds *Dataset, a CSAlgorithm, q Query) ([]Community, error) {
+func (e *Explorer) searchKernel(ctx context.Context, ds *Dataset, a CSAlgorithm, q Query) ([]Community, error) {
 	unpin, err := ds.Pin()
 	if err != nil {
 		return nil, err
@@ -888,12 +931,17 @@ func (e *Explorer) Display(ctx context.Context, dataset string, c Community, opt
 	if !ok {
 		return nil, fmt.Errorf("%w: display: %q", ErrDatasetNotFound, dataset)
 	}
-	unpin, err := ds.Pin()
+	return ds.Display(c, opts)
+}
+
+// Display lays a community out on this dataset version.
+func (d *Dataset) Display(c Community, opts layout.Options) (*Placement, error) {
+	unpin, err := d.Pin()
 	if err != nil {
 		return nil, err
 	}
 	defer unpin()
-	sub := ds.Graph.Induce(c.Vertices)
+	sub := d.Graph.Induce(c.Vertices)
 	el := layout.EdgeList{Count: sub.N()}
 	for l := int32(0); l < int32(sub.N()); l++ {
 		for _, u := range sub.Neighbors(l) {
@@ -905,7 +953,7 @@ func (e *Explorer) Display(ctx context.Context, dataset string, c Community, opt
 	pts := layout.FruchtermanReingold(el, opts)
 	names := make([]string, sub.N())
 	for i, v := range sub.Vertices {
-		names[i] = ds.Graph.Name(v)
+		names[i] = d.Graph.Name(v)
 	}
 	return &Placement{
 		Vertices: sub.Vertices,

@@ -199,6 +199,10 @@ func (d *Dataset) Mutate(ctx context.Context, ops []Mutation) (*Dataset, *Mutati
 		Version: d.Version + 1,
 		mutMu:   d.mutMu,
 	}
+	if added == 0 {
+		// Same names, so whatever was derived from them carries over.
+		next.nameForm.Store(d.nameForm.Load())
+	}
 	res := &MutationResult{
 		Dataset:     d.Name,
 		Version:     next.Version,

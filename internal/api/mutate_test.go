@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cexplorer/internal/gen"
+	"cexplorer/internal/graph"
 	"cexplorer/internal/kcore"
 )
 
@@ -198,5 +199,32 @@ func TestExplorerMutateVersionChain(t *testing.T) {
 	ds, _ := exp.Dataset("d")
 	if ds.Graph.N() != 20 {
 		t.Errorf("vertex count %d, want 20", ds.Graph.N())
+	}
+}
+
+// TestNameFormFollowsTheNames: a form derived from the name table is built
+// once, handed to a successor that adds no vertex, and rebuilt for one that
+// does.
+func TestNameFormFollowsTheNames(t *testing.T) {
+	builds := 0
+	count := func(g *graph.Graph) any { builds++; return g.N() }
+	ds := NewDataset("d", gen.Figure5())
+	if ds.NameForm(count) != 10 || ds.NameForm(count) != 10 || builds != 1 {
+		t.Fatalf("built %d times on one version, want once", builds)
+	}
+	ctx := context.Background()
+	edged, _, err := ds.Mutate(ctx, []Mutation{{Op: OpAddEdge, U: 5, V: 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if edged.NameForm(count) != 10 || builds != 1 {
+		t.Errorf("an edge-only successor rebuilt the form (%d builds)", builds)
+	}
+	grown, _, err := edged.Mutate(ctx, []Mutation{{Op: OpAddVertex, Name: "K"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grown.NameForm(count) != 11 || builds != 2 {
+		t.Errorf("a successor with a new vertex kept the old form (%d builds)", builds)
 	}
 }

@@ -18,6 +18,7 @@ package graph
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -118,7 +119,7 @@ func (g *Graph) Vocab() *Vocab { return g.vocab }
 // Name returns the display name of v, or "v<id>" when the graph is unnamed.
 func (g *Graph) Name(v int32) string {
 	if len(g.names) == 0 {
-		return fmt.Sprintf("v%d", v)
+		return "v" + strconv.Itoa(int(v))
 	}
 	return g.names[v]
 }

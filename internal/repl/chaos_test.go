@@ -87,9 +87,11 @@ func TestReplicaBoundedAgainstBlackhole(t *testing.T) {
 	v := postMutations(t, p.ts.URL, "dyn", dyntest.GenOps(base, 10, 3))
 	waitForConvergence(t, p.exp, r.exp, "dyn", v)
 
-	// 4 blackholes at ≤ PollWait+HeaderTimeout each, plus the real work:
-	// converging in a few seconds proves every stall was deadline-bounded.
-	if elapsed := time.Since(start); elapsed > 15*time.Second {
+	// 4 blackholes at ≤ PollWait+HeaderTimeout each, plus the real work.
+	// A hang-catcher: a stall with no deadline never ends (a blackhole does
+	// not answer), so converging at all proves each was bounded, and the
+	// clock only has to outlast a slow machine.
+	if elapsed := time.Since(start); elapsed > 60*time.Second {
 		t.Fatalf("converged only after %v behind 4 blackholes", elapsed)
 	}
 	if px.Injected(chaos.Blackhole) != 4 {

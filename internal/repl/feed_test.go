@@ -210,7 +210,9 @@ func TestFeedLongPollDeadline(t *testing.T) {
 	if res.Fenced || len(res.Frames) != 0 {
 		t.Fatalf("deadline poll: %+v", res)
 	}
-	if time.Since(start) > 2*time.Second {
+	// A hang-catcher: a poll that ignored its 50ms deadline would park for
+	// good, so the bound only has to outlast a slow machine.
+	if time.Since(start) > 30*time.Second {
 		t.Fatal("deadline poll overstayed")
 	}
 	// ctx cancellation also unparks.

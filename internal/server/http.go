@@ -86,11 +86,19 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeEnvelope(w, code, fmt.Sprintf(format, args...), c)
 }
 
-// writeJSON encodes a success payload.
+// writeJSON encodes a success payload that carries no community list (those
+// stream through encodePage). Only a value that does not marshal, a bug, is
+// logged; a write that fails is a client that hung up, which the logging
+// middleware counts as a response abort.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	body, err := json.Marshal(v)
+	if err != nil {
 		log.Printf("encoding response: %v", err)
+		return
+	}
+	if _, err := w.Write(body); err == nil {
+		_, _ = w.Write([]byte{'\n'}) // encoding/json's Encoder ends a document so
 	}
 }
 

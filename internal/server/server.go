@@ -37,6 +37,7 @@ import (
 	"net/http"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -132,6 +133,10 @@ type serverStats struct {
 	canceled atomic.Int64
 	timedOut atomic.Int64
 
+	// responseAborts counts responses whose body write failed part-way:
+	// the client hung up on a started response.
+	responseAborts atomic.Int64
+
 	// Mutation counters: applied batches/ops, rejected requests, and the
 	// wall time spent inside Explorer.Mutate.
 	mutationBatches atomic.Int64
@@ -189,6 +194,9 @@ type StatsSnapshot struct {
 	// freed their worker slot at that moment.
 	Canceled int64 `json:"canceled"`
 	TimedOut int64 `json:"timedOut"`
+	// ResponseAborts counts responses cut short because the client hung up
+	// while the body was being written; encoding stops at the failed write.
+	ResponseAborts int64 `json:"responseAborts"`
 	// SearchTimeoutMS echoes the configured search deadline (0 = none).
 	SearchTimeoutMS float64 `json:"searchTimeoutMs"`
 
@@ -337,6 +345,7 @@ func (s *Server) Stats() StatsSnapshot {
 		SnapshotPersistMS:     float64(s.stats.snapshotPersistNanos.Load()) / 1e6,
 		Canceled:              s.stats.canceled.Load(),
 		TimedOut:              s.stats.timedOut.Load(),
+		ResponseAborts:        s.stats.responseAborts.Load(),
 		SearchTimeoutMS:       float64(time.Duration(s.searchTimeout.Load())) / float64(time.Millisecond),
 		Explore:               s.exp.ExploreStats(),
 	}
@@ -468,16 +477,21 @@ func (s *Server) logging(next http.Handler) http.Handler {
 			if sw.status >= 400 {
 				s.stats.errors.Add(1)
 			}
+			if sw.aborted {
+				s.stats.responseAborts.Add(1)
+			}
 		}()
 		next.ServeHTTP(sw, r)
 		s.logf("%s %s %d %s", r.Method, r.URL.Path, sw.status, time.Since(start))
 	})
 }
 
-// statusWriter records the response code for the stats counters.
+// statusWriter records the response code, and whether a body write failed,
+// for the stats counters.
 type statusWriter struct {
 	http.ResponseWriter
-	status int
+	status  int
+	aborted bool
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -491,7 +505,11 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	if w.status == 0 {
 		w.status = http.StatusOK
 	}
-	return w.ResponseWriter.Write(p)
+	n, err := w.ResponseWriter.Write(p)
+	if err != nil {
+		w.aborted = true
+	}
+	return n, err
 }
 
 // acquireSearchSlot blocks until a search worker slot is free or ctx is
@@ -566,17 +584,6 @@ type searchRequest struct {
 	// Limit/Offset paginate the community list (v1 routes only).
 	Limit  int `json:"limit,omitempty"`
 	Offset int `json:"offset,omitempty"`
-}
-
-type searchResponse struct {
-	Communities []communityDTO `json:"communities"`
-	ElapsedMS   float64        `json:"elapsedMs"`
-}
-
-type communityDTO struct {
-	api.Community
-	Names     []string       `json:"names"`
-	Placement *api.Placement `json:"placement,omitempty"`
 }
 
 type detectRequest struct {
@@ -814,69 +821,74 @@ func (s *Server) resolveQuery(ds *api.Dataset, names []string, vertices []int32)
 }
 
 // handleSearch is the legacy flat alias: dataset comes from the body, no
-// pagination. It delegates to the same execSearch core as POST
+// pagination echo. It delegates to the same execSearch core as POST
 // /api/v1/datasets/{name}/search.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req searchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
-	comms, _, elapsed, err := s.execSearch(r, req.Dataset, req)
+	s.execSearch(w, r, req.Dataset, req, false)
+}
+
+// execSearch is the shared search core: resolve the dataset once and keep
+// that version pinned until the body is out, resolve the query on it, wait
+// for a worker slot under the request's (possibly deadline-bounded)
+// context, run the algorithm, paginate, and stream the page. The names (and,
+// with Layout, the placements, computed only for the page returned) come
+// from the version that produced the ids: a mutation that lands mid-request
+// cannot hand the encoder an id its graph does not have. paged selects the
+// v1 shape, which echoes the pagination; total is the pre-pagination count.
+func (s *Server) execSearch(w http.ResponseWriter, r *http.Request, dataset string, req searchRequest, paged bool) {
+	ctx, cancel := s.searchContext(r)
+	defer cancel()
+	ds, unpin, err := s.exp.Pin(dataset)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	writeJSON(w, searchResponse{Communities: comms, ElapsedMS: msec(elapsed)})
-}
-
-// execSearch is the shared search core: resolve the query, wait for a
-// worker slot under the request's (possibly deadline-bounded) context, run
-// the algorithm, paginate, and build the community DTOs. Pagination
-// happens BEFORE the DTO loop so per-community layout (the expensive part
-// when Layout is set) is computed only for the page actually returned.
-// Both the legacy route (no limit/offset in its requests — full list) and
-// the v1 sub-resource funnel through here; total is the pre-pagination
-// community count.
-func (s *Server) execSearch(r *http.Request, dataset string, req searchRequest) ([]communityDTO, int, time.Duration, error) {
-	ctx, cancel := s.searchContext(r)
-	defer cancel()
-	ds, ok := s.exp.Dataset(dataset)
-	if !ok {
-		return nil, 0, 0, fmt.Errorf("%w: %q", api.ErrDatasetNotFound, dataset)
-	}
+	defer unpin()
 	qv, err := s.resolveQuery(ds, req.Names, req.Vertices)
 	if err != nil {
-		return nil, 0, 0, err
+		s.writeError(w, err)
+		return
 	}
 	if req.Algorithm == "" {
 		req.Algorithm = "ACQ"
 	}
-	comms, elapsed, err := s.runSearch(ctx, dataset, req, qv)
+	comms, elapsed, err := s.runSearch(ctx, ds, req, qv)
 	if err != nil {
-		return nil, 0, 0, err
+		s.writeError(w, err)
+		return
 	}
 	page, total := pageOf(comms, req.Limit, req.Offset)
-	out := make([]communityDTO, 0, len(page))
-	for _, c := range page {
-		dto := communityDTO{Community: c, Names: vertexNames(ds, c.Vertices)}
-		if req.Layout {
-			pl, err := s.exp.Display(ctx, dataset, c, layout.Options{Seed: 1})
-			if err == nil {
-				dto.Placement = pl
-			}
-		}
-		out = append(out, dto)
+	var info *pageInfo
+	if paged {
+		info = &pageInfo{total, req.Limit, req.Offset}
 	}
-	return out, total, elapsed, nil
+	var place func(api.Community) []byte
+	if req.Layout {
+		place = func(c api.Community) []byte {
+			pl, err := ds.Display(c, layout.Options{Seed: 1})
+			if err != nil {
+				return nil
+			}
+			// A placement is small next to the layout that made it, and
+			// one that does not marshal is left out like one that failed.
+			b, _ := json.Marshal(pl)
+			return b
+		}
+	}
+	w.Header().Set(repl.HeaderVersion, strconv.FormatUint(ds.Version, 10))
+	names := ds.NameForm(quoteNames).(*quotedNames)
+	encodePage(w, func(e *pageEncoder) { e.communityPage(page, names, place, info, elapsed) })
 }
 
 // handleDetect is the legacy flat alias; it delegates to the execDetect
 // core (legacy Limit semantics: cap after the largest-first sort).
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	var req detectRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	comms, elapsed, err := s.execDetect(r, req.Dataset, req)
@@ -887,10 +899,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	if req.Limit > 0 && len(comms) > req.Limit {
 		comms = comms[:req.Limit]
 	}
-	writeJSON(w, map[string]any{
-		"communities": comms,
-		"elapsedMs":   msec(elapsed),
-	})
+	encodePage(w, func(e *pageEncoder) { e.communityPage(comms, nil, nil, nil, elapsed) })
 }
 
 // execDetect is the shared detection core: run the CD algorithm under the
@@ -974,14 +983,14 @@ func (s *Server) execDisplay(w http.ResponseWriter, r *http.Request, dataset str
 // search (recovered by the logging middleware) cannot leak a slot and wedge
 // the search path — and a canceled or timed-out search frees its slot the
 // moment the kernel observes ctx and returns.
-func (s *Server) runSearch(ctx context.Context, dataset string, req searchRequest, qv []int32) (comms []api.Community, elapsed time.Duration, err error) {
+func (s *Server) runSearch(ctx context.Context, ds *api.Dataset, req searchRequest, qv []int32) (comms []api.Community, elapsed time.Duration, err error) {
 	release, err := s.acquireSearchSlot(ctx)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer release()
 	start := time.Now()
-	comms, err = s.exp.Search(ctx, dataset, req.Algorithm, api.Query{
+	comms, err = s.exp.SearchOn(ctx, ds, req.Algorithm, api.Query{
 		Vertices: qv, K: req.K, Keywords: req.Keywords, Params: req.Params,
 	})
 	elapsed = time.Since(start)
@@ -1109,11 +1118,3 @@ func (s *Server) compareOne(ctx context.Context, dataset string, ds *api.Dataset
 }
 
 type metricsRow struct{ a *api.Analysis }
-
-func vertexNames(ds *api.Dataset, vs []int32) []string {
-	names := make([]string, len(vs))
-	for i, v := range vs {
-		names[i] = ds.Graph.Name(v)
-	}
-	return names
-}

@@ -128,29 +128,12 @@ func (s *Server) v1GetVertex(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.vertexPayload(name, ds, v))
 }
 
-// pagedResponse is the v1 shape for community lists.
-type pagedResponse struct {
-	Communities any     `json:"communities"`
-	Total       int     `json:"total"`
-	Limit       int     `json:"limit"`
-	Offset      int     `json:"offset"`
-	ElapsedMS   float64 `json:"elapsedMs"`
-}
-
 func (s *Server) v1Search(w http.ResponseWriter, r *http.Request) {
 	var req searchRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	page, total, elapsed, err := s.execSearch(r, r.PathValue("name"), req)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	writeJSON(w, pagedResponse{
-		Communities: page, Total: total,
-		Limit: req.Limit, Offset: req.Offset, ElapsedMS: msec(elapsed),
-	})
+	s.execSearch(w, r, r.PathValue("name"), req, true)
 }
 
 func (s *Server) v1Detect(w http.ResponseWriter, r *http.Request) {
@@ -164,10 +147,8 @@ func (s *Server) v1Detect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	page, total := pageOf(comms, req.Limit, req.Offset)
-	writeJSON(w, pagedResponse{
-		Communities: page, Total: total,
-		Limit: req.Limit, Offset: req.Offset, ElapsedMS: msec(elapsed),
-	})
+	info := &pageInfo{total, req.Limit, req.Offset}
+	encodePage(w, func(e *pageEncoder) { e.communityPage(page, nil, nil, info, elapsed) })
 }
 
 func (s *Server) v1Compare(w http.ResponseWriter, r *http.Request) {
@@ -265,7 +246,7 @@ func (s *Server) v1ExploreCreate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	writeJSON(w, st)
+	encodePage(w, func(e *pageEncoder) { e.exploreState(st) })
 }
 
 func (s *Server) v1ExploreGet(w http.ResponseWriter, r *http.Request) {
@@ -274,7 +255,7 @@ func (s *Server) v1ExploreGet(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	writeJSON(w, st)
+	encodePage(w, func(e *pageEncoder) { e.exploreState(st) })
 }
 
 func (s *Server) v1ExploreStep(w http.ResponseWriter, r *http.Request) {
@@ -299,7 +280,7 @@ func (s *Server) v1ExploreStep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	writeJSON(w, st)
+	encodePage(w, func(e *pageEncoder) { e.exploreState(st) })
 }
 
 func (s *Server) v1ExploreClose(w http.ResponseWriter, r *http.Request) {

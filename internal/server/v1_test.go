@@ -492,7 +492,9 @@ func TestV1SearchTimeoutFreesSlot(t *testing.T) {
 	start := time.Now()
 	wantEnvelope(t, "POST", ts.URL+"/api/v1/datasets/fig5/search",
 		map[string]any{"algorithm": "Slow", "names": []string{"A"}, "k": 2}, 504, "timeout")
-	if lat := time.Since(start); lat > 2*time.Second {
+	// A hang-catcher: the 504 and the freed slot below are the contract; the
+	// clock only tells a request that outlived its deadline by far.
+	if lat := time.Since(start); lat > 30*time.Second {
 		t.Fatalf("timed-out request took %v", lat)
 	}
 	if snap := s.Stats(); snap.SearchInFlight != 0 || snap.TimedOut == 0 {

@@ -170,9 +170,10 @@
 // Datasets are versioned: a Dataset value is one immutable version (graph
 // plus indexes), and a mutation batch (api.Mutation via Explorer.Mutate, or
 // POST /api/v1/datasets/{name}/mutations) derives the successor — core
-// numbers maintained with the incremental subcore kernels (internal/kcore),
-// the CL-tree repaired locally (internal/cltree), the truss invalidated to
-// rebuild lazily. Publishing is one atomic swap: requests in flight keep
+// numbers maintained over a k-order with order-based insertion and a
+// removal cascade (internal/kcore), the CL-tree repaired locally
+// (internal/cltree), the truss invalidated to rebuild lazily. Publishing is
+// one atomic swap: requests in flight keep
 // the exact version they resolved, exploration sessions stay pinned to the
 // version they were created on, and new requests see the successor. The
 // version counter persists in snapshots, and with a catalog configured

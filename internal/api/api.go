@@ -190,6 +190,12 @@ type Dataset struct {
 	coreReady atomic.Bool
 	coreNanos atomic.Int64
 
+	// order is the k-order the core maintainer keeps beside coreNum (see
+	// Mutate): built on the first Mutate of a version that lacks it, handed
+	// to every successor, never persisted.
+	orderOnce sync.Once
+	order     *kcore.Order
+
 	trussOnce  sync.Once
 	truss      *ktruss.Decomposition
 	trussReady atomic.Bool

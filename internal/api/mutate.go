@@ -19,9 +19,17 @@ import (
 //   - The graph evolves through a graph.Overlay, so the batch accumulates
 //     over the frozen CSR and materializes into a fresh immutable graph
 //     sharing every untouched arena.
-//   - Core numbers are maintained op by op with the kcore subcore kernels
-//     (only the vertices a mutation can actually move are visited), when
-//     the base version holds them; otherwise they stay lazy.
+//   - Core numbers are maintained op by op by a kcore.Maintainer, when the
+//     base version holds them; otherwise they stay lazy. Beside the core
+//     array each version carries a k-order (kcore.Order: a peel order with
+//     deg+(v) ≤ core(v), where deg+ counts neighbours later in it), so an
+//     insert re-peels only the few vertices after its earlier endpoint that
+//     can rise — the order-based insertion of Zhang, Yu, Zhang & Qin (ICDE
+//     2017) — and a removal cascades only through the vertices that fall.
+//     Both are copy-on-write per version. The order is never
+//     persisted: the first Mutate of a version that lacks it (one opened
+//     from a snapshot, or bootstrapped on a replica) builds it once from a
+//     peel of the graph (kcore.BuildOrder).
 //   - The CL-tree is repaired through cltree.Repair: shared wholesale when
 //     the batch provably changed no k-core component, otherwise reskeleted
 //     with unchanged inverted lists adopted from the old tree.
@@ -105,15 +113,11 @@ func (d *Dataset) Mutate(ctx context.Context, ops []Mutation) (*Dataset, *Mutati
 	// holds them (directly or through its CL-tree); an unindexed dataset
 	// stays lazy end to end. One Maintainer (dense epoch-stamped scratch,
 	// pooled across batches so steady-state mutation allocates no scratch)
-	// serves the whole batch.
+	// serves the whole batch, on private copies of the core array and the
+	// k-order that become the successor's.
 	var maint *kcore.Maintainer
-	switch {
-	case d.coreReady.Load():
-		maint = acquireMaintainer(slices.Clone(d.coreNum))
-	case d.treeReady.Load():
-		maint = acquireMaintainer(slices.Clone(d.tree.CoreNumbers()))
-	}
-	if maint != nil {
+	if d.coreReady.Load() || d.treeReady.Load() {
+		maint = acquireMaintainer(d.maintenanceState())
 		defer maintainerPool.Put(maint)
 	}
 
@@ -217,6 +221,7 @@ func (d *Dataset) Mutate(ctx context.Context, ops []Mutation) (*Dataset, *Mutati
 			next.coreNum = maint.Core()
 			next.coreReady.Store(true)
 		})
+		next.orderOnce.Do(func() { next.order = maint.Order() })
 	}
 	if d.treeReady.Load() && maint != nil && !d.Graph.Borrowed() {
 		// Repair is skipped on a borrowed (mmap-backed) base: the repaired
@@ -237,17 +242,30 @@ func (d *Dataset) Mutate(ctx context.Context, ops []Mutation) (*Dataset, *Mutati
 	return next, res, nil
 }
 
-// maintainerPool recycles kcore.Maintainer scratch (four n-sized arrays)
-// across mutation batches; Reset re-targets one at a new core array without
-// clearing anything.
+// maintenanceState returns private copies of this version's core numbers and
+// k-order for a Maintainer to turn into the successor's. A version without
+// the order — one opened from a snapshot or bootstrapped on a replica, whose
+// core numbers arrived without it — builds it here, once.
+func (d *Dataset) maintenanceState() ([]int32, *kcore.Order) {
+	d.orderOnce.Do(func() { _, d.order = kcore.BuildOrder(d.Graph) })
+	core := d.coreNum
+	if !d.coreReady.Load() {
+		core = d.tree.CoreNumbers()
+	}
+	return slices.Clone(core), d.order.Clone()
+}
+
+// maintainerPool recycles kcore.Maintainer scratch (three n-sized arrays)
+// across mutation batches; Reset re-targets one at a new core array and
+// order without clearing anything.
 var maintainerPool sync.Pool
 
-func acquireMaintainer(core []int32) *kcore.Maintainer {
+func acquireMaintainer(core []int32, ord *kcore.Order) *kcore.Maintainer {
 	if m, ok := maintainerPool.Get().(*kcore.Maintainer); ok {
-		m.Reset(core)
+		m.Reset(core, ord)
 		return m
 	}
-	return kcore.NewMaintainer(core)
+	return kcore.NewMaintainer(core, ord)
 }
 
 // mutationErr maps overlay errors onto the typed mutation sentinels,

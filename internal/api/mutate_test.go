@@ -1,14 +1,17 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"path/filepath"
 	"slices"
 	"testing"
 
 	"cexplorer/internal/gen"
 	"cexplorer/internal/graph"
 	"cexplorer/internal/kcore"
+	"cexplorer/internal/snapshot"
 )
 
 func TestDatasetMutateSuccessor(t *testing.T) {
@@ -60,6 +63,76 @@ findEdge:
 	}
 	if next.Indexes().Truss {
 		t.Errorf("truss must be invalidated, not carried over")
+	}
+}
+
+// TestFirstMutateBuildsOrder: a version whose core numbers arrived without a
+// k-order — a snapshot file opened mapped or copied, or a snapshot streamed
+// to a replica — builds the order on its first Mutate. The successor
+// carries its own copy, and its core numbers, as well as those of the next
+// batch that maintains that copy, equal a rebuild.
+func TestFirstMutateBuildsOrder(t *testing.T) {
+	src := NewDataset("d", gen.GNMAttributed(60, 180, 8, 11))
+	src.BuildIndexes()
+	path := filepath.Join(t.TempDir(), "d.cxsnap")
+	if _, err := src.WriteSnapshotFile(path); err != nil {
+		t.Fatal(err)
+	}
+	var stream bytes.Buffer
+	if _, err := src.WriteResidentSnapshot(&stream); err != nil {
+		t.Fatal(err)
+	}
+	opens := []struct {
+		name string
+		open func(t *testing.T) *Dataset
+	}{
+		{"mmap", func(t *testing.T) *Dataset { return openMmapDataset(t, src) }},
+		{"copy", func(t *testing.T) *Dataset {
+			ds, err := OpenSnapshotFileMode("", path, snapshot.OpenCopy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ds
+		}},
+		{"replica", func(t *testing.T) *Dataset {
+			ds, err := OpenSnapshot("d", bytes.NewReader(stream.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ds
+		}},
+	}
+	for _, tc := range opens {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := tc.open(t)
+			defer ds.Close()
+			if !ds.Indexes().Core || ds.order != nil {
+				t.Fatalf("opened dataset: indexes %+v, order built %v", ds.Indexes(), ds.order != nil)
+			}
+			g := ds.Graph
+			var eu, ev int32
+			g.Edges(func(a, b int32) bool { eu, ev = a, b; return false })
+			ops := []Mutation{
+				{Op: OpAddEdge, U: 0, V: removeMissingV(ds)},
+				{Op: OpRemoveEdge, U: eu, V: ev},
+				{Op: OpAddVertex},
+				{Op: OpAddEdge, U: int32(g.N()), V: 1},
+			}
+			ctx := context.Background()
+			for i := 0; i < 2; i++ {
+				next, _, err := ds.Mutate(ctx, ops[2*i:2*i+2])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ds.order == nil || next.order == nil || next.order == ds.order {
+					t.Fatalf("batch %d: base order built %v, successor order %p (base %p)", i, ds.order != nil, next.order, ds.order)
+				}
+				if !slices.Equal(next.CoreNumbers(), kcore.Decompose(next.Graph)) {
+					t.Fatalf("batch %d: successor core numbers diverge from a rebuild", i)
+				}
+				ds = next
+			}
+		})
 	}
 }
 

@@ -39,7 +39,8 @@ func TestRepairRandomMutations(t *testing.T) {
 		base := gen.GNMAttributed(40, 90, 12, seed)
 		o := graph.NewOverlay(base)
 		tree := Build(base)
-		core := slices.Clone(tree.CoreNumbers())
+		m := kcore.NewMaintainer(kcore.BuildOrder(base))
+		core := m.Core()
 		fastHits := 0
 
 		for step := 0; step < 150; step++ {
@@ -57,18 +58,18 @@ func TestRepairRandomMutations(t *testing.T) {
 				if err := o.RemoveEdge(u, v); err != nil {
 					t.Fatal(err)
 				}
-				if ch := kcore.RemoveEdge(o, core, u, v); len(ch) > 0 {
+				if ch := m.RemoveEdge(o, u, v); len(ch) > 0 {
 					changedLevel = core[ch[0]] + 1
-					changed = ch
+					changed = slices.Clone(ch)
 				}
 				op = EdgeOp{U: u, V: v}
 			} else {
 				if err := o.AddEdge(u, v); err != nil {
 					t.Fatal(err)
 				}
-				if ch := kcore.InsertEdge(o, core, u, v); len(ch) > 0 {
+				if ch := m.InsertEdge(o, u, v); len(ch) > 0 {
 					changedLevel = core[ch[0]]
-					changed = ch
+					changed = slices.Clone(ch)
 				}
 				op = EdgeOp{U: u, V: v, Insert: true}
 			}
@@ -103,7 +104,8 @@ func TestRepairBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 
 	o := graph.NewOverlay(base)
-	core := slices.Clone(tree.CoreNumbers())
+	m := kcore.NewMaintainer(kcore.BuildOrder(base))
+	core := m.Core()
 	var ops []EdgeOp
 	var changedLevel int32
 	for i := 0; i < 40; i++ {
@@ -116,7 +118,7 @@ func TestRepairBatch(t *testing.T) {
 			if err := o.RemoveEdge(u, v); err != nil {
 				t.Fatal(err)
 			}
-			if ch := kcore.RemoveEdge(o, core, u, v); len(ch) > 0 {
+			if ch := m.RemoveEdge(o, u, v); len(ch) > 0 {
 				changedLevel = max(changedLevel, core[ch[0]]+1)
 			}
 			ops = append(ops, EdgeOp{U: u, V: v})
@@ -124,7 +126,7 @@ func TestRepairBatch(t *testing.T) {
 			if err := o.AddEdge(u, v); err != nil {
 				t.Fatal(err)
 			}
-			if ch := kcore.InsertEdge(o, core, u, v); len(ch) > 0 {
+			if ch := m.InsertEdge(o, u, v); len(ch) > 0 {
 				changedLevel = max(changedLevel, core[ch[0]])
 			}
 			ops = append(ops, EdgeOp{U: u, V: v, Insert: true})
@@ -160,8 +162,9 @@ func TestRepairSharesInvertedLists(t *testing.T) {
 	if err := o.AddEdge(6, 0); err != nil { // vertex 6 was isolated: its core changes, forcing a rebuild
 		t.Fatal(err)
 	}
-	core := slices.Clone(tree.CoreNumbers())
-	changed := kcore.InsertEdge(o, core, 6, 0)
+	m := kcore.NewMaintainer(kcore.BuildOrder(base))
+	core := m.Core()
+	changed := m.InsertEdge(o, 6, 0)
 	if len(changed) == 0 {
 		t.Fatal("expected a core change")
 	}

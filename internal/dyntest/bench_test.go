@@ -16,7 +16,7 @@ import (
 // attributed co-authorship graph (the synthetic DBLP of internal/gen — the
 // community-structured shape this system actually serves), amortized
 // single-edge incremental maintenance (the full Mutate path — overlay, CSR
-// re-materialization, subcore core update, CL-tree repair, version publish)
+// re-materialization, order-based core update, CL-tree repair, version publish)
 // must beat a full index rebuild (Decompose + cltree.Build, what a
 // non-incremental server pays per update) by ≥ 10x. The incremental
 // benchmark reports the measured multiple as the "x_speedup_vs_rebuild"

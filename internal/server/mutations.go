@@ -214,6 +214,13 @@ func (s *Server) resetJournalLocked(name string) {
 // records are sorted by version and required to be contiguous — a gap
 // means records are missing and replay stops rather than applying batches
 // against the wrong base. Returns how many ops were replayed.
+//
+// When replay stops early, the records left behind can never apply, yet
+// they hold versions the restarted lineage is about to reuse: a later boot
+// would sort a stale record in among acknowledged ones and replay it under
+// an acknowledged version. So the replayed prefix becomes the durable base
+// before any write is served: a compaction rewrites the snapshot at the
+// current version and drops the journal.
 func (s *Server) replayJournal(name string, baseVersion uint64) (int, error) {
 	dir := s.DataDir()
 	if dir == "" {
@@ -238,16 +245,19 @@ func (s *Server) replayJournal(name string, baseVersion uint64) (int, error) {
 	slices.SortFunc(recs, func(a, b snapshot.JournalRecord) int { return cmp.Compare(a.Version, b.Version) })
 	replayed := 0
 	next := baseVersion + 1
+	var stop error
 	for _, rec := range recs {
 		if rec.Version <= baseVersion {
 			continue
 		}
 		if rec.Version != next {
-			return replayed, fmt.Errorf("journal gap: have version %d, want %d", rec.Version, next)
+			stop = fmt.Errorf("journal gap: have version %d, want %d", rec.Version, next)
+			break
 		}
 		ops := fromJournalOps(rec.Ops)
 		if _, err := s.exp.Mutate(context.Background(), name, ops); err != nil {
-			return replayed, fmt.Errorf("replaying batch for version %d: %w", rec.Version, err)
+			stop = fmt.Errorf("replaying batch for version %d: %w", rec.Version, err)
+			break
 		}
 		replayed += len(ops)
 		next++
@@ -260,7 +270,18 @@ func (s *Server) replayJournal(name string, baseVersion uint64) (int, error) {
 		s.journalOps[name] += replayed
 		s.mu.Unlock()
 	}
-	return replayed, nil
+	if stop == nil {
+		return replayed, nil
+	}
+	if ds, ok := s.exp.Dataset(name); ok {
+		s.journalMu.Lock()
+		_, err := s.persistDatasetLocked(ds, true)
+		s.journalMu.Unlock()
+		if err != nil {
+			return replayed, fmt.Errorf("%w; compacting the replayed prefix: %v", stop, err)
+		}
+	}
+	return replayed, fmt.Errorf("%w (replayed prefix compacted)", stop)
 }
 
 // toJournalOps/fromJournalOps are the shared api↔journal mapping, now owned

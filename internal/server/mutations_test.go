@@ -8,6 +8,7 @@ import (
 
 	"cexplorer/internal/api"
 	"cexplorer/internal/gen"
+	"cexplorer/internal/snapshot"
 )
 
 func TestV1MutationsSingleAndBatch(t *testing.T) {
@@ -183,6 +184,75 @@ func TestV1MutationsCompaction(t *testing.T) {
 	ds2, _ := exp2.Dataset("fig5")
 	if ds2.Version != 3 || ds2.Graph.N() != 13 {
 		t.Fatalf("after compacted restart: version=%d n=%d", ds2.Version, ds2.Graph.N())
+	}
+}
+
+// TestV1MutationsReplayStopNeverResurfaces: a boot whose journal replay
+// stops at a gap must not leave the unreplayable records behind. Otherwise
+// writes on the restarted lineage reuse their versions, and the next boot
+// replays the stale record under an acknowledged version — a graph nobody
+// ever acknowledged, served as if it were.
+func TestV1MutationsReplayStopNeverResurfaces(t *testing.T) {
+	dir := t.TempDir()
+	boot := func() (*Server, *api.Explorer) {
+		exp := api.NewExplorer()
+		s := New(exp, t.Logf)
+		if err := s.SetDataDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		return s, exp
+	}
+	s0, exp0 := boot()
+	if _, err := exp0.AddGraph("fig5", gen.Figure5()); err != nil {
+		t.Fatal(err)
+	}
+	ds, _ := exp0.Dataset("fig5")
+	if _, err := s0.PersistDataset(ds); err != nil {
+		t.Fatal(err)
+	}
+	// Snapshot at v0; the journal holds v1 and v3 but lost v2.
+	edge := func(op string, u, v int32) []snapshot.JournalOp {
+		return toJournalOps([]api.Mutation{{Op: op, U: u, V: v}})
+	}
+	for _, rec := range []snapshot.JournalRecord{
+		{Version: 1, Ops: edge(api.OpAddEdge, 0, 4)},
+		{Version: 3, Ops: edge(api.OpAddEdge, 0, 5)},
+	} {
+		if err := snapshot.AppendJournal(journalPath(dir, "fig5"), rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Boot 1 replays to v1 and stops at the gap; two writes are acknowledged.
+	s1, exp1 := boot()
+	if _, err := s1.LoadSnapshots(); err != nil {
+		t.Fatal(err)
+	}
+	if cur, _ := exp1.Dataset("fig5"); cur.Version != 1 {
+		t.Fatalf("boot 1 replayed to version %d, want 1", cur.Version)
+	}
+	ts := httptest.NewServer(s1.Handler())
+	url := ts.URL + "/api/v1/datasets/fig5/mutations"
+	for i, op := range []map[string]any{
+		{"op": "addEdge", "u": 0, "v": 7},
+		{"op": "removeEdge", "u": 0, "v": 4},
+	} {
+		var resp mutationResponse
+		if r := doJSON(t, "POST", url, op, &resp); r.StatusCode != 200 || !resp.Journaled || resp.Version != uint64(2+i) {
+			t.Fatalf("write %d: status %d %+v", i, r.StatusCode, resp)
+		}
+	}
+	ts.Close()
+
+	// Boot 2 must land on exactly the acknowledged v3.
+	s2, exp2 := boot()
+	if _, err := s2.LoadSnapshots(); err != nil {
+		t.Fatal(err)
+	}
+	cur, _ := exp2.Dataset("fig5")
+	if cur.Version != 3 || cur.Graph.HasEdge(0, 4) || cur.Graph.HasEdge(0, 5) || !cur.Graph.HasEdge(0, 7) {
+		t.Fatalf("boot 2: version %d with {0,4}=%v {0,5}=%v {0,7}=%v, want version 3 with only {0,7}",
+			cur.Version, cur.Graph.HasEdge(0, 4), cur.Graph.HasEdge(0, 5), cur.Graph.HasEdge(0, 7))
 	}
 }
 

@@ -406,16 +406,12 @@ func snapshotBuild(args []string) error {
 		dblpN    = fs.Int("dblp.n", 0, "generate a synthetic DBLP of this size instead of reading a file")
 		dblpSeed = fs.Int64("dblp.seed", 1, "synthetic DBLP seed")
 		workers  = fs.Int("index.workers", 0, "workers for index construction and snapshot encoding (0 = GOMAXPROCS)")
-		format   = fs.Int("format", int(snapshot.DefaultFormat), "snapshot format version: 3 (aligned, zero-copy mmap) or 2 (legacy, for older readers)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *out == "" {
 		return fmt.Errorf("snapshot build: -o is required")
-	}
-	if *format != int(snapshot.FormatV2) && *format != int(snapshot.FormatV3) {
-		return fmt.Errorf("snapshot build: -format %d (want %d or %d)", *format, snapshot.FormatV2, snapshot.FormatV3)
 	}
 	par.SetWorkers(*workers)
 
@@ -460,7 +456,7 @@ func snapshotBuild(args []string) error {
 	ds.BuildIndexes()
 	buildTime := time.Since(start)
 	start = time.Now()
-	n, err := ds.WriteSnapshotFileFormat(*out, uint16(*format))
+	n, err := ds.WriteSnapshotFile(*out)
 	if err != nil {
 		return err
 	}

@@ -28,13 +28,6 @@ func (d *Dataset) WriteSnapshotFile(path string) (int64, error) {
 	return snapshot.WriteFile(path, d.makeSnapshot())
 }
 
-// WriteSnapshotFileFormat is WriteSnapshotFile with an explicit format
-// version (`cexplorer snapshot build -format`): FormatV3 for the aligned
-// zero-copy layout, FormatV2 for files older builds must read.
-func (d *Dataset) WriteSnapshotFileFormat(path string, format uint16) (int64, error) {
-	return snapshot.WriteFileFormat(path, d.makeSnapshot(), format)
-}
-
 func (d *Dataset) makeSnapshot() *snapshot.Snapshot {
 	d.BuildIndexes()
 	return &snapshot.Snapshot{

@@ -112,7 +112,7 @@ func TestLoadJSON(t *testing.T) {
 	}
 }
 
-func TestWriteFormats(t *testing.T) {
+func TestEdgeListAndAttributesRoundTrip(t *testing.T) {
 	g := testGraph(t)
 	var el, at bytes.Buffer
 	if err := g.WriteEdgeList(&el); err != nil {

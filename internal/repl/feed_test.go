@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -30,7 +31,7 @@ func shipVersions(t *testing.T, res ShipResult) []uint64 {
 	t.Helper()
 	var vs []uint64
 	for _, frame := range res.Frames {
-		rec, err := snapshot.DecodeJournalFrame(frame)
+		rec, err := snapshot.NewFrameReader(bytes.NewReader(frame)).Next()
 		if err != nil {
 			t.Fatalf("decode shipped frame: %v", err)
 		}

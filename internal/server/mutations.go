@@ -16,7 +16,9 @@ import (
 	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"slices"
@@ -215,48 +217,41 @@ func (s *Server) resetJournalLocked(name string) {
 // means records are missing and replay stops rather than applying batches
 // against the wrong base. Returns how many ops were replayed.
 //
-// When replay stops early, the records left behind can never apply, yet
-// they hold versions the restarted lineage is about to reuse: a later boot
-// would sort a stale record in among acknowledged ones and replay it under
-// an acknowledged version. So the replayed prefix becomes the durable base
-// before any write is served: a compaction rewrites the snapshot at the
-// current version and drops the journal.
+// When replay stops early — at a gap, a failed apply, a bad header or a
+// corrupt record — the records left behind can never apply, yet they hold
+// versions the restarted lineage is about to reuse, and later appends would
+// land behind them where no boot reads. So the replayed prefix (every
+// record before the corruption) becomes the durable base before any write
+// is served: a compaction rewrites the snapshot at the current version and
+// drops the journal. A journal that cannot be read (an I/O error, not
+// corruption) is left alone and nothing is applied.
 func (s *Server) replayJournal(name string, baseVersion uint64) (int, error) {
 	dir := s.DataDir()
 	if dir == "" {
 		return 0, nil
 	}
-	recs, dropped, err := snapshot.ReadJournal(journalPath(dir, name))
-	if err != nil {
-		return 0, err
-	}
-	if dropped > 0 {
-		s.logf("catalog: journal for %s: dropped %d trailing bytes (crash tail)", name, dropped)
-		// Truncate the torn tail away: appends go to the end of the file,
-		// so leaving garbage in place would strand every record written
-		// after it beyond the reach of replay and of journal cursors.
-		path := journalPath(dir, name)
-		if st, serr := os.Stat(path); serr == nil {
-			if terr := os.Truncate(path, st.Size()-int64(dropped)); terr != nil {
-				s.logf("catalog: truncating torn journal tail for %s: %v", name, terr)
-			}
-		}
+	path := journalPath(dir, name)
+	recs, readErr := s.drainJournal(name, path)
+	if readErr != nil && !errors.Is(readErr, snapshot.ErrJournalCorrupt) {
+		// An I/O failure says nothing about the journal's bytes: apply
+		// nothing and leave the file for the next boot.
+		return 0, readErr
 	}
 	slices.SortFunc(recs, func(a, b snapshot.JournalRecord) int { return cmp.Compare(a.Version, b.Version) })
 	replayed := 0
 	next := baseVersion + 1
-	var stop error
+	var applyErr error
 	for _, rec := range recs {
 		if rec.Version <= baseVersion {
 			continue
 		}
 		if rec.Version != next {
-			stop = fmt.Errorf("journal gap: have version %d, want %d", rec.Version, next)
+			applyErr = fmt.Errorf("journal gap: have version %d, want %d", rec.Version, next)
 			break
 		}
 		ops := fromJournalOps(rec.Ops)
 		if _, err := s.exp.Mutate(context.Background(), name, ops); err != nil {
-			stop = fmt.Errorf("replaying batch for version %d: %w", rec.Version, err)
+			applyErr = fmt.Errorf("replaying batch for version %d: %w", rec.Version, err)
 			break
 		}
 		replayed += len(ops)
@@ -270,6 +265,7 @@ func (s *Server) replayJournal(name string, baseVersion uint64) (int, error) {
 		s.journalOps[name] += replayed
 		s.mu.Unlock()
 	}
+	stop := errors.Join(readErr, applyErr)
 	if stop == nil {
 		return replayed, nil
 	}
@@ -282,6 +278,35 @@ func (s *Server) replayJournal(name string, baseVersion uint64) (int, error) {
 		}
 	}
 	return replayed, fmt.Errorf("%w (replayed prefix compacted)", stop)
+}
+
+// drainJournal reads the journal at path up to its first unreadable frame.
+// A torn tail (the signature of a crash mid-append) is truncated away:
+// appends go to the end of the file, so garbage left in place would strand
+// every record written after it beyond the reach of replay and of journal
+// cursors. Any other error — corruption (snapshot.ErrJournalCorrupt) or an
+// I/O failure — is returned beside the records before it.
+func (s *Server) drainJournal(name, path string) ([]snapshot.JournalRecord, error) {
+	cur := snapshot.OpenJournalCursor(path)
+	defer cur.Close()
+	var recs []snapshot.JournalRecord
+	for {
+		rec, err := cur.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return recs, err
+		}
+		recs = append(recs, rec)
+	}
+	if torn := cur.Pending(); torn > 0 {
+		s.logf("catalog: journal for %s: dropped %d trailing bytes (crash tail)", name, torn)
+		if err := os.Truncate(path, cur.Offset()); err != nil {
+			s.logf("catalog: truncating torn journal tail for %s: %v", name, err)
+		}
+	}
+	return recs, nil
 }
 
 // toJournalOps/fromJournalOps are the shared api↔journal mapping, now owned

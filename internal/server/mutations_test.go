@@ -1,10 +1,12 @@
 package server
 
 import (
+	"context"
 	"net/http/httptest"
 	"os"
 	"sync"
 	"testing"
+	"time"
 
 	"cexplorer/internal/api"
 	"cexplorer/internal/gen"
@@ -188,72 +190,185 @@ func TestV1MutationsCompaction(t *testing.T) {
 }
 
 // TestV1MutationsReplayStopNeverResurfaces: a boot whose journal replay
-// stops at a gap must not leave the unreplayable records behind. Otherwise
-// writes on the restarted lineage reuse their versions, and the next boot
-// replays the stale record under an acknowledged version — a graph nobody
-// ever acknowledged, served as if it were.
+// stops early — at a gap, a checksum-clean but malformed record, or a bad
+// header — must apply the records before the stop and leave nothing
+// unreplayable behind. Otherwise writes on the restarted lineage either
+// reuse the stale records' versions (the next boot replays a graph nobody
+// acknowledged) or land behind the bad bytes, where every later boot stops.
 func TestV1MutationsReplayStopNeverResurfaces(t *testing.T) {
-	dir := t.TempDir()
-	boot := func() (*Server, *api.Explorer) {
-		exp := api.NewExplorer()
-		s := New(exp, t.Logf)
-		if err := s.SetDataDir(dir); err != nil {
-			t.Fatal(err)
-		}
-		return s, exp
-	}
-	s0, exp0 := boot()
-	if _, err := exp0.AddGraph("fig5", gen.Figure5()); err != nil {
-		t.Fatal(err)
-	}
-	ds, _ := exp0.Dataset("fig5")
-	if _, err := s0.PersistDataset(ds); err != nil {
-		t.Fatal(err)
-	}
-	// Snapshot at v0; the journal holds v1 and v3 but lost v2.
 	edge := func(op string, u, v int32) []snapshot.JournalOp {
 		return toJournalOps([]api.Mutation{{Op: op, U: u, V: v}})
 	}
-	for _, rec := range []snapshot.JournalRecord{
-		{Version: 1, Ops: edge(api.OpAddEdge, 0, 4)},
-		{Version: 3, Ops: edge(api.OpAddEdge, 0, 5)},
+	journal := func(header string, recs ...snapshot.JournalRecord) []byte {
+		b := []byte(header)
+		for _, rec := range recs {
+			b = append(b, snapshot.EncodeJournalFrame(rec)...)
+		}
+		return b
+	}
+	const header = "CXJRNL\x01\x00"
+	for _, tc := range []struct {
+		name    string
+		base    []api.Mutation // applied before the base snapshot is written
+		journal []byte
+		writes  []map[string]any // acknowledged on boot 1
+		boot1   uint64
+		boot2   uint64
+		has     [][2]int32 // edges present after boot 2
+		hasNot  [][2]int32 // edges absent after boot 2
+	}{
+		{
+			// Snapshot at v0; the journal holds v1 and v3 but lost v2.
+			name: "gap",
+			journal: journal(header,
+				snapshot.JournalRecord{Version: 1, Ops: edge(api.OpAddEdge, 0, 4)},
+				snapshot.JournalRecord{Version: 3, Ops: edge(api.OpAddEdge, 0, 5)}),
+			writes: []map[string]any{
+				{"op": "addEdge", "u": 0, "v": 7},
+				{"op": "removeEdge", "u": 0, "v": 4},
+			},
+			boot1: 1, boot2: 3,
+			has:    [][2]int32{{0, 7}},
+			hasNot: [][2]int32{{0, 4}, {0, 5}},
+		},
+		{
+			// An intact v1 record, then a frame that checksums clean but
+			// carries an unknown op kind.
+			name: "corrupt-record",
+			journal: journal(header,
+				snapshot.JournalRecord{Version: 1, Ops: edge(api.OpAddEdge, 0, 4)},
+				snapshot.JournalRecord{Version: 2, Ops: []snapshot.JournalOp{{Kind: 99}}}),
+			writes: []map[string]any{{"op": "addEdge", "u": 0, "v": 7}},
+			boot1:  1, boot2: 2,
+			has: [][2]int32{{0, 4}, {0, 7}},
+		},
+		{
+			// Snapshot at v1; the journal's header is not a journal header.
+			name:    "bad-header",
+			base:    []api.Mutation{{Op: api.OpAddEdge, U: 0, V: 4}},
+			journal: journal("NOTJRN\x01\x00", snapshot.JournalRecord{Version: 2, Ops: edge(api.OpAddEdge, 0, 5)}),
+			writes:  []map[string]any{{"op": "addEdge", "u": 0, "v": 7}},
+			boot1:   1, boot2: 2,
+			has:    [][2]int32{{0, 4}, {0, 7}},
+			hasNot: [][2]int32{{0, 5}},
+		},
 	} {
-		if err := snapshot.AppendJournal(journalPath(dir, "fig5"), rec); err != nil {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			boot := func() (*Server, *api.Explorer) {
+				exp := api.NewExplorer()
+				s := New(exp, t.Logf)
+				if err := s.SetDataDir(dir); err != nil {
+					t.Fatal(err)
+				}
+				return s, exp
+			}
+			s0, exp0 := boot()
+			if _, err := exp0.AddGraph("fig5", gen.Figure5()); err != nil {
+				t.Fatal(err)
+			}
+			if tc.base != nil {
+				if _, err := exp0.Mutate(context.Background(), "fig5", tc.base); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ds, _ := exp0.Dataset("fig5")
+			if _, err := s0.PersistDataset(ds); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(journalPath(dir, "fig5"), tc.journal, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			// Boot 1 replays up to the stop; then the writes are acknowledged.
+			s1, exp1 := boot()
+			if _, err := s1.LoadSnapshots(); err != nil {
+				t.Fatal(err)
+			}
+			if cur, _ := exp1.Dataset("fig5"); cur.Version != tc.boot1 {
+				t.Fatalf("boot 1 replayed to version %d, want %d", cur.Version, tc.boot1)
+			}
+			ts := httptest.NewServer(s1.Handler())
+			url := ts.URL + "/api/v1/datasets/fig5/mutations"
+			for i, op := range tc.writes {
+				var resp mutationResponse
+				if r := doJSON(t, "POST", url, op, &resp); r.StatusCode != 200 || !resp.Journaled || resp.Version != tc.boot1+uint64(i)+1 {
+					t.Fatalf("write %d: status %d %+v", i, r.StatusCode, resp)
+				}
+			}
+			ts.Close()
+
+			// Boot 2 must land on exactly the acknowledged version.
+			s2, exp2 := boot()
+			if _, err := s2.LoadSnapshots(); err != nil {
+				t.Fatal(err)
+			}
+			cur, _ := exp2.Dataset("fig5")
+			if cur.Version != tc.boot2 {
+				t.Fatalf("boot 2 at version %d, want %d", cur.Version, tc.boot2)
+			}
+			for _, e := range tc.has {
+				if !cur.Graph.HasEdge(e[0], e[1]) {
+					t.Fatalf("boot 2 lost acknowledged edge %v", e)
+				}
+			}
+			for _, e := range tc.hasNot {
+				if cur.Graph.HasEdge(e[0], e[1]) {
+					t.Fatalf("boot 2 has unacknowledged edge %v", e)
+				}
+			}
+		})
+	}
+
+	// A journal that fails to read (its path is a directory, so every read
+	// is EISDIR) is not corruption: boot applies nothing and must neither
+	// compact nor remove the journal, which may hold every acknowledged
+	// write since the last compaction.
+	t.Run("unreadable", func(t *testing.T) {
+		dir := t.TempDir()
+		exp0 := api.NewExplorer()
+		s0 := New(exp0, t.Logf)
+		if err := s0.SetDataDir(dir); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	// Boot 1 replays to v1 and stops at the gap; two writes are acknowledged.
-	s1, exp1 := boot()
-	if _, err := s1.LoadSnapshots(); err != nil {
-		t.Fatal(err)
-	}
-	if cur, _ := exp1.Dataset("fig5"); cur.Version != 1 {
-		t.Fatalf("boot 1 replayed to version %d, want 1", cur.Version)
-	}
-	ts := httptest.NewServer(s1.Handler())
-	url := ts.URL + "/api/v1/datasets/fig5/mutations"
-	for i, op := range []map[string]any{
-		{"op": "addEdge", "u": 0, "v": 7},
-		{"op": "removeEdge", "u": 0, "v": 4},
-	} {
-		var resp mutationResponse
-		if r := doJSON(t, "POST", url, op, &resp); r.StatusCode != 200 || !resp.Journaled || resp.Version != uint64(2+i) {
-			t.Fatalf("write %d: status %d %+v", i, r.StatusCode, resp)
+		if _, err := exp0.AddGraph("fig5", gen.Figure5()); err != nil {
+			t.Fatal(err)
 		}
-	}
-	ts.Close()
+		ds, _ := exp0.Dataset("fig5")
+		if _, err := s0.PersistDataset(ds); err != nil {
+			t.Fatal(err)
+		}
+		snap := snapshotPath(dir, "fig5")
+		old := time.Now().Add(-time.Hour).Truncate(time.Second)
+		if err := os.Chtimes(snap, old, old); err != nil {
+			t.Fatal(err)
+		}
+		jpath := journalPath(dir, "fig5")
+		if err := os.Mkdir(jpath, 0o755); err != nil {
+			t.Fatal(err)
+		}
 
-	// Boot 2 must land on exactly the acknowledged v3.
-	s2, exp2 := boot()
-	if _, err := s2.LoadSnapshots(); err != nil {
-		t.Fatal(err)
-	}
-	cur, _ := exp2.Dataset("fig5")
-	if cur.Version != 3 || cur.Graph.HasEdge(0, 4) || cur.Graph.HasEdge(0, 5) || !cur.Graph.HasEdge(0, 7) {
-		t.Fatalf("boot 2: version %d with {0,4}=%v {0,5}=%v {0,7}=%v, want version 3 with only {0,7}",
-			cur.Version, cur.Graph.HasEdge(0, 4), cur.Graph.HasEdge(0, 5), cur.Graph.HasEdge(0, 7))
-	}
+		exp1 := api.NewExplorer()
+		s1 := New(exp1, t.Logf)
+		if err := s1.SetDataDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s1.LoadSnapshots(); err != nil {
+			t.Fatal(err)
+		}
+		if cur, _ := exp1.Dataset("fig5"); cur.Version != 0 {
+			t.Fatalf("boot at version %d, want 0", cur.Version)
+		}
+		if st, err := os.Stat(jpath); err != nil || !st.IsDir() {
+			t.Fatalf("unreadable journal removed: %v", err)
+		}
+		if st, err := os.Stat(snap); err != nil || !st.ModTime().Equal(old) {
+			t.Fatalf("snapshot rewritten on an unreadable journal: %v", err)
+		}
+		if got := s1.stats.snapshotLoadErrors.Load(); got != 1 {
+			t.Fatalf("snapshotLoadErrors = %d, want 1", got)
+		}
+	})
 }
 
 // TestV1MutationsConcurrentDurability hammers the mutation route from

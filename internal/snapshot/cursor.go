@@ -2,55 +2,25 @@ package snapshot
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 )
 
-// Incremental journal access: the replication-facing half of the journal
-// format. ReadJournal slurps a whole file — right for boot-time replay,
-// wrong for a primary shipping a live journal to replicas. JournalCursor
-// reads a journal frame-at-a-time from a byte offset and treats "no
-// complete frame yet" as a clean, retryable EOF, so a tailer can poll a
-// file that another goroutine is still appending to. FrameReader applies
-// the same frame discipline to an io.Reader (the HTTP shipping stream),
-// where there is no header and a short read is a hard truncation error,
-// not a tail to wait out.
-
-// maxJournalFrame bounds a single frame's payload. A length prefix larger
-// than this is treated as a torn tail (a crash can leave arbitrary bytes in
-// the length slot), never as a frame to wait for.
-const maxJournalFrame = 1 << 28 // 256 MiB
+// The two readers of the journal format, both built on decodeFrame.
+// JournalCursor reads a journal file frame-at-a-time from a byte offset and
+// treats "no complete frame yet" as a clean, retryable EOF, so boot replay
+// can drain it and a tailer can poll a file that another goroutine is still
+// appending to. FrameReader applies the same frame discipline to an
+// io.Reader (the HTTP shipping stream), where there is no header and a
+// short read is a hard truncation error, not a tail to wait out.
 
 // EncodeJournalFrame renders one record as a shippable frame:
 // payloadLen | payload | crc — exactly the bytes AppendJournal writes after
 // the file header. A stream of these frames is what the journal-shipping
 // endpoint serves and what FrameReader decodes.
 func EncodeJournalFrame(rec JournalRecord) []byte {
-	payload := encodeJournalPayload(rec)
-	out := make([]byte, 0, 4+len(payload)+4)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-	out = append(out, payload...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
-	return out
-}
-
-// DecodeJournalFrame decodes one frame produced by EncodeJournalFrame.
-func DecodeJournalFrame(frame []byte) (JournalRecord, error) {
-	if len(frame) < 8 {
-		return JournalRecord{}, fmt.Errorf("journal: frame too short (%d bytes)", len(frame))
-	}
-	plen := int(binary.LittleEndian.Uint32(frame))
-	if plen > maxJournalFrame || len(frame) != 4+plen+4 {
-		return JournalRecord{}, fmt.Errorf("journal: frame length %d does not match %d payload bytes", len(frame), plen)
-	}
-	payload := frame[4 : 4+plen]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(frame[4+plen:]) {
-		return JournalRecord{}, fmt.Errorf("journal: frame checksum mismatch")
-	}
-	return decodeJournalPayload(payload)
+	return appendJournalFrame(nil, rec)
 }
 
 // JournalCursor reads a journal file incrementally. Next returns records in
@@ -104,8 +74,9 @@ func (c *JournalCursor) Pending() int64 {
 // Next returns the next intact record. io.EOF means "nothing more right
 // now": the file is missing, ends exactly at the cursor, or ends in a
 // partial or checksum-failing frame (an append in flight, or a crash tail).
-// Any other error is real corruption — a bad header or a checksummed frame
-// with a malformed body — and the cursor stays put.
+// Any other error leaves the cursor put: real corruption — a bad header or
+// a checksummed frame with a malformed body — matches ErrJournalCorrupt; an
+// I/O failure does not.
 func (c *JournalCursor) Next() (JournalRecord, error) {
 	rec, _, err := c.next()
 	return rec, err
@@ -129,53 +100,46 @@ func (c *JournalCursor) next() (JournalRecord, []byte, error) {
 		c.f = f
 	}
 	if !c.hdr {
-		hdr := make([]byte, len(journalMagic)+2)
+		hdr := make([]byte, journalHeaderLen)
 		if _, err := c.f.ReadAt(hdr, 0); err != nil {
 			// Too short to hold a header yet: an append may be in flight.
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
+			if err == io.EOF {
 				return JournalRecord{}, nil, io.EOF
 			}
 			return JournalRecord{}, nil, fmt.Errorf("journal: %w", err)
 		}
-		if string(hdr[:len(journalMagic)]) != string(journalMagic[:]) {
-			return JournalRecord{}, nil, fmt.Errorf("journal: bad magic %q (not a journal file)", hdr[:len(journalMagic)])
-		}
-		if v := binary.LittleEndian.Uint16(hdr[len(journalMagic):]); v != journalVersion {
-			return JournalRecord{}, nil, fmt.Errorf("journal: unsupported version %d (this build reads version %d)", v, journalVersion)
+		if err := checkJournalHeader(hdr); err != nil {
+			return JournalRecord{}, nil, err
 		}
 		c.hdr = true
-		c.off = int64(len(journalMagic) + 2)
+		c.off = journalHeaderLen
 	}
-	var lenBuf [4]byte
-	if _, err := c.f.ReadAt(lenBuf[:], c.off); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return JournalRecord{}, nil, io.EOF
-		}
+	// The length prefix gives the frame's size; then read the whole frame.
+	var prefix [4]byte
+	n, err := c.f.ReadAt(prefix[:], c.off)
+	if err != nil && err != io.EOF {
 		return JournalRecord{}, nil, fmt.Errorf("journal: %w", err)
 	}
-	plen := binary.LittleEndian.Uint32(lenBuf[:])
-	if plen > maxJournalFrame {
-		// Garbage in the length slot: a crash tail, not a frame to wait for.
+	_, size, err := decodeFrame(prefix[:n])
+	if size == 0 || err == errFrameTorn {
+		// An append in flight or a crash tail: retryable, do not advance.
 		return JournalRecord{}, nil, io.EOF
 	}
-	frame := make([]byte, 4+int(plen)+4)
-	if _, err := c.f.ReadAt(frame, c.off); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return JournalRecord{}, nil, io.EOF // partial frame: append in flight or crash tail
-		}
+	frame := make([]byte, size)
+	n, err = c.f.ReadAt(frame, c.off)
+	if err != nil && err != io.EOF {
 		return JournalRecord{}, nil, fmt.Errorf("journal: %w", err)
 	}
-	payload := frame[4 : 4+plen]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(frame[4+plen:]) {
-		return JournalRecord{}, nil, io.EOF // torn write: retryable, do not advance
+	rec, _, err := decodeFrame(frame[:n])
+	switch err {
+	case nil:
+		c.off += int64(size)
+		return rec, frame, nil
+	case errFrameShort, errFrameTorn:
+		return JournalRecord{}, nil, io.EOF
+	default:
+		return JournalRecord{}, nil, corruptError{fmt.Errorf("journal: record at offset %d: %w", c.off, err)}
 	}
-	rec, err := decodeJournalPayload(payload)
-	if err != nil {
-		// Checksummed clean but malformed: corruption, not a tail.
-		return JournalRecord{}, nil, fmt.Errorf("journal: record at offset %d: %w", c.off, err)
-	}
-	c.off += int64(len(frame))
-	return rec, frame, nil
 }
 
 // FrameReader decodes a stream of journal frames (no file header) from an
@@ -195,26 +159,20 @@ func NewFrameReader(r io.Reader) *FrameReader {
 // Next returns the next record. io.EOF marks a clean end between frames;
 // io.ErrUnexpectedEOF a mid-frame truncation; other errors corruption.
 func (fr *FrameReader) Next() (JournalRecord, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(fr.r, lenBuf[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return JournalRecord{}, io.ErrUnexpectedEOF
-		}
+	var prefix [4]byte
+	if _, err := io.ReadFull(fr.r, prefix[:]); err != nil {
 		return JournalRecord{}, err // io.EOF: clean frame boundary
 	}
-	plen := binary.LittleEndian.Uint32(lenBuf[:])
-	if plen > maxJournalFrame {
-		return JournalRecord{}, fmt.Errorf("journal: frame payload %d exceeds limit", plen)
+	_, size, err := decodeFrame(prefix[:])
+	if err == errFrameTorn {
+		return JournalRecord{}, fmt.Errorf("journal: stream frame: %w", err)
 	}
-	body := make([]byte, int(plen)+4)
-	if _, err := io.ReadFull(fr.r, body); err != nil {
+	frame := make([]byte, size)
+	copy(frame, prefix[:])
+	if _, err := io.ReadFull(fr.r, frame[len(prefix):]); err != nil {
 		return JournalRecord{}, io.ErrUnexpectedEOF
 	}
-	payload := body[:plen]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(body[plen:]) {
-		return JournalRecord{}, fmt.Errorf("journal: stream frame checksum mismatch")
-	}
-	rec, err := decodeJournalPayload(payload)
+	rec, _, err := decodeFrame(frame)
 	if err != nil {
 		return JournalRecord{}, fmt.Errorf("journal: stream frame: %w", err)
 	}

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -125,8 +126,18 @@ func TestJournalCursorBadHeaderIsError(t *testing.T) {
 	}
 	c := OpenJournalCursor(path)
 	defer c.Close()
-	if _, err := c.Next(); err == nil || err == io.EOF {
-		t.Fatalf("bad-magic Next = %v, want hard error", err)
+	if _, err := c.Next(); !errors.Is(err, ErrJournalCorrupt) {
+		t.Fatalf("bad-magic Next = %v, want ErrJournalCorrupt", err)
+	}
+}
+
+// TestJournalCursorReadFailureIsNotCorrupt: an I/O error (here the path is
+// a directory) is a hard error that says nothing about the journal's bytes.
+func TestJournalCursorReadFailureIsNotCorrupt(t *testing.T) {
+	c := OpenJournalCursor(t.TempDir())
+	defer c.Close()
+	if _, err := c.Next(); err == nil || err == io.EOF || errors.Is(err, ErrJournalCorrupt) {
+		t.Fatalf("unreadable Next = %v, want a non-corruption error", err)
 	}
 }
 
@@ -170,13 +181,16 @@ func TestJournalCursorConcurrentAppend(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeJournalFrame(t *testing.T) {
+func TestEncodeJournalFrameRoundTrip(t *testing.T) {
 	rec := JournalRecord{Version: 42, Ops: []JournalOp{
 		{Kind: JournalAddVertex, U: -1, V: -1, Name: "alice", Keywords: []string{"db", "ml"}},
 		{Kind: JournalAddEdge, U: 3, V: 9},
 	}}
 	frame := EncodeJournalFrame(rec)
-	got, err := DecodeJournalFrame(frame)
+	decode := func(frame []byte) (JournalRecord, error) {
+		return NewFrameReader(bytes.NewReader(frame)).Next()
+	}
+	got, err := decode(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,12 +209,12 @@ func TestEncodeDecodeJournalFrame(t *testing.T) {
 	if !bytes.Equal(data[8:], frame) {
 		t.Fatal("EncodeJournalFrame differs from AppendJournal's frame bytes")
 	}
-	if _, err := DecodeJournalFrame(frame[:len(frame)-2]); err == nil {
-		t.Fatal("truncated frame decoded without error")
+	if _, err := decode(frame[:len(frame)-2]); err != io.ErrUnexpectedEOF {
+		t.Fatalf("truncated frame: %v, want io.ErrUnexpectedEOF", err)
 	}
 	frame[5] ^= 0x40
-	if _, err := DecodeJournalFrame(frame); err == nil {
-		t.Fatal("corrupt frame decoded without error")
+	if _, err := decode(frame); err == nil || err == io.EOF || err == io.ErrUnexpectedEOF {
+		t.Fatalf("corrupt frame: %v, want checksum error", err)
 	}
 }
 

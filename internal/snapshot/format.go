@@ -42,16 +42,15 @@ import (
 // sections without breaking older readers; a bumped version number is
 // reserved for incompatible changes and is rejected outright.
 
-// Format selects the on-disk layout Write emits. FormatV2 exists for
-// fixtures and downgrade interop; new files should use the default.
+// Format versions, as reported in Snapshot.Format and Info.Version.
 const (
 	// FormatV2 is the unaligned legacy layout (versions 1 and 2 are
-	// byte-identical; 2 marks the last copy-only writer generation).
+	// byte-identical). It is read-only: no writer emits it any more, and
+	// testdata/golden_v2.cxsnap pins its bytes.
 	FormatV2 uint16 = 2
-	// FormatV3 is the aligned layout eligible for zero-copy mapped opens.
+	// FormatV3 is the aligned layout eligible for zero-copy mapped opens,
+	// and the only one Write emits.
 	FormatV3 uint16 = 3
-	// DefaultFormat is what Write and WriteFile emit.
-	DefaultFormat = FormatV3
 )
 
 const (
@@ -148,22 +147,20 @@ type wbuf struct {
 	err     error
 	scratch []byte
 
-	// aligned selects the v3 layout: 16-byte section headers, payloads
-	// padded to 8 bytes. sectionHeader records the pending pad length and
-	// endSection emits it, so section encoders stay layout-agnostic.
-	aligned bool
-	pad     int
+	// pad is the payload padding the last sectionHeader owes; endSection
+	// emits it, so section encoders need not know the layout.
+	pad int
 }
 
-func newWbuf(w io.Writer, aligned bool) *wbuf {
+func newWbuf(w io.Writer) *wbuf {
 	cw := &countingCRCWriter{w: w}
-	return &wbuf{w: cw, cw: cw, scratch: make([]byte, 1<<16), aligned: aligned}
+	return &wbuf{w: cw, cw: cw, scratch: make([]byte, 1<<16)}
 }
 
 // newMemWbuf encodes into an in-memory buffer with no checksum threading —
 // the parallel-encode path.
-func newMemWbuf(buf *bytes.Buffer, aligned bool) *wbuf {
-	return &wbuf{w: buf, scratch: make([]byte, 1<<16), aligned: aligned}
+func newMemWbuf(buf *bytes.Buffer) *wbuf {
+	return &wbuf{w: buf, scratch: make([]byte, 1<<16)}
 }
 
 func (b *wbuf) write(p []byte) {
@@ -191,17 +188,16 @@ func (b *wbuf) u64(v uint64) {
 	b.write(tmp[:])
 }
 
+// sectionHeader writes a 16-byte v3 section header.
 func (b *wbuf) sectionHeader(id uint32, payloadLen uint64) {
 	b.u32(id)
-	if b.aligned {
-		b.u32(0) // reserved; pads the header to 16 bytes
-		b.pad = sectionPad(payloadLen)
-	}
+	b.u32(0) // reserved; pads the header to 16 bytes
 	b.u64(payloadLen)
+	b.pad = sectionPad(payloadLen)
 }
 
-// endSection emits the payload padding the last sectionHeader implies (a
-// no-op in the legacy layout). Write calls it after every section encoder.
+// endSection emits the payload padding the last sectionHeader implies.
+// Write calls it after every section encoder.
 func (b *wbuf) endSection() {
 	if b.pad > 0 {
 		var zeros [sectionAlign]byte

@@ -3,6 +3,8 @@ package snapshot
 import (
 	"bytes"
 	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"cexplorer/internal/gen"
@@ -57,10 +59,13 @@ func FuzzSnapshotDecode(f *testing.F) {
 	})
 }
 
-// FuzzJournalDecode drives arbitrary bytes through the mutation-journal
-// decoder: errors or clean tail-drops only, never panics, and never an
-// absurd allocation (the decoder bounds every count against remaining
-// payload).
+// FuzzJournalDecode drives arbitrary bytes through both journal readers —
+// a JournalCursor over the bytes as a file, and a FrameReader over the
+// bytes after the header as a stream — which share the one frame decoder.
+// Neither may panic or make an absurd allocation (the decoder bounds every
+// count against remaining payload); the cursor's Offset and Pending must
+// partition the file; and under a valid header the stream reader must
+// yield exactly the cursor's records before its first error.
 func FuzzJournalDecode(f *testing.F) {
 	var buf bytes.Buffer
 	buf.Write(journalMagic[:])
@@ -71,7 +76,7 @@ func FuzzJournalDecode(f *testing.F) {
 	f.Add([]byte{})
 	// A real journal with two records.
 	dir := f.TempDir()
-	path := dir + "/seed.cxjournal"
+	path := filepath.Join(dir, "seed.cxjournal")
 	if err := AppendJournal(path, JournalRecord{Version: 1, Ops: []JournalOp{
 		{Kind: JournalAddEdge, U: 1, V: 2},
 		{Kind: JournalAddVertex, Name: "n", Keywords: []string{"a", "b"}},
@@ -83,24 +88,26 @@ func FuzzJournalDecode(f *testing.F) {
 	}}); err != nil {
 		f.Fatal(err)
 	}
-	recs, _, err := ReadJournal(path)
-	if err != nil || len(recs) != 2 {
+	if recs, _, _, err := drainJournal(f, path); err != nil || len(recs) != 2 {
 		f.Fatalf("seed journal: %v (%d records)", err, len(recs))
 	}
-	data, err := readFileBytes(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(data)
 	f.Add(data[:len(data)-3]) // torn tail
+	// A checksum-clean frame with a malformed body after an intact one.
+	f.Add(append(bytes.Clone(data), EncodeJournalFrame(JournalRecord{Version: 3, Ops: []JournalOp{{Kind: 99}}})...))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		recs, dropped, err := DecodeJournal(b)
-		if err != nil {
-			return
+		path := filepath.Join(t.TempDir(), "fuzz.cxjournal")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if dropped < 0 {
-			t.Fatalf("negative dropped count %d", dropped)
+		recs, off, pending, cerr := drainJournal(t, path)
+		if off+pending != int64(len(b)) {
+			t.Fatalf("Offset %d + Pending %d != file size %d", off, pending, len(b))
 		}
 		for _, r := range recs {
 			for _, op := range r.Ops {
@@ -111,9 +118,27 @@ func FuzzJournalDecode(f *testing.F) {
 				}
 			}
 		}
+		if len(b) < journalHeaderLen {
+			return
+		}
+		headerErr := checkJournalHeader(b[:journalHeaderLen])
+		if headerErr != nil {
+			if cerr == nil || len(recs) != 0 {
+				t.Fatalf("bad header (%v): cursor returned %d records, err %v", headerErr, len(recs), cerr)
+			}
+			return
+		}
+		var streamed []JournalRecord
+		fr := NewFrameReader(bytes.NewReader(b[journalHeaderLen:]))
+		for {
+			rec, err := fr.Next()
+			if err != nil {
+				break
+			}
+			streamed = append(streamed, rec)
+		}
+		if !reflect.DeepEqual(streamed, recs) {
+			t.Fatalf("stream reader yielded %d records, cursor %d", len(streamed), len(recs))
+		}
 	})
-}
-
-func readFileBytes(path string) ([]byte, error) {
-	return os.ReadFile(path)
 }

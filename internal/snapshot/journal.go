@@ -2,9 +2,11 @@ package snapshot
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 )
 
 // The mutation journal: the durability sidecar of the dynamic-graph
@@ -28,14 +30,16 @@ import (
 // Each payload is one batch: version uint64, opCount uint32, then per op a
 // kind byte and its operands. Appends are atomic-enough by construction: a
 // crash mid-append leaves a truncated or checksum-failing final frame,
-// which Read treats as the end of the journal (reporting how many bytes it
-// dropped), never as corruption of the records before it — the same
-// tail-tolerant discipline as every write-ahead log.
+// which every reader treats as the end of the journal (boot replay
+// truncates it away), never as corruption of the records before it — the
+// same tail-tolerant discipline as every write-ahead log.
 
 // JournalExt is the conventional extension for mutation journals.
 const JournalExt = ".cxjournal"
 
 const journalVersion = 1
+
+const journalHeaderLen = 6 + 2 // magic + version uint16
 
 var journalMagic = [6]byte{'C', 'X', 'J', 'R', 'N', 'L'}
 
@@ -63,7 +67,9 @@ type JournalRecord struct {
 
 // AppendJournal appends one record to the journal at path, creating the
 // file (with its header) if needed, and syncs before returning so an
-// acknowledged batch survives a crash.
+// acknowledged batch survives a crash. An append that creates the file also
+// syncs its directory: compaction deletes the journal, so the first write
+// after every compaction lands in a new directory entry.
 func AppendJournal(path string, rec JournalRecord) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -74,39 +80,44 @@ func AppendJournal(path string, rec JournalRecord) error {
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
+	created := st.Size() == 0
 	var out []byte
-	if st.Size() == 0 {
+	if created {
 		out = append(out, journalMagic[:]...)
 		out = binary.LittleEndian.AppendUint16(out, journalVersion)
 	}
-	payload := encodeJournalPayload(rec)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-	out = append(out, payload...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
+	out = appendJournalFrame(out, rec)
 	if _, err := f.Write(out); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
+	if created {
+		syncDir(filepath.Dir(path))
+	}
 	return nil
 }
 
-func encodeJournalPayload(rec JournalRecord) []byte {
-	var p []byte
-	p = binary.LittleEndian.AppendUint64(p, rec.Version)
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(rec.Ops)))
+// appendJournalFrame appends rec as one frame: payloadLen | payload | crc.
+func appendJournalFrame(out []byte, rec JournalRecord) []byte {
+	start := len(out)
+	out = append(out, 0, 0, 0, 0) // payloadLen, patched below
+	out = binary.LittleEndian.AppendUint64(out, rec.Version)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(rec.Ops)))
 	for _, op := range rec.Ops {
-		p = append(p, op.Kind)
-		p = binary.LittleEndian.AppendUint32(p, uint32(op.U))
-		p = binary.LittleEndian.AppendUint32(p, uint32(op.V))
-		p = appendJournalString(p, op.Name)
-		p = binary.LittleEndian.AppendUint32(p, uint32(len(op.Keywords)))
+		out = append(out, op.Kind)
+		out = binary.LittleEndian.AppendUint32(out, uint32(op.U))
+		out = binary.LittleEndian.AppendUint32(out, uint32(op.V))
+		out = appendJournalString(out, op.Name)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(op.Keywords)))
 		for _, w := range op.Keywords {
-			p = appendJournalString(p, w)
+			out = appendJournalString(out, w)
 		}
 	}
-	return p
+	payload := out[start+4:]
+	binary.LittleEndian.PutUint32(out[start:], uint32(len(payload)))
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
 }
 
 func appendJournalString(p []byte, s string) []byte {
@@ -114,63 +125,69 @@ func appendJournalString(p []byte, s string) []byte {
 	return append(p, s...)
 }
 
-// ReadJournal loads every intact record from the journal at path, in append
-// order. A missing or empty file yields (nil, 0, nil). A truncated or
-// checksum-failing tail — the signature of a crash mid-append — ends the
-// read cleanly, with dropped reporting how many trailing bytes were
-// discarded; a damaged header or record body is an error. The decoder is
-// fully bounds-checked and never panics on arbitrary bytes.
-func ReadJournal(path string) (recs []JournalRecord, dropped int, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, 0, nil
-		}
-		return nil, 0, fmt.Errorf("journal: %w", err)
+// checkJournalHeader validates the first journalHeaderLen bytes of a
+// journal file.
+func checkJournalHeader(hdr []byte) error {
+	if string(hdr[:len(journalMagic)]) != string(journalMagic[:]) {
+		return corruptError{fmt.Errorf("journal: bad magic %q (not a journal file)", hdr[:len(journalMagic)])}
 	}
-	return DecodeJournal(data)
+	if v := binary.LittleEndian.Uint16(hdr[len(journalMagic):]); v != journalVersion {
+		return corruptError{fmt.Errorf("journal: unsupported version %d (this build reads version %d)", v, journalVersion)}
+	}
+	return nil
 }
 
-// DecodeJournal decodes journal bytes already in memory (the fuzz surface
-// behind ReadJournal).
-func DecodeJournal(data []byte) (recs []JournalRecord, dropped int, err error) {
-	if len(data) == 0 {
-		return nil, 0, nil
+// ErrJournalCorrupt matches (via errors.Is) every error that reports a
+// journal whose bytes are wrong — a bad header or a checksum-clean but
+// malformed record — as opposed to an I/O failure reading bytes that may
+// be fine.
+var ErrJournalCorrupt = errors.New("journal: corrupt")
+
+// corruptError keeps the wrapped error's message and matches
+// ErrJournalCorrupt.
+type corruptError struct{ err error }
+
+func (e corruptError) Error() string        { return e.err.Error() }
+func (e corruptError) Unwrap() error        { return e.err }
+func (e corruptError) Is(target error) bool { return target == ErrJournalCorrupt }
+
+// maxJournalFrame bounds a single frame's payload. A length prefix larger
+// than this is treated as a torn tail (a crash can leave arbitrary bytes in
+// the length slot), never as a frame to wait for.
+const maxJournalFrame = 1 << 28 // 256 MiB
+
+var (
+	// errFrameShort: the bytes end before the frame does.
+	errFrameShort = errors.New("journal: incomplete frame")
+	// errFrameTorn: an oversized length prefix or a checksum mismatch.
+	errFrameTorn = errors.New("journal: torn frame (oversized length or checksum mismatch)")
+)
+
+// decodeFrame is the one reader of the frame layout: it decodes the frame
+// at the start of b. size is the whole frame's length once the length
+// prefix is readable (0 before that), so a caller holding a short prefix
+// knows how much to read. The error is errFrameShort when b ends before the
+// frame does, errFrameTorn for an oversized length or a checksum mismatch,
+// and anything else means the frame checksummed clean but its body is
+// malformed — corruption (or a foreign writer), not a crash tail.
+func decodeFrame(b []byte) (rec JournalRecord, size int, err error) {
+	if len(b) < 4 {
+		return rec, 0, errFrameShort
 	}
-	if len(data) < len(journalMagic)+2 {
-		return nil, 0, fmt.Errorf("journal: file too short (%d bytes)", len(data))
+	plen := binary.LittleEndian.Uint32(b)
+	if plen > maxJournalFrame {
+		return rec, 0, errFrameTorn
 	}
-	if string(data[:len(journalMagic)]) != string(journalMagic[:]) {
-		return nil, 0, fmt.Errorf("journal: bad magic %q (not a journal file)", data[:len(journalMagic)])
+	size = 4 + int(plen) + 4
+	if len(b) < size {
+		return rec, size, errFrameShort
 	}
-	if v := binary.LittleEndian.Uint16(data[len(journalMagic):]); v != journalVersion {
-		return nil, 0, fmt.Errorf("journal: unsupported version %d (this build reads version %d)", v, journalVersion)
+	payload := b[4 : 4+plen]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(b[4+plen:]) {
+		return rec, size, errFrameTorn
 	}
-	off := len(journalMagic) + 2
-	for off < len(data) {
-		rest := data[off:]
-		if len(rest) < 4 {
-			return recs, len(rest), nil // partial frame header: crash tail
-		}
-		plen := int(binary.LittleEndian.Uint32(rest))
-		if plen < 0 || len(rest) < 4+plen+4 {
-			return recs, len(rest), nil // partial frame: crash tail
-		}
-		payload := rest[4 : 4+plen]
-		want := binary.LittleEndian.Uint32(rest[4+plen:])
-		if crc32.Checksum(payload, castagnoli) != want {
-			return recs, len(rest), nil // torn final write: crash tail
-		}
-		rec, derr := decodeJournalPayload(payload)
-		if derr != nil {
-			// The frame checksummed clean but its body is malformed: that is
-			// corruption (or a foreign writer), not a crash tail.
-			return recs, 0, fmt.Errorf("journal: record %d: %w", len(recs), derr)
-		}
-		recs = append(recs, rec)
-		off += 4 + plen + 4
-	}
-	return recs, 0, nil
+	rec, err = decodeJournalPayload(payload)
+	return rec, size, err
 }
 
 func decodeJournalPayload(payload []byte) (JournalRecord, error) {

@@ -37,8 +37,8 @@
 // sections, and OpenAuto falls back to copy-decoding the same bytes.
 // Corruption, by contrast, fails the open in every mode. The copy path
 // (Read/Decode, and io.Reader sources generally) remains fully supported;
-// legacy v2 files keep working through it forever, and WriteFormat still
-// writes them.
+// legacy v1 and v2 files keep working through it forever. Write emits only
+// v3.
 package snapshot
 
 import (
@@ -99,8 +99,8 @@ const (
 	flagTruss
 )
 
-// Write serializes the snapshot in the default (v3, zero-copy-eligible)
-// format and returns the number of bytes written.
+// Write serializes the snapshot in the v3 (zero-copy-eligible) format and
+// returns the number of bytes written.
 //
 // Section payloads are independent, so each section (header + payload) is
 // encoded into its own buffer across par.Workers() workers and the buffers
@@ -110,16 +110,6 @@ const (
 // through a fixed scratch; snapshots are bulk arrays, so that is the same
 // order of memory the dataset itself occupies.
 func Write(w io.Writer, s *Snapshot) (int64, error) {
-	return WriteFormat(w, s, DefaultFormat)
-}
-
-// WriteFormat serializes the snapshot in an explicit format version
-// (FormatV2 for the legacy unaligned layout, FormatV3 for the aligned
-// zero-copy layout).
-func WriteFormat(w io.Writer, s *Snapshot, format uint16) (int64, error) {
-	if format != FormatV2 && format != FormatV3 {
-		return 0, fmt.Errorf("snapshot: unsupported write format %d (want %d or %d)", format, FormatV2, FormatV3)
-	}
 	if s.Graph == nil {
 		return 0, fmt.Errorf("snapshot: nil graph")
 	}
@@ -239,9 +229,9 @@ func WriteFormat(w io.Writer, s *Snapshot, format uint16) (int64, error) {
 		})
 	}
 
-	b := newWbuf(w, aligned(format))
+	b := newWbuf(w)
 	b.write(magic[:])
-	b.u16(format)
+	b.u16(FormatV3)
 	if par.Workers() == 1 {
 		// Serial fast path: stream every section straight through the
 		// checksummed writer — no buffer materialization, the original
@@ -254,7 +244,7 @@ func WriteFormat(w io.Writer, s *Snapshot, format uint16) (int64, error) {
 		bufs := make([]bytes.Buffer, len(secs))
 		errs := make([]error, len(secs))
 		par.Each(len(secs), 0, func(i int) {
-			mb := newMemWbuf(&bufs[i], aligned(format))
+			mb := newMemWbuf(&bufs[i])
 			secs[i](mb)
 			mb.endSection()
 			errs[i] = mb.err
@@ -536,11 +526,6 @@ func decode(data []byte, view bool) (*Snapshot, error) {
 // half-written catalog entry nor lose the rename itself. The returned size
 // is the encoded byte count.
 func WriteFile(path string, s *Snapshot) (int64, error) {
-	return WriteFileFormat(path, s, DefaultFormat)
-}
-
-// WriteFileFormat is WriteFile with an explicit format version.
-func WriteFileFormat(path string, s *Snapshot, format uint16) (int64, error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -553,7 +538,7 @@ func WriteFileFormat(path string, s *Snapshot, format uint16) (int64, error) {
 		}
 	}()
 	bw := bufio.NewWriterSize(tmp, 1<<20)
-	n, err := WriteFormat(bw, s, format)
+	n, err := Write(bw, s)
 	if err != nil {
 		return n, err
 	}
@@ -575,13 +560,18 @@ func WriteFileFormat(path string, s *Snapshot, format uint16) (int64, error) {
 	// The rename is only durable once the directory entry is on disk; fsync
 	// the directory so a crash just after persist cannot resurrect the old
 	// file (or, for a first write, lose the catalog entry entirely).
-	// Filesystems that refuse directory fsync (some network mounts) keep
-	// rename atomicity, so that failure is not worth failing the persist.
-	if d, derr := os.Open(dir); derr == nil {
+	syncDir(dir)
+	return n, nil
+}
+
+// syncDir fsyncs a directory so the entries created or renamed in it are
+// durable. Filesystems that refuse directory fsync (some network mounts)
+// keep rename atomicity, so that failure is not worth failing the write.
+func syncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
 		_ = d.Sync()
 		d.Close()
 	}
-	return n, nil
 }
 
 // ReadFile loads the snapshot at path. The file is slurped in one

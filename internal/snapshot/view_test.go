@@ -10,16 +10,6 @@ import (
 	"unsafe"
 )
 
-// encodeFormat is encode with an explicit format version.
-func encodeFormat(t testing.TB, s *Snapshot, format uint16) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if _, err := WriteFormat(&buf, s, format); err != nil {
-		t.Fatalf("write v%d: %v", format, err)
-	}
-	return buf.Bytes()
-}
-
 // checkSnapshotEqual compares everything a snapshot carries, regardless of
 // which decoder produced either side.
 func checkSnapshotEqual(t testing.TB, want, got *Snapshot) {
@@ -114,45 +104,19 @@ func TestDecodeViewAlignmentInvariant(t *testing.T) {
 	}
 }
 
-func TestWriteFormatV2RoundTrip(t *testing.T) {
-	g := testGraph(t)
-	s := fullSnapshot(t, "legacy", g)
-	data := encodeFormat(t, s, FormatV2)
-
-	got, err := Decode(data)
-	if err != nil {
-		t.Fatalf("decode v2: %v", err)
-	}
-	if got.Format != FormatV2 {
-		t.Fatalf("Format = %d, want %d", got.Format, FormatV2)
-	}
-	checkSnapshotEqual(t, s, got)
-
-	// The legacy layout must refuse the view path with the fallback
-	// sentinel, never a hard error.
-	if _, err := DecodeView(data); !errors.Is(err, ErrNotZeroCopy) {
-		t.Fatalf("DecodeView(v2) = %v, want ErrNotZeroCopy", err)
-	}
-
-	info, err := Inspect(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("inspect v2: %v", err)
-	}
-	if info.ZeroCopy || info.ZeroCopyReason == "" {
-		t.Fatalf("v2 inspect: ZeroCopy=%v reason=%q", info.ZeroCopy, info.ZeroCopyReason)
-	}
-}
-
+// TestFormatsDecodeIdentically: the committed v2 fixture and a v3
+// encoding of the same dataset decode to the same snapshot.
 func TestFormatsDecodeIdentically(t *testing.T) {
-	g := randomAttributed(t, 250, 1100, 11)
-	s := fullSnapshot(t, "both", g)
-	v2, err := Decode(encodeFormat(t, s, FormatV2))
+	v2, err := Decode(goldenV2(t))
 	if err != nil {
 		t.Fatalf("decode v2: %v", err)
 	}
-	v3, err := Decode(encodeFormat(t, s, FormatV3))
+	v3, err := Decode(encode(t, goldenSnapshot(t)))
 	if err != nil {
 		t.Fatalf("decode v3: %v", err)
+	}
+	if v2.Format != FormatV2 || v3.Format != FormatV3 {
+		t.Fatalf("formats: %d and %d", v2.Format, v3.Format)
 	}
 	checkSnapshotEqual(t, v2, v3)
 }
@@ -178,10 +142,9 @@ func writeTemp(t testing.TB, name string, data []byte) string {
 }
 
 func TestOpenFileModes(t *testing.T) {
-	g := testGraph(t)
-	s := fullSnapshot(t, "modes", g)
+	s := goldenSnapshot(t)
 	v3path := writeTemp(t, "v3.cxsnap", encode(t, s))
-	v2path := writeTemp(t, "v2.cxsnap", encodeFormat(t, s, FormatV2))
+	v2path := writeTemp(t, "v2.cxsnap", goldenV2(t))
 
 	t.Run("copy", func(t *testing.T) {
 		got, m, err := OpenFile(v3path, OpenCopy)

@@ -1,6 +1,7 @@
 package api
 
-// Serve-time speed layer benchmarks (BENCH_7.json):
+// Serve-time speed layer benchmarks (numbers in the speed-layer entry of
+// CHANGES.md):
 //
 // BenchmarkHotQueryUncached vs BenchmarkHotQueryCached: throughput of a
 // repeated ACQ query with and without the result cache. The cached run also

@@ -1,13 +1,14 @@
 package loadgen
 
-// The overload experiment (BENCH_7.json): a CPU-burning search algorithm
-// is offered 2x the machine's capacity, open-loop, every query distinct (so
-// the cache can't help and every request is a leader). With admission
-// control bounding in-flight computations at the core count, the excess is
-// shed fast and the tail stays near the intrinsic service time; without it,
-// the open-loop backlog oversubscribes the CPU and the tail grows with the
-// backlog. The test asserts the bounded-tail SLO for the shedding run and
-// logs the unbounded contrast for the record.
+// The overload experiment (numbers in the speed-layer entry of
+// CHANGES.md): a CPU-burning search algorithm is offered 2x the machine's
+// capacity, open-loop, every query distinct (so the cache can't help and
+// every request is a leader). With admission control bounding in-flight
+// computations at the core count, the excess is shed fast and the tail stays
+// near the intrinsic service time; without it, the open-loop backlog
+// oversubscribes the CPU and the tail grows with the backlog. The test
+// asserts the bounded-tail SLO for the shedding run and logs the unbounded
+// contrast for the record.
 
 import (
 	"context"
@@ -98,7 +99,7 @@ func TestSheddingBoundsTailUnderOverload(t *testing.T) {
 	// The contrast run — same offered load, no admission control. Logged,
 	// not asserted: its tail depends on machine speed; the claim it backs
 	// (shedding keeps the tail bounded when open-loop overload would grow
-	// it) is recorded in BENCH_7.json.
+	// it) is recorded in the speed-layer entry of CHANGES.md.
 	unshedded := runOverload(t, 0)
 	t.Logf("without shedding: %+v", unshedded)
 }

@@ -49,26 +49,114 @@ func (f *fakeTailer) Retarget(primaryURL string) {
 	f.primary = primaryURL
 }
 
+// tailerGate is a tailer factory that hands out fakeTailers and records
+// every (re)start. Once armed, each call waits until a second call arrives
+// or 200 ms pass: the widest window for two racing transitions to
+// interleave.
+type tailerGate struct {
+	mu      sync.Mutex
+	made    []*fakeTailer
+	armed   bool
+	calls   int
+	arrived chan struct{}
+}
+
+func (g *tailerGate) arm() {
+	g.mu.Lock()
+	g.armed, g.calls, g.arrived = true, 0, make(chan struct{})
+	g.mu.Unlock()
+}
+
+func (g *tailerGate) start(primaryURL string) (ReplicaSource, func()) {
+	f := &fakeTailer{primary: primaryURL}
+	g.mu.Lock()
+	g.made = append(g.made, f)
+	var wait chan struct{}
+	if g.armed {
+		g.calls++
+		switch g.calls {
+		case 1:
+			wait = g.arrived
+		case 2:
+			close(g.arrived)
+		}
+	}
+	g.mu.Unlock()
+	if wait != nil {
+		select {
+		case <-wait:
+		case <-time.After(200 * time.Millisecond):
+		}
+	}
+	return f, func() {
+		f.mu.Lock()
+		f.stopped = true
+		f.mu.Unlock()
+	}
+}
+
+// live counts started tailers that were never stopped.
+func (g *tailerGate) live() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	n := 0
+	for _, f := range g.made {
+		f.mu.Lock()
+		if !f.stopped {
+			n++
+		}
+		f.mu.Unlock()
+	}
+	return n
+}
+
 // fleetTestControl is a FleetControl whose tailer factory hands out
 // fakeTailers and records every (re)start.
 func fleetTestControl() (FleetControl, *[]*fakeTailer) {
-	var mu sync.Mutex
-	var made []*fakeTailer
-	fc := FleetControl{
-		StartTailer: func(primaryURL string) (ReplicaSource, func()) {
-			f := &fakeTailer{primary: primaryURL}
-			mu.Lock()
-			made = append(made, f)
-			mu.Unlock()
-			return f, func() {
-				f.mu.Lock()
-				f.stopped = true
-				f.mu.Unlock()
-			}
-		},
-		Feed: repl.FeedOptions{},
+	g := &tailerGate{}
+	return FleetControl{StartTailer: g.start}, &g.made
+}
+
+// fleetNode serves a fig5 node with fleet control over g's tailers.
+func fleetNode(t *testing.T, g *tailerGate) (*Server, *httptest.Server) {
+	t.Helper()
+	exp := api.NewExplorer()
+	if _, err := exp.AddGraph("fig5", gen.Figure5()); err != nil {
+		t.Fatal(err)
 	}
-	return fc, &made
+	s := New(exp, t.Logf)
+	s.EnableFleet(FleetControl{StartTailer: g.start})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	return s, ts
+}
+
+// postVerb posts a fleet verb and returns the status, envelope code and
+// Retry-After header.
+func postVerb(t *testing.T, baseURL, path string, body any) (int, string, string) {
+	resp, err := http.Post(baseURL+path, "application/json", jsonBody(t, body))
+	if err != nil {
+		t.Error(err)
+		return 0, "", ""
+	}
+	defer resp.Body.Close()
+	var env struct {
+		Code string `json:"code"`
+	}
+	json.NewDecoder(resp.Body).Decode(&env)
+	return resp.StatusCode, env.Code, resp.Header.Get("Retry-After")
+}
+
+// hostsFeed reports whether the node serves journal shipping, i.e. holds a
+// feed.
+func hostsFeed(t *testing.T, baseURL string) bool {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/api/v1/datasets/fig5/journal?fromSeq=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode != http.StatusServiceUnavailable
 }
 
 func getHealth(t *testing.T, baseURL string) repl.HealthStatus {
@@ -334,6 +422,114 @@ func TestPromoteDemoteRetargetMatrix(t *testing.T) {
 	h := getHealth(t, ts.URL)
 	if h.Role != "replica" || h.FleetEpoch != 6 || h.Promotions != 1 || h.Demotions != 1 {
 		t.Fatalf("health after the cycle: %+v", h)
+	}
+}
+
+// TestConcurrentTransitionsSerialize races two fleet verbs against one node
+// while the tailer factory holds its first call open for the second, and
+// checks the node ends as if the verbs had arrived one after the other:
+// one live tailer on a replica and none on a primary, a feed only on a
+// primary, and a fleet epoch equal to the highest one acknowledged.
+func TestConcurrentTransitionsSerialize(t *testing.T) {
+	type verb struct {
+		path string
+		body map[string]any
+	}
+	cases := []struct {
+		name    string
+		replica bool
+		verbs   [2]verb
+	}{
+		{"demote-demote on a primary", false, [2]verb{
+			{"/api/v1/demote", map[string]any{"epoch": 3, "primary": "http://p3"}},
+			{"/api/v1/demote", map[string]any{"epoch": 4, "primary": "http://p4"}},
+		}},
+		{"promote-demote on a replica", true, [2]verb{
+			{"/api/v1/promote", map[string]any{"epoch": 3}},
+			{"/api/v1/demote", map[string]any{"epoch": 4, "primary": "http://p4"}},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := &tailerGate{}
+			s, ts := fleetNode(t, g)
+			if tc.replica {
+				s.StartFleetReplica("http://p1")
+			} else {
+				s.EnableReplicationPrimary(repl.FeedOptions{})
+			}
+			g.arm()
+			var wg sync.WaitGroup
+			var status [2]int
+			for i, v := range tc.verbs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					status[i], _, _ = postVerb(t, ts.URL, v.path, v.body)
+				}()
+			}
+			wg.Wait()
+			var acked uint64
+			for i, v := range tc.verbs {
+				if status[i] == http.StatusOK {
+					acked = max(acked, uint64(v.body["epoch"].(int)))
+				} else if status[i] != http.StatusConflict {
+					t.Fatalf("%s: status %d, want 200 or 409", v.path, status[i])
+				}
+			}
+			if acked == 0 {
+				t.Fatalf("neither verb succeeded: %v", status)
+			}
+			role := s.Role()
+			wantLive := 0
+			if role == "replica" {
+				wantLive = 1
+			}
+			if live := g.live(); live != wantLive {
+				t.Fatalf("role %s with %d live tailers, want %d", role, live, wantLive)
+			}
+			if feed := hostsFeed(t, ts.URL); feed != (role == "primary") {
+				t.Fatalf("role %s hosts a feed: %v", role, feed)
+			}
+			if got := s.FleetEpoch(); got != acked {
+				t.Fatalf("fleet epoch %d after acknowledging epoch %d", got, acked)
+			}
+		})
+	}
+}
+
+// TestTransitionsAfterShutdown: Shutdown is the final transition. Every
+// fleet verb after it answers 503 unavailable with Retry-After, starts no
+// tailer and leaves the role as it was.
+func TestTransitionsAfterShutdown(t *testing.T) {
+	for _, role := range []string{"primary", "replica"} {
+		t.Run(role, func(t *testing.T) {
+			g := &tailerGate{}
+			s, ts := fleetNode(t, g)
+			if role == "replica" {
+				s.StartFleetReplica("http://p1")
+			} else {
+				s.EnableReplicationPrimary(repl.FeedOptions{})
+			}
+			epoch := s.FleetEpoch()
+			if err := s.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			started := len(g.made)
+			for i, path := range []string{"/api/v1/promote", "/api/v1/demote", "/api/v1/retarget"} {
+				status, code, retry := postVerb(t, ts.URL, path, map[string]any{"epoch": 5 + i, "primary": "http://p5"})
+				if status != http.StatusServiceUnavailable || code != "unavailable" || retry == "" {
+					t.Errorf("%s after Shutdown: status %d code %q Retry-After %q, want 503 unavailable with Retry-After",
+						path, status, code, retry)
+				}
+			}
+			if len(g.made) != started || g.live() != 0 {
+				t.Errorf("after Shutdown: %d tailers started, %d live", len(g.made)-started, g.live())
+			}
+			if s.Role() != role || s.FleetEpoch() != epoch {
+				t.Errorf("after Shutdown: role %q epoch %d, want %q %d", s.Role(), s.FleetEpoch(), role, epoch)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
-// Batched-ingestion benchmark (BENCH_7.json): per-op cost of the full
+// Batched-ingestion benchmark (numbers in the speed-layer entry of
+// CHANGES.md): per-op cost of the full
 // serving write path — engine apply plus durable journal append — with one
 // op per call versus 64-op batches. This is the path the MutationBatcher
 // fronts: each applyMutations call fsyncs one journal record whatever the

@@ -108,7 +108,7 @@ func (s *Server) applyMutations(ctx context.Context, name string, ops []api.Muta
 }
 
 func (s *Server) v1Mutations(w http.ResponseWriter, r *http.Request) {
-	if s.fleetFence(w, r) || s.rejectReadOnly(w) {
+	if s.writeGate(w, r) == nil {
 		return
 	}
 	var body json.RawMessage

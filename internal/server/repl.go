@@ -49,6 +49,17 @@ type ReplicaSource interface {
 // published into the returned feed, and Handler registers the
 // journal/snapshot shipping endpoints. Call before Handler.
 func (s *Server) EnableReplicationPrimary(opt repl.FeedOptions) *repl.Feed {
+	rs, _ := s.transition(func(cur *nodeRole, _ *FleetControl) (*nodeRole, *refusal) {
+		// A primary is fleet epoch 1 by definition; promotions go up from
+		// here.
+		return &nodeRole{name: "primary", epoch: max(cur.epoch, 1), feed: s.openFeed(opt)}, nil
+	})
+	return rs.feed
+}
+
+// openFeed builds a journal feed over the explorer's datasets and hooks
+// every applied mutation batch into it.
+func (s *Server) openFeed(opt repl.FeedOptions) *repl.Feed {
 	feed := repl.NewFeed(func(name string) (uint64, bool) {
 		ds, ok := s.exp.Dataset(name)
 		if !ok {
@@ -59,15 +70,6 @@ func (s *Server) EnableReplicationPrimary(opt repl.FeedOptions) *repl.Feed {
 	s.exp.SetMutateHook(func(name string, res *api.MutationResult, ops []api.Mutation) {
 		feed.Publish(name, res.Version, repl.ToJournalOps(ops))
 	})
-	s.mu.Lock()
-	s.role = "primary"
-	s.replFeed = feed
-	if s.fleetEpoch == 0 {
-		// A primary is fleet epoch 1 by definition; promotions go up from
-		// here. (A promoted replica sets its epoch explicitly afterward.)
-		s.fleetEpoch = 1
-	}
-	s.mu.Unlock()
 	return feed
 }
 
@@ -77,45 +79,14 @@ func (s *Server) EnableReplicationPrimary(opt repl.FeedOptions) *repl.Feed {
 // before answering 503 replica_lagging. Call before Handler; run the
 // tailer (repl.Replica.Run) separately.
 func (s *Server) EnableReplicationReplica(src ReplicaSource, maxWait time.Duration) {
-	if maxWait <= 0 {
-		maxWait = 2 * time.Second
-	}
-	s.mu.Lock()
-	s.role = "replica"
-	s.replSrc = src
-	s.replicaWait = maxWait
-	s.mu.Unlock()
+	s.transition(func(cur *nodeRole, _ *FleetControl) (*nodeRole, *refusal) {
+		return replicaRole(cur.epoch, src, nil, maxWait), nil
+	})
 }
 
 // Role reports the replication role: "" (standalone), "primary", or
 // "replica".
-func (s *Server) Role() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.role
-}
-
-func (s *Server) feed() *repl.Feed {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.replFeed
-}
-
-func (s *Server) replicaSource() (ReplicaSource, time.Duration) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.replSrc, s.replicaWait
-}
-
-// rejectReadOnly answers 403 read_only on a replica; true when handled.
-func (s *Server) rejectReadOnly(w http.ResponseWriter) bool {
-	if src, _ := s.replicaSource(); src == nil {
-		return false
-	}
-	writeEnvelope(w, http.StatusForbidden,
-		"replica is read-only: send writes to the primary (or through the router)", repl.CodeReadOnly)
-	return true
-}
+func (s *Server) Role() string { return s.role.Load().name }
 
 // registerRepl adds the replication and fleet routes to the v1 tree. The
 // shipping endpoints register unconditionally — roles change at runtime now
@@ -134,7 +105,7 @@ func (s *Server) registerRepl(mux *http.ServeMux) {
 // requireFeed answers 503 no_primary when this node hosts no feed (it is a
 // replica or was demoted); true when the request may proceed.
 func (s *Server) requireFeed(w http.ResponseWriter) (*repl.Feed, bool) {
-	feed := s.feed()
+	feed := s.role.Load().feed
 	if feed == nil {
 		writeEnvelope(w, http.StatusServiceUnavailable,
 			"this node hosts no journal feed (not a primary)", repl.CodeNoPrimary)
@@ -150,9 +121,9 @@ func (s *Server) requireFeed(w http.ResponseWriter) (*repl.Feed, bool) {
 // newest version by construction, so the gate is a no-op there.
 func (s *Server) minVersionGate(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		src, maxWait := s.replicaSource()
+		rs := s.role.Load()
 		hdr := r.Header.Get(repl.HeaderMinVersion)
-		if src == nil || hdr == "" {
+		if rs.src == nil || hdr == "" {
 			next.ServeHTTP(w, r)
 			return
 		}
@@ -166,11 +137,11 @@ func (s *Server) minVersionGate(next http.Handler) http.Handler {
 			httpError(w, http.StatusBadRequest, "bad %s header: %v", repl.HeaderMinVersion, err)
 			return
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), maxWait)
-		err = src.WaitVersion(ctx, name, want)
+		ctx, cancel := context.WithTimeout(r.Context(), rs.wait)
+		err = rs.src.WaitVersion(ctx, name, want)
 		cancel()
 		if err != nil {
-			if st, ok := src.Status(name); ok {
+			if st, ok := rs.src.Status(name); ok {
 				w.Header().Set(repl.HeaderHeadSeq, strconv.FormatUint(st.AppliedSeq, 10))
 			}
 			w.Header().Set("Retry-After", "1")
@@ -328,33 +299,29 @@ type ReplInfo struct {
 
 // replInfo builds the stats block; nil for a standalone server.
 func (s *Server) replInfo() *ReplInfo {
-	switch s.Role() {
-	case "primary":
-		fs := s.feed().Stats()
-		return &ReplInfo{
-			Role:              "primary",
-			FleetEpoch:        s.FleetEpoch(),
-			Promotions:        s.stats.promotions.Load(),
-			Demotions:         s.stats.demotions.Load(),
-			Feed:              &fs,
-			ShipRequests:      s.stats.replShipRequests.Load(),
-			ShipBytes:         s.stats.replShipBytes.Load(),
-			SnapshotShips:     s.stats.replSnapshotShips.Load(),
-			SnapshotShipBytes: s.stats.replSnapshotBytes.Load(),
-		}
-	case "replica":
-		src, _ := s.replicaSource()
-		rs := src.Stats()
-		return &ReplInfo{
-			Role:       "replica",
-			FleetEpoch: s.FleetEpoch(),
-			Promotions: s.stats.promotions.Load(),
-			Demotions:  s.stats.demotions.Load(),
-			Replica:    &rs,
-		}
-	default:
+	rs := s.role.Load()
+	if rs.name == "" {
 		return nil
 	}
+	info := &ReplInfo{
+		Role:       rs.name,
+		FleetEpoch: rs.epoch,
+		Promotions: s.stats.promotions.Load(),
+		Demotions:  s.stats.demotions.Load(),
+	}
+	if rs.feed != nil {
+		fs := rs.feed.Stats()
+		info.Feed = &fs
+		info.ShipRequests = s.stats.replShipRequests.Load()
+		info.ShipBytes = s.stats.replShipBytes.Load()
+		info.SnapshotShips = s.stats.replSnapshotShips.Load()
+		info.SnapshotShipBytes = s.stats.replSnapshotBytes.Load()
+	}
+	if rs.src != nil {
+		st := rs.src.Stats()
+		info.Replica = &st
+	}
+	return info
 }
 
 // datasetRepl is the per-dataset replication block of dataset resources.
@@ -370,40 +337,7 @@ type datasetRepl struct {
 	BaseSeq    uint64 `json:"baseSeq,omitempty"`
 	HeadSeq    uint64 `json:"headSeq,omitempty"`
 	ReplicaLag uint64 `json:"replicaLag"`
-	// Phase (replica) is bootstrapping | tailing | degraded.
+	// Phase (replica) is bootstrapping | tailing | degraded, or unclaimed
+	// before the tailer has claimed the dataset.
 	Phase string `json:"phase,omitempty"`
-}
-
-// datasetRepl builds the per-dataset block; nil for a standalone server or
-// a replica dataset the tailer has not claimed.
-func (s *Server) datasetReplInfo(name string, ds *api.Dataset) *datasetRepl {
-	switch s.Role() {
-	case "primary":
-		info := &datasetRepl{Role: "primary", AppliedSeq: ds.Version}
-		if st, ok := s.feed().Status(name); ok {
-			info.Epoch = st.Epoch
-			info.BaseSeq = st.Base
-			info.AppliedSeq = st.Head
-		}
-		return info
-	case "replica":
-		src, _ := s.replicaSource()
-		st, ok := src.Status(name)
-		if !ok {
-			return &datasetRepl{Role: "replica", AppliedSeq: ds.Version, Phase: "unclaimed"}
-		}
-		info := &datasetRepl{
-			Role:       "replica",
-			Epoch:      st.Epoch,
-			AppliedSeq: st.AppliedSeq,
-			HeadSeq:    st.HeadSeq,
-			Phase:      st.Phase,
-		}
-		if st.HeadSeq > st.AppliedSeq {
-			info.ReplicaLag = st.HeadSeq - st.AppliedSeq
-		}
-		return info
-	default:
-		return nil
-	}
 }

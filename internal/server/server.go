@@ -32,7 +32,6 @@ import (
 	"cexplorer/internal/api"
 	"cexplorer/internal/gen"
 	"cexplorer/internal/par"
-	"cexplorer/internal/repl"
 	"cexplorer/internal/servecache"
 	"cexplorer/internal/snapshot"
 )
@@ -74,21 +73,14 @@ type Server struct {
 	// journal-and-count path.
 	batcher *api.MutationBatcher
 
-	// Replication wiring (see repl.go): role is "" (standalone),
-	// "primary" (replFeed ships the journal), or "replica" (replSrc tails
-	// a primary; replicaWait bounds read-your-writes gate waits).
-	role        string
-	replFeed    *repl.Feed
-	replSrc     ReplicaSource
-	replicaWait time.Duration
-
-	// Fleet wiring (see health.go): fleetEpoch is the promotion counter a
-	// stamped write must match (0 = never fenced); fleet holds the
-	// transition hooks EnableFleet installed; tailerStop cancels the
-	// running tailer (set on replicas, swapped on demotion).
-	fleetEpoch uint64
-	fleet      *FleetControl
-	tailerStop func()
+	// role is the node's replication role (see health.go): one immutable
+	// value, replaced only by transition. transMu serializes transitions
+	// and guards fleet, the transition hooks EnableFleet installed, and
+	// closed, set by Shutdown, after which no transition runs.
+	role    atomic.Pointer[nodeRole]
+	transMu sync.Mutex
+	fleet   *FleetControl
+	closed  bool
 
 	// started anchors the health endpoint's uptime; httpSrv is the
 	// listener ListenAndServe built, kept so Shutdown can drain it.
@@ -220,13 +212,16 @@ func New(exp *api.Explorer, logf func(string, ...any)) *Server {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	return &Server{
+	s := &Server{
 		exp:       exp,
 		profiles:  make(map[string]map[int32]gen.Profile),
 		logf:      logf,
 		searchSem: make(chan struct{}, 2*runtime.GOMAXPROCS(0)),
 		started:   time.Now(),
 	}
+	// A new server is standalone; that is its first transition.
+	s.transition(func(*nodeRole, *FleetControl) (*nodeRole, *refusal) { return &nodeRole{}, nil })
+	return s
 }
 
 // SetOpenMode selects how LoadSnapshots materializes catalog files: auto
@@ -416,24 +411,26 @@ func (s *Server) ListenAndServe(addr string) error {
 	return err
 }
 
-// Shutdown drains the server gracefully within ctx's deadline: the tailer
-// stops first (a replica un-claims its position cleanly instead of dying
-// mid-apply), the feed's parked long-polls are released (replicas tailing us
-// return within one round trip instead of waiting out their poll), and then
-// the HTTP listener stops accepting and waits for in-flight requests.
+// Shutdown drains the server gracefully within ctx's deadline. It is the
+// node's final transition: the tailer stops first (a replica un-claims its
+// position cleanly instead of dying mid-apply), the feed's parked
+// long-polls are released (replicas tailing us return within one round
+// trip instead of waiting out their poll), and no role change follows.
+// Then the HTTP listener stops accepting and waits for in-flight requests.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	stop := s.tailerStop
-	s.tailerStop = nil
-	feed := s.replFeed
+	s.transition(func(cur *nodeRole, _ *FleetControl) (*nodeRole, *refusal) {
+		if cur.stop != nil {
+			cur.stop()
+		}
+		if cur.feed != nil {
+			cur.feed.Drain()
+		}
+		s.closed = true
+		return cur, nil
+	})
+	s.mu.RLock()
 	srv := s.httpSrv
-	s.mu.Unlock()
-	if stop != nil {
-		stop()
-	}
-	if feed != nil {
-		feed.Drain()
-	}
+	s.mu.RUnlock()
 	if srv == nil {
 		return nil
 	}
@@ -658,7 +655,10 @@ func (s *Server) datasetInfo(name string, ds *api.Dataset) graphInfo {
 		info.CacheEntries = cs.Entries
 		info.CacheBytes = cs.Bytes
 	}
-	info.Replication = s.datasetReplInfo(name, ds)
+	if rs := s.role.Load(); rs.name != "" {
+		p := rs.position(name, ds)
+		info.Replication = &p
+	}
 	return info
 }
 

@@ -81,7 +81,8 @@ func (s *Server) v1GetDataset(w http.ResponseWriter, r *http.Request) {
 // wire format itself, and replaces any dataset of that name wholesale.
 // Replicas refuse it like every write.
 func (s *Server) v1PutDataset(w http.ResponseWriter, r *http.Request) {
-	if s.fleetFence(w, r) || s.rejectReadOnly(w) {
+	rs := s.writeGate(w, r)
+	if rs == nil {
 		return
 	}
 	ds, err := s.exp.Upload(r.PathValue("name"), r.Body)
@@ -89,11 +90,11 @@ func (s *Server) v1PutDataset(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "upload: %v", err)
 		return
 	}
-	if f := s.feed(); f != nil {
+	if rs.feed != nil {
 		// A re-upload replaces the lineage wholesale: fence every shipping
 		// cursor so replicas re-bootstrap instead of applying the new
 		// lineage's records onto the old graph.
-		f.Reset(ds.Name)
+		rs.feed.Reset(ds.Name)
 	}
 	resp := map[string]any{"name": ds.Name, "stats": ds.Graph.ComputeStats()}
 	// With a catalog configured, the upload persists before the response:
@@ -122,7 +123,8 @@ func (s *Server) v1PutDataset(w http.ResponseWriter, r *http.Request) {
 // ghost forever. Replicas refuse the call — dataset lifecycle is the
 // primary's to decide and replicate, never a per-node edit.
 func (s *Server) v1DeleteDataset(w http.ResponseWriter, r *http.Request) {
-	if s.fleetFence(w, r) || s.rejectReadOnly(w) {
+	rs := s.writeGate(w, r)
+	if rs == nil {
 		return
 	}
 	name := r.PathValue("name")
@@ -130,8 +132,8 @@ func (s *Server) v1DeleteDataset(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, fmt.Errorf("%w: %q", api.ErrDatasetNotFound, name))
 		return
 	}
-	if f := s.feed(); f != nil {
-		f.Reset(name)
+	if rs.feed != nil {
+		rs.feed.Reset(name)
 	}
 	if dir := s.DataDir(); dir != "" {
 		s.journalMu.Lock()

@@ -1,6 +1,6 @@
 package repl_test
 
-// Failover suite: the self-healing fleet under primary loss. A real primary,
+// Failover suite: automatic failover under primary loss. A real primary,
 // real replicas (fleet control enabled, so they can be promoted/demoted/
 // re-targeted over HTTP), and a router with the health monitor and the
 // promotion supervisor running. The tests kill or partition the primary and
@@ -103,7 +103,7 @@ func (n *fleetNode) shutdown() {
 	n.srv.Shutdown(ctx)
 }
 
-// startFleetRouter runs a self-healing router over the fleet at test cadence.
+// startFleetRouter runs a supervising router over the fleet at test cadence.
 func startFleetRouter(t *testing.T, primaryURL string, replicas []string, promote bool) (*repl.Router, *httptest.Server) {
 	t.Helper()
 	rt := repl.NewRouter(primaryURL, replicas, repl.RouterOptions{

@@ -77,7 +77,8 @@ type probeState struct {
 	lastErr error
 }
 
-// NewMonitor builds a monitor; Add nodes, then Run it.
+// NewMonitor builds a monitor; Add nodes, then call ProbeOnce once per
+// Interval (Router.Run does, supervising after every round).
 func NewMonitor(opt MonitorOptions) *Monitor {
 	if opt.Client == nil {
 		opt.Client = &http.Client{}
@@ -108,22 +109,6 @@ func (m *Monitor) Add(url string) {
 		m.nodes[url] = &probeState{state: StateClosed}
 	}
 	m.mu.Unlock()
-}
-
-// Run probes on the Interval cadence until ctx is canceled. One round is
-// issued immediately so a freshly started router has health data before its
-// first routing decision.
-func (m *Monitor) Run(ctx context.Context) {
-	tick := time.NewTicker(m.opt.Interval)
-	defer tick.Stop()
-	for {
-		m.ProbeOnce(ctx)
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-		}
-	}
 }
 
 // ProbeOnce runs one probe round: every closed/half-open node, plus open

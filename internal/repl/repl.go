@@ -72,7 +72,7 @@
 // replica keeps serving its last-applied version, and convergence resumes
 // when the fault clears.
 //
-// # Promotion protocol (self-healing fleet)
+// # Promotion protocol (automatic failover)
 //
 // The primary is the only single point of failure the fault model above
 // leaves standing, so the router doubles as the failure detector and
@@ -86,13 +86,17 @@
 //     and a second closes it again.
 //  2. Elect. When the primary's circuit opens and promotion is enabled,
 //     the router ranks the reachable replicas by total appliedSeq (from
-//     their last health payloads) and asks the best one to promote,
-//     passing a fleet epoch one above the highest it has observed. The
+//     their last health payloads) and asks the best one to promote. Each
+//     candidate gets a fresh fleet epoch, one above the highest the router
+//     has observed or handed out, so a candidate whose promotion applied
+//     but whose answer was lost never shares an epoch with the next. The
 //     candidate independently re-verifies it is the most caught up among
 //     the reachable peers (409 not_caught_up sends the router to the next
 //     candidate), stops its tailer, opens its own journal Feed — with
 //     fresh, boot-salted snapshot epochs no old cursor can match — and
-//     flips to accepting writes.
+//     flips to accepting writes. A restarted router needs no memory of
+//     past elections: it adopts the highest-epoch node claiming primacy,
+//     and never stamps writes with an epoch a replica reports.
 //  3. Re-target. Surviving replicas are pointed at the new primary
 //     (Replica.Retarget); their first shipping request against the new
 //     feed fences on the epoch mismatch and they re-bootstrap from the new

@@ -49,27 +49,29 @@ type SelfHealOptions struct {
 // answers 503 replica_lagging, and the router walks the ring to the
 // primary, which is never behind.
 //
-// With self-healing enabled (EnableSelfHealing + Run) the router also owns
-// fleet membership: a Monitor keeps a circuit breaker per node so dead nodes
-// leave the read ring immediately, and a supervision loop promotes the
-// most-caught-up replica when the primary is declared down, re-targets the
-// survivors, and demotes a stale primary that comes back.
+// The router's picture of the fleet — primary, replicas, ring and epoch —
+// is one immutable fleetView that only commit replaces. Each request loads
+// it once, so its targets and the epoch stamped on a write always come from
+// the same committed view.
+//
+// After EnableSelfHealing, Run makes the router the owner of fleet
+// membership: a Monitor keeps a circuit breaker per node so dead nodes leave
+// the read ring immediately, and after every probe round supervision adopts
+// the highest-epoch primary the fleet reports, promotes the most-caught-up
+// replica when the primary is declared down (each attempt under a fresh
+// epoch), re-targets the survivors, and demotes a stale primary that comes
+// back.
 type Router struct {
 	opt     RouterOptions
 	started time.Time
 
-	// Topology is copy-on-write under mu: route() snapshots (primary,
-	// replicas, ring) per request; every change installs fresh slices.
-	mu         sync.Mutex
-	primary    string
-	replicas   []string
-	ring       []ringPoint
-	fleetEpoch uint64
-	electing   bool
+	view     atomic.Pointer[fleetView]
+	commitMu sync.Mutex // held by commit from its Load to its Store
 
-	heal    SelfHealOptions
-	healing bool
+	// Set once by EnableSelfHealing, before the router serves; a nil
+	// monitor means the router never probes or supervises.
 	monitor *Monitor
+	promote bool
 
 	reads       atomic.Int64
 	writes      atomic.Int64
@@ -85,6 +87,20 @@ type Router struct {
 
 	nodeMu  sync.Mutex
 	perNode map[string]*nodeCounters
+}
+
+// fleetView is the router's picture of the fleet. A published view is never
+// mutated; commit installs a fresh one for every change.
+type fleetView struct {
+	primary  string
+	replicas []string
+	ring     []ringPoint
+	// epoch is the committed primary's fleet epoch; every routed write is
+	// stamped with it.
+	epoch uint64
+	// issued is the highest epoch this router has observed or handed out
+	// (never below epoch). A promotion attempt reserves issued+1.
+	issued uint64
 }
 
 type nodeCounters struct {
@@ -116,7 +132,6 @@ func NewRouter(primary string, replicas []string, opt RouterOptions) *Router {
 	rt := &Router{
 		opt:     opt,
 		started: time.Now(),
-		primary: strings.TrimRight(primary, "/"),
 		perNode: map[string]*nodeCounters{},
 	}
 	var reps []string
@@ -125,8 +140,9 @@ func NewRouter(primary string, replicas []string, opt RouterOptions) *Router {
 			reps = append(reps, rep)
 		}
 	}
-	rt.replicas = reps
-	rt.ring = buildRing(reps, opt.VNodes)
+	rt.commit(func(*fleetView) *fleetView {
+		return rt.makeView(strings.TrimRight(primary, "/"), reps, 0, 0)
+	})
 	return rt
 }
 
@@ -149,24 +165,51 @@ func buildRing(replicas []string, vnodes int) []ringPoint {
 	return ring
 }
 
-// topology snapshots the routing state. The returned slices are
-// copy-on-write: never mutated after publication.
-func (rt *Router) topology() (primary string, replicas []string, ring []ringPoint, fleetEpoch uint64) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.primary, rt.replicas, rt.ring, rt.fleetEpoch
+// makeView builds a fleet view over primary and replicas, ring included.
+func (rt *Router) makeView(primary string, replicas []string, epoch, issued uint64) *fleetView {
+	return &fleetView{
+		primary:  primary,
+		replicas: replicas,
+		ring:     buildRing(replicas, rt.opt.VNodes),
+		epoch:    epoch,
+		issued:   max(issued, epoch),
+	}
 }
 
-// setTopology installs a new (primary, replicas) pair and rebuilds the ring.
-func (rt *Router) setTopologyLocked(primary string, replicas []string) {
-	rt.primary = primary
-	rt.replicas = replicas
-	rt.ring = buildRing(replicas, rt.opt.VNodes)
+// withPrimary is the view with node as primary at epoch. The node leaves the
+// read ring; the old primary stays known to the monitor, and if it ever
+// comes back supervision demotes it and re-adds it as a replica.
+func (rt *Router) withPrimary(cur *fleetView, node string, epoch uint64) *fleetView {
+	reps := slices.DeleteFunc(slices.Clone(cur.replicas), func(rep string) bool { return rep == node })
+	return rt.makeView(node, reps, epoch, cur.issued)
+}
+
+// commit is the only writer of the fleet view. step receives the current
+// view and returns the next one (or the current one to change nothing); the
+// lock is held from the read to the store, so concurrent commits apply one
+// after the other. The monitor tracks every node of the committed view.
+func (rt *Router) commit(step func(cur *fleetView) *fleetView) *fleetView {
+	rt.commitMu.Lock()
+	defer rt.commitMu.Unlock()
+	next := step(rt.view.Load())
+	rt.view.Store(next)
+	rt.track(next)
+	return next
+}
+
+// track adds every node of v to the monitor (idempotent; no-op without one).
+func (rt *Router) track(v *fleetView) {
+	if rt.monitor == nil {
+		return
+	}
+	rt.monitor.Add(v.primary)
+	for _, rep := range v.replicas {
+		rt.monitor.Add(rep)
+	}
 }
 
 // EnableSelfHealing attaches a health monitor over the current topology.
-// Call before Handler is serving and follow with Run (the monitor and the
-// supervision loop run inside it).
+// Call before Handler is serving and follow with Run.
 func (rt *Router) EnableSelfHealing(opt SelfHealOptions) {
 	if opt.Monitor.Client == nil {
 		opt.Monitor.Client = rt.opt.Client
@@ -174,98 +217,93 @@ func (rt *Router) EnableSelfHealing(opt SelfHealOptions) {
 	if opt.Monitor.Logf == nil {
 		opt.Monitor.Logf = rt.opt.Logf
 	}
-	m := NewMonitor(opt.Monitor)
-	primary, replicas, _, _ := rt.topology()
-	m.Add(primary)
-	for _, rep := range replicas {
-		m.Add(rep)
-	}
-	rt.mu.Lock()
-	rt.heal = opt
-	rt.healing = true
-	rt.monitor = m
-	rt.mu.Unlock()
+	rt.monitor = NewMonitor(opt.Monitor)
+	rt.promote = opt.Promote
+	rt.track(rt.view.Load())
 }
 
-// Monitor returns the health monitor (nil until EnableSelfHealing).
-func (rt *Router) Monitor() *Monitor {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.monitor
-}
-
-// Run drives self-healing until ctx is canceled: the probe loop plus a
-// supervision pass per probe interval (election when the primary's circuit
-// opens, re-targeting, demotion of stale primaries). A no-op without
-// EnableSelfHealing.
+// Run supervises the fleet until ctx is canceled: one step per probe
+// interval, the first at once so a freshly started router learns the
+// fleet before its first interval ends. A no-op without EnableSelfHealing.
 func (rt *Router) Run(ctx context.Context) {
-	rt.mu.Lock()
-	m, healing := rt.monitor, rt.healing
-	rt.mu.Unlock()
-	if !healing || m == nil {
+	if rt.monitor == nil {
 		return
 	}
-	go m.Run(ctx)
-	tick := time.NewTicker(m.opt.Interval)
+	tick := time.NewTicker(rt.monitor.opt.Interval)
 	defer tick.Stop()
 	for {
+		rt.step(ctx)
 		select {
 		case <-ctx.Done():
 			return
 		case <-tick.C:
-			rt.supervise(ctx)
 		}
 	}
 }
 
-// supervise is one reconciliation pass: adopt higher fleet epochs observed
-// in the wild, elect a new primary if the current one is declared down, and
-// steer every other node back into the topology (retarget replicas pointing
-// at a dead primary, demote a stale primary that came back). Every action
-// here is idempotent and retried next tick on failure.
-func (rt *Router) supervise(ctx context.Context) {
-	m := rt.Monitor()
-	if m == nil {
-		return
+// step is one supervision round: a complete probe round, then supervise
+// over its results. An election inside it delays the next probe round
+// rather than overlapping it; reads keep walking the ring meanwhile.
+func (rt *Router) step(ctx context.Context) {
+	rt.monitor.ProbeOnce(ctx)
+	if ctx.Err() == nil {
+		rt.supervise(ctx)
 	}
-	primary, replicas, _, epoch := rt.topology()
+}
 
-	// Adopt: a node claiming primacy at a higher epoch than ours wins —
-	// this is how a restarted router rejoins a fleet that promoted while it
-	// was away (and how it learns the current epoch at all).
-	stats := m.Stats()
-	for node, np := range stats.Nodes {
-		h := np.Health
-		if h == nil {
-			continue
-		}
-		if h.FleetEpoch > epoch && h.Role == "primary" && node != primary {
-			rt.opt.Logf("router: adopting %s as primary (fleet epoch %d > %d)", node, h.FleetEpoch, epoch)
-			rt.commitPrimary(node, h.FleetEpoch)
-			primary, replicas, _, epoch = rt.topology()
-		} else if h.FleetEpoch > epoch {
-			rt.mu.Lock()
-			if h.FleetEpoch > rt.fleetEpoch {
-				rt.fleetEpoch = h.FleetEpoch
+// supervise reconciles the fleet view with the probe round just taken:
+// adopt the highest-epoch primary the fleet reports, elect a new primary if
+// the current one is declared down, and steer every other node back into
+// the topology (retarget replicas tailing someone else, demote a stale
+// primary that came back). Every action is idempotent and retried next
+// step on failure.
+func (rt *Router) supervise(ctx context.Context) {
+	m := rt.monitor
+	nodes := m.Stats().Nodes
+
+	// Adopt: the available node claiming primacy at the highest epoch wins
+	// if that epoch is above the committed one — how a restarted router
+	// rejoins a fleet that promoted while it was away. Any other epoch seen
+	// only raises issued: a replica's epoch names no primary, so it is
+	// never stamped on a write.
+	v := rt.commit(func(cur *fleetView) *fleetView {
+		next := *cur
+		claim, claimEpoch := "", uint64(0)
+		for node, np := range nodes {
+			h := np.Health
+			if h == nil {
+				continue
 			}
-			rt.mu.Unlock()
-			epoch = h.FleetEpoch
+			next.issued = max(next.issued, h.FleetEpoch)
+			if h.Role == "primary" && m.Available(node) &&
+				(h.FleetEpoch > claimEpoch || h.FleetEpoch == claimEpoch && node < claim) {
+				claim, claimEpoch = node, h.FleetEpoch
+			}
 		}
-	}
+		if claimEpoch <= cur.epoch {
+			return &next
+		}
+		rt.opt.Logf("router: adopting %s as primary (fleet epoch %d > %d)", claim, claimEpoch, cur.epoch)
+		return rt.withPrimary(&next, claim, claimEpoch)
+	})
 
 	// Elect: primary declared down, promotion enabled, somebody to promote.
-	if rt.heal.Promote && m.State(primary) == StateOpen && len(replicas) > 0 {
-		rt.elect(ctx, primary, replicas, epoch)
-		primary, replicas, _, epoch = rt.topology()
+	if rt.promote && m.State(v.primary) == StateOpen && len(v.replicas) > 0 {
+		v = rt.elect(ctx, v)
 	}
 
-	// Reconcile every tracked node against the topology.
-	for node, np := range stats.Nodes {
-		if node == primary || np.Health == nil || !m.Available(node) {
-			continue
-		}
-		h := m.Health(node) // re-read: adoption/election may have refreshed it
-		if h == nil {
+	// Reconcile every available node against the view.
+	addReplica := func(node string) {
+		v = rt.commit(func(cur *fleetView) *fleetView {
+			if node == cur.primary || slices.Contains(cur.replicas, node) {
+				return cur
+			}
+			return rt.makeView(cur.primary, append(slices.Clone(cur.replicas), node), cur.epoch, cur.issued)
+		})
+	}
+	for node, np := range nodes {
+		h := np.Health
+		if node == v.primary || h == nil || !m.Available(node) {
 			continue
 		}
 		switch h.Role {
@@ -274,82 +312,63 @@ func (rt *Router) supervise(ctx context.Context) {
 			// demotion carries our higher epoch; the node refuses anything
 			// not above its own, so a misconfigured twin primary at the same
 			// epoch is left alone (and logged) rather than clobbered.
-			if h.FleetEpoch >= epoch {
-				rt.opt.Logf("router: node %s claims primary at epoch %d ≥ ours %d; not demoting", node, h.FleetEpoch, epoch)
+			if h.FleetEpoch >= v.epoch {
+				rt.opt.Logf("router: node %s claims primary at epoch %d ≥ ours %d; not demoting", node, h.FleetEpoch, v.epoch)
 				continue
 			}
 			dctx, cancel := context.WithTimeout(ctx, healthDeadline)
-			err := postControl(dctx, rt.opt.Client, node, "/api/v1/demote", demoteRequest{Epoch: epoch, Primary: primary})
+			err := postControl(dctx, rt.opt.Client, node, "/api/v1/demote", demoteRequest{Epoch: v.epoch, Primary: v.primary})
 			cancel()
 			if err != nil {
 				rt.opt.Logf("router: demote %s: %v", node, err)
 				continue
 			}
 			rt.demotions.Add(1)
-			rt.opt.Logf("router: demoted stale primary %s (epoch %d → replica of %s)", node, epoch, primary)
-			rt.addReplica(node)
+			rt.opt.Logf("router: demoted stale primary %s (epoch %d → replica of %s)", node, v.epoch, v.primary)
+			addReplica(node)
 		case "replica":
-			if !slices.Contains(replicas, node) {
-				rt.addReplica(node)
-			}
-			if h.Primary != "" && h.Primary != primary {
+			addReplica(node)
+			if h.Primary != "" && h.Primary != v.primary {
 				rctx, cancel := context.WithTimeout(ctx, healthDeadline)
-				err := postControl(rctx, rt.opt.Client, node, "/api/v1/retarget", retargetRequest{Epoch: epoch, Primary: primary})
+				err := postControl(rctx, rt.opt.Client, node, "/api/v1/retarget", retargetRequest{Epoch: v.epoch, Primary: v.primary})
 				cancel()
 				if err != nil {
 					rt.opt.Logf("router: retarget %s: %v", node, err)
 					continue
 				}
 				rt.retargeted.Add(1)
-				rt.opt.Logf("router: re-targeted %s to %s", node, primary)
+				rt.opt.Logf("router: re-targeted %s to %s", node, v.primary)
 			}
 		}
 	}
 }
 
-// elect promotes the most-caught-up available replica to primary at epoch+1.
-// Candidates are tried in applied-order; a candidate that refuses (it found
-// a peer further ahead: 409 not_caught_up) or cannot be reached sends the
-// election to the next. On success the topology swaps atomically — writes
-// start flowing to the new primary on the next request.
-func (rt *Router) elect(ctx context.Context, deadPrimary string, replicas []string, epoch uint64) {
-	rt.mu.Lock()
-	if rt.electing {
-		rt.mu.Unlock()
-		return
-	}
-	rt.electing = true
-	rt.mu.Unlock()
-	defer func() {
-		rt.mu.Lock()
-		rt.electing = false
-		rt.mu.Unlock()
-	}()
-
-	m := rt.Monitor()
+// elect promotes the most-caught-up available replica of v to primary and
+// returns the resulting view. Candidates are tried in applied-order; a
+// candidate that refuses (it found a peer further ahead: 409 not_caught_up)
+// or cannot be reached sends the election to the next. Every attempt first
+// reserves a fresh epoch, so a candidate that applied a promotion whose
+// answer was lost never shares its epoch with the next one. Only a success
+// moves the primary; writes flow to it on the next request.
+func (rt *Router) elect(ctx context.Context, v *fleetView) *fleetView {
+	m := rt.monitor
 	type candidate struct {
 		url     string
 		applied uint64
 	}
 	var cands []candidate
-	for _, rep := range replicas {
-		if !m.Available(rep) {
-			continue
+	for _, rep := range v.replicas {
+		if h := m.Health(rep); h != nil && m.Available(rep) {
+			cands = append(cands, candidate{url: rep, applied: h.AppliedTotal()})
 		}
-		h := m.Health(rep)
-		if h == nil {
-			continue
-		}
-		cands = append(cands, candidate{url: rep, applied: h.AppliedTotal()})
 	}
 	if len(cands) == 0 {
-		rt.opt.Logf("router: primary %s down but no reachable replica to promote", deadPrimary)
-		return
+		rt.opt.Logf("router: primary %s down but no reachable replica to promote", v.primary)
+		return v
 	}
 	slices.SortStableFunc(cands, func(a, b candidate) int {
 		return cmp.Compare(b.applied, a.applied) // most caught-up first
 	})
-	newEpoch := epoch + 1
 	for _, cand := range cands {
 		peers := make([]string, 0, len(cands)-1)
 		for _, other := range cands {
@@ -357,62 +376,24 @@ func (rt *Router) elect(ctx context.Context, deadPrimary string, replicas []stri
 				peers = append(peers, other.url)
 			}
 		}
+		epoch := rt.commit(func(cur *fleetView) *fleetView {
+			next := *cur
+			next.issued++
+			return &next
+		}).issued
 		pctx, cancel := context.WithTimeout(ctx, 2*healthDeadline)
-		err := postControl(pctx, rt.opt.Client, cand.url, "/api/v1/promote", promoteRequest{Epoch: newEpoch, Peers: peers})
+		err := postControl(pctx, rt.opt.Client, cand.url, "/api/v1/promote", promoteRequest{Epoch: epoch, Peers: peers})
 		cancel()
 		if err != nil {
-			rt.opt.Logf("router: promote %s (applied %d): %v; trying next candidate", cand.url, cand.applied, err)
+			rt.opt.Logf("router: promote %s at epoch %d (applied %d): %v; trying next candidate", cand.url, epoch, cand.applied, err)
 			continue
 		}
 		rt.promotions.Add(1)
-		rt.opt.Logf("router: promoted %s to primary at fleet epoch %d (was %s)", cand.url, newEpoch, deadPrimary)
-		rt.commitPrimary(cand.url, newEpoch)
-		return
+		rt.opt.Logf("router: promoted %s to primary at fleet epoch %d (was %s)", cand.url, epoch, v.primary)
+		return rt.commit(func(cur *fleetView) *fleetView { return rt.withPrimary(cur, cand.url, epoch) })
 	}
-	rt.opt.Logf("router: election at epoch %d failed: no candidate accepted", newEpoch)
-}
-
-// commitPrimary swaps node in as primary (removing it from the read ring)
-// and records the fleet epoch. The old primary stays known to the monitor;
-// if it ever comes back, supervision demotes it and re-adds it as a replica.
-func (rt *Router) commitPrimary(node string, epoch uint64) {
-	rt.mu.Lock()
-	reps := make([]string, 0, len(rt.replicas))
-	for _, rep := range rt.replicas {
-		if rep != node {
-			reps = append(reps, rep)
-		}
-	}
-	rt.setTopologyLocked(node, reps)
-	if epoch > rt.fleetEpoch {
-		rt.fleetEpoch = epoch
-	}
-	rt.mu.Unlock()
-	if m := rt.Monitor(); m != nil {
-		m.Add(node)
-	}
-}
-
-// addReplica adds node to the read ring (idempotent; never the primary).
-func (rt *Router) addReplica(node string) {
-	rt.mu.Lock()
-	if node == rt.primary || slices.Contains(rt.replicas, node) {
-		rt.mu.Unlock()
-		return
-	}
-	reps := append(slices.Clone(rt.replicas), node)
-	rt.setTopologyLocked(rt.primary, reps)
-	rt.mu.Unlock()
-	if m := rt.Monitor(); m != nil {
-		m.Add(node)
-	}
-}
-
-// replicaOrder resolves the dataset's preference list against the current
-// topology (test seam; the proxy path snapshots topology once per request).
-func (rt *Router) replicaOrder(dataset string) []int {
-	_, replicas, ring, _ := rt.topology()
-	return replicaOrder(dataset, replicas, ring)
+	rt.opt.Logf("router: election failed: no candidate accepted")
+	return rt.view.Load()
 }
 
 // replicaOrder returns replica indexes in ring order starting at the
@@ -455,9 +436,10 @@ func DatasetFromPath(p string) string {
 	return name
 }
 
-// route classifies a request into an ordered upstream preference list.
-func (rt *Router) route(r *http.Request) (targets []string, class string) {
-	primary, replicas, ring, _ := rt.topology()
+// route classifies a request into an ordered upstream preference list over
+// the view v.
+func (rt *Router) route(r *http.Request, v *fleetView) (targets []string, class string) {
+	primary, replicas, ring := v.primary, v.replicas, v.ring
 	p := r.URL.Path
 	dataset := DatasetFromPath(p)
 	sub := "" // sub-resource path after the dataset segment
@@ -509,13 +491,12 @@ func (rt *Router) route(r *http.Request) (targets []string, class string) {
 // monitor has everything open (or is absent), the original list survives —
 // the ring walk plus the primary fallback remain the last line of defense.
 func (rt *Router) filterAvailable(targets []string) []string {
-	m := rt.Monitor()
-	if m == nil {
+	if rt.monitor == nil {
 		return targets
 	}
 	avail := make([]string, 0, len(targets))
 	for _, t := range targets {
-		if m.Available(t) {
+		if rt.monitor.Available(t) {
 			avail = append(avail, t)
 		}
 	}
@@ -546,25 +527,23 @@ func shouldFailover(status int) bool {
 }
 
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request) {
-	targets, class := rt.route(r)
+	v := rt.view.Load()
+	targets, class := rt.route(r, v)
 	var stampEpoch uint64
 	switch class {
 	case "read":
 		rt.reads.Add(1)
 	case "write":
 		rt.writes.Add(1)
-		if m := rt.Monitor(); m != nil {
-			// Fail fast during an election window: the primary's circuit is
-			// open, so forwarding would only burn a timeout. Reads keep
-			// flowing off the replicas; writers get a typed, retryable 503.
-			_, _, _, epoch := rt.topology()
-			if !m.Available(targets[0]) {
-				rt.noPrimary.Add(1)
-				writeRouterError(w, http.StatusServiceUnavailable, "no primary available (election pending or fleet headless)", CodeNoPrimary, 1)
-				return
-			}
-			stampEpoch = epoch
+		// Fail fast during an election window: the primary's circuit is
+		// open, so forwarding would only burn a timeout. Reads keep flowing
+		// off the replicas; writers get a typed, retryable 503.
+		if rt.monitor != nil && !rt.monitor.Available(targets[0]) {
+			rt.noPrimary.Add(1)
+			writeRouterError(w, http.StatusServiceUnavailable, "no primary available (election pending or fleet headless)", CodeNoPrimary, 1)
+			return
 		}
+		stampEpoch = v.epoch
 	case "session":
 		rt.sessions.Add(1)
 	default:
@@ -682,12 +661,12 @@ func (rt *Router) nodeCounter(target string) *nodeCounters {
 // serves, so fleet tooling can probe a router URL without special-casing it.
 // (A health probe against a *routed* path would be proxied to the primary.)
 func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
-	primary, _, _, epoch := rt.topology()
+	v := rt.view.Load()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(HealthStatus{
 		Role:       "router",
-		FleetEpoch: epoch,
-		Primary:    primary,
+		FleetEpoch: v.epoch,
+		Primary:    v.primary,
 		UptimeSec:  int64(time.Since(rt.started).Seconds()),
 		Promotions: uint64(rt.promotions.Load()),
 		Demotions:  uint64(rt.demotions.Load()),
@@ -728,12 +707,12 @@ type NodeStats struct {
 
 // Stats snapshots routing counters.
 func (rt *Router) Stats() RouterStats {
-	primary, replicas, _, epoch := rt.topology()
+	v := rt.view.Load()
 	s := RouterStats{
 		Role:        "router",
-		Primary:     primary,
-		Replicas:    replicas,
-		FleetEpoch:  epoch,
+		Primary:     v.primary,
+		Replicas:    v.replicas,
+		FleetEpoch:  v.epoch,
 		Reads:       rt.reads.Load(),
 		Writes:      rt.writes.Load(),
 		Sessions:    rt.sessions.Load(),
@@ -755,8 +734,8 @@ func (rt *Router) Stats() RouterStats {
 		}
 	}
 	rt.nodeMu.Unlock()
-	if m := rt.Monitor(); m != nil {
-		ms := m.Stats()
+	if rt.monitor != nil {
+		ms := rt.monitor.Stats()
 		s.Monitor = &ms
 	}
 	return s

@@ -1,13 +1,16 @@
 package repl
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -39,10 +42,11 @@ func TestDatasetFromPath(t *testing.T) {
 func TestRouterAffinity(t *testing.T) {
 	replicas := []string{"http://r0", "http://r1", "http://r2"}
 	rt := NewRouter("http://p", replicas, RouterOptions{})
+	v := rt.view.Load()
 	homes := map[int]int{}
 	for i := 0; i < 64; i++ {
 		name := fmt.Sprintf("dataset-%d", i)
-		order := rt.replicaOrder(name)
+		order := replicaOrder(name, v.replicas, v.ring)
 		if len(order) != len(replicas) {
 			t.Fatalf("order for %s covers %d replicas", name, len(order))
 		}
@@ -51,7 +55,7 @@ func TestRouterAffinity(t *testing.T) {
 		if !slices.Equal(sorted, []int{0, 1, 2}) {
 			t.Fatalf("order for %s = %v: not a permutation", name, order)
 		}
-		if again := rt.replicaOrder(name); !slices.Equal(order, again) {
+		if again := replicaOrder(name, v.replicas, v.ring); !slices.Equal(order, again) {
 			t.Fatalf("order for %s unstable: %v then %v", name, order, again)
 		}
 		homes[order[0]]++
@@ -164,9 +168,7 @@ func TestRouterPutIsAWrite(t *testing.T) {
 	defer r0.ts.Close()
 	rt := NewRouter(p.URL, []string{r0.ts.URL}, RouterOptions{})
 	rt.EnableSelfHealing(SelfHealOptions{})
-	rt.mu.Lock()
-	rt.fleetEpoch = 3
-	rt.mu.Unlock()
+	rt.commit(func(cur *fleetView) *fleetView { return rt.withPrimary(cur, cur.primary, 3) })
 	front := httptest.NewServer(rt.Handler())
 	defer front.Close()
 
@@ -264,8 +266,9 @@ func TestRouterSessionRoutesStickToHome(t *testing.T) {
 	defer front.Close()
 
 	nodes := []*echoNode{r0, r1}
-	home := nodes[rt.replicaOrder("d")[0]]
-	other := nodes[1-rt.replicaOrder("d")[0]]
+	v := rt.view.Load()
+	homeIdx := replicaOrder("d", v.replicas, v.ring)[0]
+	home, other := nodes[homeIdx], nodes[1-homeIdx]
 
 	post := func(path string) *http.Response {
 		t.Helper()
@@ -392,5 +395,132 @@ func TestRouterStatsEndpoint(t *testing.T) {
 	}
 	if s.PerNode[p.ts.URL].Requests != 1 {
 		t.Fatalf("per-node stats %+v", s.PerNode)
+	}
+}
+
+// TestRouterAdoptsHighestEpochPrimary: a router restarted with its
+// pre-failover flags (-primary names the old primary, now a replica at
+// epoch 2; the real primary X is listed as a replica) must adopt X after
+// one step, whichever node's health it reads first. A replica's epoch must
+// not outrank X's claim, and no replica may be retargeted at a replica.
+func TestRouterAdoptsHighestEpochPrimary(t *testing.T) {
+	ctx := context.Background()
+	x, old, r := newFakeNode(t, HealthStatus{}), newFakeNode(t, HealthStatus{}), newFakeNode(t, HealthStatus{})
+	for i := range 20 {
+		x.reset(HealthStatus{Role: "primary", FleetEpoch: 2})
+		old.reset(HealthStatus{Role: "replica", FleetEpoch: 2, Primary: x.url})
+		r.reset(HealthStatus{Role: "replica", FleetEpoch: 2, Primary: x.url})
+		rt := newFakeRouter(t, old.url, []string{x.url, r.url}, 3)
+		rt.step(ctx)
+		if v := rt.view.Load(); v.primary != x.url || v.epoch != 2 {
+			t.Fatalf("trial %d: router primary %s at epoch %d, want %s at 2", i, v.primary, v.epoch, x.url)
+		}
+		for _, n := range []*fakeNode{x, old, r} {
+			l := n.seen()
+			for _, to := range slices.Concat(l.retargets, l.demotes) {
+				if to != x.url {
+					t.Fatalf("trial %d: %s was pointed at non-primary %s", i, n.url, to)
+				}
+			}
+		}
+		if st := postWrite(rt); st != http.StatusOK {
+			t.Fatalf("trial %d: routed write answered %d, want 200", i, st)
+		}
+	}
+}
+
+// TestElectionNeverReusesAnEpoch: the primary is dead; candidate A applies
+// its promotion but the answer is lost, so the router moves on to B. B must
+// get a higher epoch than A, which makes A a stale primary the next step
+// demotes — never two primaries at one epoch.
+func TestElectionNeverReusesAnEpoch(t *testing.T) {
+	ctx := context.Background()
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	applied := map[string]DatasetHealth{"d": {AppliedSeq: 5, HeadSeq: 5}}
+	a := newFakeNode(t, HealthStatus{Role: "replica", FleetEpoch: 1, Primary: dead.URL, Datasets: applied})
+	a.dropPromote.Store(true)
+	b := newFakeNode(t, HealthStatus{Role: "replica", FleetEpoch: 1, Primary: dead.URL, Datasets: applied})
+	rt := newFakeRouter(t, dead.URL, []string{a.url, b.url}, 1)
+
+	rt.step(ctx) // dead's circuit opens; A then B are asked to promote
+	rt.step(ctx) // A reports primary at a stale epoch and is demoted
+
+	la, lb := a.seen(), b.seen()
+	if epochs := slices.Concat(la.promotes, lb.promotes); !slices.Equal(epochs, []uint64{2, 3}) {
+		t.Fatalf("promote epochs A then B = %v, want [2 3]: each attempt needs a fresh epoch", epochs)
+	}
+	if ha, hb := la.health, lb.health; ha.Role != "replica" || hb.Role != "primary" {
+		t.Fatalf("roles after two steps: A %s@%d, B %s@%d; want exactly one primary (B)", ha.Role, ha.FleetEpoch, hb.Role, hb.FleetEpoch)
+	}
+	if !slices.Equal(la.demotes, []string{b.url}) {
+		t.Fatalf("A's demotions %v, want one to %s", la.demotes, b.url)
+	}
+	if st := postWrite(rt); st != http.StatusOK {
+		t.Fatalf("routed write answered %d, want 200", st)
+	}
+}
+
+// TestRoutedWriteStampMatchesTarget: while the view flips between two
+// primaries at increasing epochs, every routed write must reach the primary
+// whose committed epoch it carries — targets and stamp come from one view.
+func TestRoutedWriteStampMatchesTarget(t *testing.T) {
+	nodes := []*fakeNode{
+		newFakeNode(t, HealthStatus{Role: "primary"}),
+		newFakeNode(t, HealthStatus{Role: "primary"}),
+	}
+	rt := NewRouter(nodes[0].url, nil, RouterOptions{})
+	rt.EnableSelfHealing(SelfHealOptions{})
+
+	var owner sync.Map // epoch → primary URL committed with it
+	commitEpoch := func(e uint64) {
+		p := nodes[e%2].url
+		owner.Store(e, p)
+		rt.commit(func(cur *fleetView) *fleetView { return rt.withPrimary(cur, p, e) })
+	}
+	commitEpoch(1) // no write goes out unstamped
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for e := uint64(2); ; e++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			commitEpoch(e)
+			runtime.Gosched()
+		}
+	}()
+	const clients, perClient = 4, 20
+	var wg sync.WaitGroup
+	for range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range perClient {
+				if st := postWrite(rt); st != http.StatusOK {
+					t.Errorf("routed write answered %d", st)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-done
+
+	total, mismatched := 0, 0
+	for _, n := range nodes {
+		for _, e := range n.seen().stamps {
+			total++
+			if p, _ := owner.Load(e); p != n.url {
+				mismatched++
+			}
+		}
+	}
+	if total != clients*perClient || mismatched != 0 {
+		t.Fatalf("%d of %d routed writes reached a primary other than the one committed with their epoch (%d arrived)", mismatched, clients*perClient, total)
 	}
 }

@@ -1,8 +1,8 @@
 package cexplorer
 
 // Benchmark harness: one benchmark per table/figure/claim of the paper
-// (experiment IDs E1–E10 from DESIGN.md §4) plus the design-choice
-// ablations. Each benchmark prints its paper-style table once (so
+// (experiment IDs E1–E10, indexed in internal/expt's package comment) plus
+// the design-choice ablations. Each benchmark prints its paper-style table once (so
 // `go test -bench=.` regenerates every artifact) and then times the
 // operation that dominates that experiment.
 //
@@ -283,7 +283,7 @@ func BenchmarkE10_APIRoundTrip(b *testing.B) {
 	}
 }
 
-// --- ablation benches (design choices called out in DESIGN.md) ---
+// --- ablation benches (AB1–AB4 in internal/expt's index) ---
 
 func BenchmarkAblation_IndexVsNoIndex(b *testing.B) {
 	env := sharedEnv()

@@ -1,6 +1,6 @@
 // Command experiments regenerates every table and figure of the paper
-// (experiment index E1–E10 in DESIGN.md §4) plus the ablations, printing
-// them to stdout. EXPERIMENTS.md is this program's output.
+// (experiments E1–E10, indexed in internal/expt's package comment) plus the
+// ablations, printing them to stdout.
 //
 // Usage:
 //

@@ -82,8 +82,9 @@
 //   - Pooled engines (what the server does): a Dataset keeps a sync.Pool of
 //     warm engines over its CL-tree. Handlers call AcquireEngine /
 //     ReleaseEngine, so concurrent searches on one dataset reuse buffers
-//     that are already grown and run fully in parallel — the dataset's lazy
-//     indexes are built once behind sync.Once, and reads after that take no
+//     that are already grown and run fully in parallel — each of the
+//     dataset's indexes is filled once (by a build, a snapshot seed or the
+//     predecessor's carry on a mutation), and reads after that take no
 //     lock.
 //
 // The HTTP layer (internal/server) additionally bounds concurrent search
@@ -113,9 +114,9 @@
 // The write path — building indexes — scales with cores too. A dataset's
 // three indexes (CL-tree, core numbers, truss decomposition) build
 // concurrently under Dataset.BuildIndexes, so the cold-build wall time is
-// the slowest individual build rather than their sum; the per-index
-// sync.Once guards make the eager build safe to race with lazy builders on
-// the query path. The truss engine itself is parallel and CSR-native: the
+// the slowest individual build rather than their sum; each index is filled
+// once, so the eager build is safe to race with lazy builders on the query
+// path. The truss engine itself is parallel and CSR-native: the
 // graph exposes a canonical edge-ID surface (internal/graph EdgeIDs), the
 // degeneracy-oriented triangle counting shards vertex chunks across a
 // worker pool with per-worker counters merged afterwards, and the peel loop

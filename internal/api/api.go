@@ -147,15 +147,11 @@ type CDAlgorithm interface {
 }
 
 // Dataset bundles a graph with its indexes and a pool of warm query
-// engines. All methods are safe for concurrent use; each index is guarded
-// by its own sync.Once, so the first builder of one index never blocks
-// searches that need another, and once built, reads take no lock at all —
-// searches on the same dataset run fully in parallel.
-//
-// Indexes follow a "load if present, else build" discipline: a dataset
-// opened from a snapshot (OpenSnapshot) arrives with its indexes pre-seeded
-// and never pays construction again, while a freshly uploaded graph builds
-// each index lazily on first use exactly as before.
+// engines. All methods are safe for concurrent use. Each index is filled
+// once — built lazily on first use, seeded by OpenSnapshot (so a warm open
+// never pays construction), or carried from the predecessor by Mutate — and
+// read lock-free after that: the first builder of one index never blocks
+// searches that need another, and searches on one dataset run in parallel.
 type Dataset struct {
 	Name  string
 	Graph *graph.Graph
@@ -180,30 +176,14 @@ type Dataset struct {
 	// mapped snapshot file (see backing.go); nil for heap-backed datasets.
 	backing *backingRef
 
-	treeOnce  sync.Once
-	tree      *cltree.Tree
-	treeReady atomic.Bool
-	treeNanos atomic.Int64
-
-	coreOnce  sync.Once
-	coreNum   []int32
-	coreReady atomic.Bool
-	coreNanos atomic.Int64
-
-	// order is the k-order the core maintainer keeps beside coreNum (see
-	// Mutate): built on the first Mutate of a version that lacks it, handed
-	// to every successor, never persisted.
-	orderOnce sync.Once
-	order     *kcore.Order
-
-	trussOnce  sync.Once
-	truss      *ktruss.Decomposition
-	trussReady atomic.Bool
-	trussNanos atomic.Int64
-
-	// nameForm memoizes a form derived from the graph's name table alone
-	// (see NameForm); Mutate hands it to every successor that adds no vertex.
-	nameForm atomic.Pointer[any]
+	// The derived indexes (see slot). order is the k-order the core
+	// maintainer keeps beside core, never persisted (see Mutate); names
+	// memoizes a form of the graph's name table (see NameForm).
+	tree  slot[*cltree.Tree]
+	core  slot[[]int32]
+	order slot[*kcore.Order]
+	truss slot[*ktruss.Decomposition]
+	names slot[any]
 
 	// engines holds warm *core.Engine values (their interned keyword-set
 	// tables and candidate buffers already grown) so concurrent handlers
@@ -256,63 +236,34 @@ var buildTotals struct {
 // BuildTotals reports the cumulative per-index build wall time paid in this
 // process. Monotone: it only ever grows.
 func BuildTotals() IndexTimings {
-	return IndexTimings{
-		CLTreeMS: float64(buildTotals.tree.Load()) / 1e6,
-		CoreMS:   float64(buildTotals.core.Load()) / 1e6,
-		TrussMS:  float64(buildTotals.truss.Load()) / 1e6,
-	}
+	return timingsMS(&buildTotals.tree, &buildTotals.core, &buildTotals.truss)
 }
 
 // Tree returns the CL-tree, building it on first use if the dataset was not
 // opened from a snapshot that already carried it.
 func (d *Dataset) Tree() *cltree.Tree {
-	d.treeOnce.Do(func() {
-		start := time.Now()
-		d.tree = cltree.Build(d.Graph)
-		n := int64(time.Since(start))
-		d.treeNanos.Store(n)
-		buildTotals.tree.Add(n)
-		d.treeReady.Store(true)
-	})
-	return d.tree
+	return d.tree.get(func() *cltree.Tree { return cltree.Build(d.Graph) }, &buildTotals.tree)
 }
 
 // CoreNumbers returns the core decomposition, computing it on first use if
 // it was not pre-seeded from a snapshot.
 func (d *Dataset) CoreNumbers() []int32 {
-	d.coreOnce.Do(func() {
-		start := time.Now()
-		d.coreNum = kcore.Decompose(d.Graph)
-		n := int64(time.Since(start))
-		d.coreNanos.Store(n)
-		buildTotals.core.Add(n)
-		d.coreReady.Store(true)
-	})
-	return d.coreNum
+	return d.core.get(func() []int32 { return kcore.Decompose(d.Graph) }, &buildTotals.core)
 }
 
 // Truss returns the truss decomposition, computing it on first use if it
 // was not pre-seeded from a snapshot. The build parallelizes its support
 // counting across par.Workers() workers (the -index.workers knob).
 func (d *Dataset) Truss() *ktruss.Decomposition {
-	d.trussOnce.Do(func() {
-		start := time.Now()
-		d.truss = ktruss.Decompose(d.Graph)
-		n := int64(time.Since(start))
-		d.trussNanos.Store(n)
-		buildTotals.truss.Add(n)
-		d.trussReady.Store(true)
-	})
-	return d.truss
+	return d.truss.get(func() *ktruss.Decomposition { return ktruss.Decompose(d.Graph) }, &buildTotals.truss)
 }
 
 // Indexes reports which indexes are resident, without building any.
 func (d *Dataset) Indexes() IndexStatus {
-	return IndexStatus{
-		CLTree: d.treeReady.Load(),
-		Core:   d.coreReady.Load(),
-		Truss:  d.trussReady.Load(),
-	}
+	_, tree := d.tree.resident()
+	_, core := d.core.resident()
+	_, truss := d.truss.resident()
+	return IndexStatus{CLTree: tree, Core: core, Truss: truss}
 }
 
 // IndexTimings reports the wall time each index build cost (zero for
@@ -329,23 +280,25 @@ type IndexTimings struct {
 // Mutate starts at zero and pays only for what it rebuilds (use
 // BuildTotals for the process-wide monotone counter).
 func (d *Dataset) BuildTimings() IndexTimings {
-	return IndexTimings{
-		CLTreeMS: float64(d.treeNanos.Load()) / 1e6,
-		CoreMS:   float64(d.coreNanos.Load()) / 1e6,
-		TrussMS:  float64(d.trussNanos.Load()) / 1e6,
-	}
+	return timingsMS(&d.tree.nanos, &d.core.nanos, &d.truss.nanos)
+}
+
+// timingsMS reads three nanosecond counters as an IndexTimings.
+func timingsMS(tree, core, truss *atomic.Int64) IndexTimings {
+	ms := func(n *atomic.Int64) float64 { return float64(n.Load()) / 1e6 }
+	return IndexTimings{CLTreeMS: ms(tree), CoreMS: ms(core), TrussMS: ms(truss)}
 }
 
 // BuildIndexes eagerly builds every index the dataset does not yet hold
 // (the offline precomputation step of `cexplorer snapshot build` and the
 // warm-up step of the upload path). The three builds fan out across the
-// par.Workers() pool — each index is guarded by its own sync.Once, so
-// racing with lazy builders is safe — and the call returns when the
-// slowest finishes: at ≥3 workers the wall time is max(individual builds),
-// not their sum; at 1 worker the builds run strictly sequentially. The
-// truss build's internal counting pool is sized by the same knob but is
-// nested, so total build goroutines can briefly exceed the knob while the
-// fan-out and the counting phase overlap.
+// par.Workers() pool — each index is filled once, so racing with lazy
+// builders is safe — and the call returns when the slowest finishes: at ≥3
+// workers the wall time is max(individual builds), not their sum; at 1
+// worker the builds run strictly sequentially. The truss build's internal
+// counting pool is sized by the same knob but is nested, so total build
+// goroutines can briefly exceed the knob while the fan-out and the counting
+// phase overlap.
 func (d *Dataset) BuildIndexes() {
 	builds := []func(){
 		func() { d.Tree() },
@@ -358,15 +311,10 @@ func (d *Dataset) BuildIndexes() {
 // NameForm returns build(d.Graph), computed on first use and kept for this
 // version and every successor with the same names. build must read only the
 // graph's names and return something immutable that does not alias them: the
-// server keeps its pre-quoted JSON name table here. Racing first callers may
-// both build; one result wins.
+// server keeps its pre-quoted JSON name table here. Racing first callers
+// share one build.
 func (d *Dataset) NameForm(build func(*graph.Graph) any) any {
-	if p := d.nameForm.Load(); p != nil {
-		return *p
-	}
-	v := build(d.Graph)
-	d.nameForm.CompareAndSwap(nil, &v)
-	return *d.nameForm.Load()
+	return d.names.get(func() any { return build(d.Graph) }, nil)
 }
 
 // AcquireEngine checks a warm ACQ engine out of the dataset's pool, building
@@ -458,8 +406,8 @@ func (GlobalAlgorithm) Search(ctx context.Context, ds *Dataset, q Query) ([]Comm
 	var comp []int32
 	// The CL-tree spells out every connected k-core: with the index
 	// resident, Global is a lookup that shares the anchor's vertex list.
-	if ds.treeReady.Load() {
-		comp = ds.Tree().ConnectedKCore(v, k)
+	if tree, ok := ds.tree.resident(); ok {
+		comp = tree.ConnectedKCore(v, k)
 	} else if r, err := csearch.GlobalContext(ctx, ds.Graph, ds.CoreNumbers(), v, k); err != nil {
 		return nil, err
 	} else if r != nil {
@@ -751,12 +699,26 @@ func (e *Explorer) Dataset(name string) (*Dataset, bool) {
 // request that searches and then reads the graph by the answer's ids, all
 // on the one version (see SearchOn).
 func (e *Explorer) Pin(dataset string) (*Dataset, func(), error) {
-	ds, ok := e.Dataset(dataset)
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %q", ErrDatasetNotFound, dataset)
+	ds, err := e.resolve(context.TODO(), "", dataset)
+	if err != nil {
+		return nil, nil, err
 	}
 	unpin, err := ds.Pin()
 	return ds, unpin, err
+}
+
+// resolve is the by-name entry of every Explorer call: it fails first on a
+// done ctx, then with ErrDatasetNotFound, prefixing the name with where
+// (e.g. "search: ").
+func (e *Explorer) resolve(ctx context.Context, where, dataset string) (*Dataset, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, wrapContextErr(err)
+	}
+	ds, ok := e.Dataset(dataset)
+	if !ok {
+		return nil, fmt.Errorf("%w: %s%q", ErrDatasetNotFound, where, dataset)
+	}
+	return ds, nil
 }
 
 // Datasets lists registered dataset names, sorted.
@@ -779,12 +741,9 @@ func (e *Explorer) Datasets() []string {
 // coalesce onto a single computation, and the per-dataset admission bound
 // can shed it with ErrOverloaded.
 func (e *Explorer) Search(ctx context.Context, dataset, algo string, q Query) ([]Community, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, wrapContextErr(err)
-	}
-	ds, ok := e.Dataset(dataset)
-	if !ok {
-		return nil, fmt.Errorf("%w: search: %q", ErrDatasetNotFound, dataset)
+	ds, err := e.resolve(ctx, "search: ", dataset)
+	if err != nil {
+		return nil, err
 	}
 	return e.SearchOn(ctx, ds, algo, q)
 }
@@ -828,12 +787,9 @@ func (e *Explorer) searchKernel(ctx context.Context, ds *Dataset, a CSAlgorithm,
 // Detect runs a registered CD algorithm (Figure 4's detect), observing ctx
 // and the result cache like Search does.
 func (e *Explorer) Detect(ctx context.Context, dataset, algo string) ([]Community, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, wrapContextErr(err)
-	}
-	ds, ok := e.Dataset(dataset)
-	if !ok {
-		return nil, fmt.Errorf("%w: detect: %q", ErrDatasetNotFound, dataset)
+	ds, err := e.resolve(ctx, "detect: ", dataset)
+	if err != nil {
+		return nil, err
 	}
 	e.mu.RLock()
 	a, ok := e.cd[algo]
@@ -874,12 +830,9 @@ type Analysis struct {
 // Analyze computes quality metrics for a community against query vertex q
 // (Figure 4's analyze), consulting the result cache when one is installed.
 func (e *Explorer) Analyze(ctx context.Context, dataset string, c Community, q int32) (*Analysis, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, wrapContextErr(err)
-	}
-	ds, ok := e.Dataset(dataset)
-	if !ok {
-		return nil, fmt.Errorf("%w: analyze: %q", ErrDatasetNotFound, dataset)
+	ds, err := e.resolve(ctx, "analyze: ", dataset)
+	if err != nil {
+		return nil, err
 	}
 	e.mu.RLock()
 	sc := e.cache
@@ -944,12 +897,9 @@ type Placement struct {
 
 // Display computes the community layout (Figure 4's display).
 func (e *Explorer) Display(ctx context.Context, dataset string, c Community, opts layout.Options) (*Placement, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, wrapContextErr(err)
-	}
-	ds, ok := e.Dataset(dataset)
-	if !ok {
-		return nil, fmt.Errorf("%w: display: %q", ErrDatasetNotFound, dataset)
+	ds, err := e.resolve(ctx, "display: ", dataset)
+	if err != nil {
+		return nil, err
 	}
 	return ds.Display(c, opts)
 }

@@ -164,6 +164,9 @@ func TestCloseWhilePinnedRace(t *testing.T) {
 func TestMutateDetachesFromMapping(t *testing.T) {
 	g := gen.Figure5()
 	mapped := openMmapDataset(t, NewDataset("g", g))
+	if !mapped.Indexes().CLTree {
+		t.Fatalf("mapped base holds no tree: %+v", mapped.Indexes())
+	}
 	ops := []Mutation{
 		{Op: OpAddVertex, Name: "newcomer", Keywords: []string{"db"}},
 		{Op: OpAddEdge, U: 0, V: int32(g.N())},
@@ -175,6 +178,11 @@ func TestMutateDetachesFromMapping(t *testing.T) {
 	}
 	if res.Applied != len(ops) {
 		t.Fatalf("applied %d of %d ops", res.Applied, len(ops))
+	}
+	// The mapped base holds a tree, but Repair is skipped on a borrowed
+	// base: the successor's tree stays lazy and rebuilds on the heap.
+	if res.TreeRepair != "lazy" || next.Indexes().CLTree {
+		t.Fatalf("borrowed base: treeRepair %q, successor indexes %+v; want lazy, no tree", res.TreeRepair, next.Indexes())
 	}
 	if next.Graph.Borrowed() {
 		t.Fatalf("successor graph still borrows the mapping")

@@ -226,12 +226,9 @@ func newSessionID() string {
 // to q.Keywords. The initial search runs under ctx; the session itself
 // lives until closed or idle past the TTL.
 func (e *Explorer) Explore(ctx context.Context, dataset string, q Query) (*ExploreState, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, wrapContextErr(err)
-	}
-	ds, ok := e.Dataset(dataset)
-	if !ok {
-		return nil, fmt.Errorf("%w: explore: %q", ErrDatasetNotFound, dataset)
+	ds, err := e.resolve(ctx, "explore: ", dataset)
+	if err != nil {
+		return nil, err
 	}
 	// The session reads the dataset's graph and indexes on every step; an
 	// mmap-backed dataset stays pinned for the session's whole lifetime

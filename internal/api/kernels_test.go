@@ -504,7 +504,7 @@ func TestAnswersUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	coreNum := ds.CoreNumbers()
+	cores := ds.CoreNumbers()
 	digest := func(name string, run func(q Query) (any, error)) {
 		h := sha256.New()
 		enc := json.NewEncoder(h)
@@ -537,7 +537,7 @@ func TestAnswersUnchanged(t *testing.T) {
 		})
 	}
 	digest("Explore", func(q Query) (any, error) {
-		if q.K == 0 || int(coreNum[q.Vertices[0]]) < q.K {
+		if q.K == 0 || int(cores[q.Vertices[0]]) < q.K {
 			return nil, ErrInvalidQuery
 		}
 		st, err := exp.Explore(ctx, "dblp", q)
@@ -581,8 +581,8 @@ func TestKernelAllocationCeilings(t *testing.T) {
 	g := gen.GenerateDBLP(cfg).Graph
 	ds := NewDataset("dblp", g)
 	ds.BuildIndexes()
-	coreNum := ds.CoreNumbers()
-	q := int32(slices.Index(coreNum, slices.Max(coreNum)))
+	cores := ds.CoreNumbers()
+	q := int32(slices.Index(cores, slices.Max(cores)))
 	ctx := context.Background()
 	query := Query{Vertices: []int32{q}, K: 3}
 	acq := query
@@ -597,7 +597,7 @@ func TestKernelAllocationCeilings(t *testing.T) {
 		// list, the theme is two small slices.
 		{"Global", 5, func() { GlobalAlgorithm{}.Search(ctx, ds, query) }},
 		// Result struct + ascending copy of the component.
-		{"csearch.Global", 3, func() { csearch.GlobalContext(ctx, g, coreNum, q, 3) }},
+		{"csearch.Global", 3, func() { csearch.GlobalContext(ctx, g, cores, q, 3) }},
 		// The candidate list grows by doubling; the frontier heap and every
 		// set are pooled.
 		{"Local", 24, func() { LocalAlgorithm{}.Search(ctx, ds, query) }},
@@ -638,10 +638,10 @@ func TestSharedAnchorListsStayIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds.BuildIndexes()
-	coreNum := ds.CoreNumbers()
+	cores := ds.CoreNumbers()
 	// Query vertices of the deepest core: at k=3 they share one anchor.
 	var qs []int32
-	anchor := ds.Tree().Anchor(int32(slices.Index(coreNum, slices.Max(coreNum))), 3)
+	anchor := ds.Tree().Anchor(int32(slices.Index(cores, slices.Max(cores))), 3)
 	for v := int32(0); int(v) < g.N() && len(qs) < 6; v++ {
 		if ds.Tree().Anchor(v, 3) == anchor {
 			qs = append(qs, v)
@@ -649,7 +649,7 @@ func TestSharedAnchorListsStayIntact(t *testing.T) {
 	}
 	want := oracleWalk(g, qs[0], func() map[int32]bool {
 		m := map[int32]bool{}
-		for v, c := range coreNum {
+		for v, c := range cores {
 			m[int32(v)] = c >= 3
 		}
 		return m
@@ -697,7 +697,7 @@ func TestSharedAnchorListsStayIntact(t *testing.T) {
 		go func() { // explore: open below the anchor, expand onto it, contract, expand again
 			defer wg.Done()
 			words := g.KeywordStrings(q) // three, as a user picks; all twenty make Dec's lattice explode
-			st, err := exp.Explore(ctx, "dblp", Query{Vertices: []int32{q}, K: min(4-i%2, int(coreNum[q])), Keywords: words[:min(3, len(words))]})
+			st, err := exp.Explore(ctx, "dblp", Query{Vertices: []int32{q}, K: min(4-i%2, int(cores[q])), Keywords: words[:min(3, len(words))]})
 			if err != nil {
 				fail <- fmt.Errorf("explore q=%d: %v", q, err)
 				return

@@ -33,6 +33,10 @@ import (
 //   - The CL-tree is repaired through cltree.Repair: shared wholesale when
 //     the batch provably changed no k-core component, otherwise reskeleted
 //     with unchanged inverted lists adopted from the old tree.
+//   - A borrowed (mmap-backed) base is not repaired: the repaired tree
+//     would share nodes whose vertex and inverted-list arenas alias the
+//     mapping, outliving it once the base is closed. The successor's tree
+//     stays lazy and rebuilds on the heap on first use.
 //   - The truss decomposition is invalidated (no incremental maintenance
 //     yet); it rebuilds lazily on the next k-truss query.
 //
@@ -75,7 +79,8 @@ type MutationResult struct {
 	// TreeRepair reports how the CL-tree was maintained: "shared" (the
 	// structural fast path — no k-core component changed), "rebuilt"
 	// (skeleton rebuilt, unchanged inverted lists adopted), or "lazy" (the
-	// base version held no tree).
+	// successor's tree rebuilds on first use: the base version held no
+	// tree, or held one on a borrowed, mmap-backed graph).
 	TreeRepair string `json:"treeRepair"`
 	// Coalesced is set by the MutationBatcher: the number of caller
 	// submissions that shared this applied batch (0 when unbatched).
@@ -116,7 +121,7 @@ func (d *Dataset) Mutate(ctx context.Context, ops []Mutation) (*Dataset, *Mutati
 	// serves the whole batch, on private copies of the core array and the
 	// k-order that become the successor's.
 	var maint *kcore.Maintainer
-	if d.coreReady.Load() || d.treeReady.Load() {
+	if ix := d.Indexes(); ix.Core || ix.CLTree {
 		maint = acquireMaintainer(d.maintenanceState())
 		defer maintainerPool.Put(maint)
 	}
@@ -203,9 +208,9 @@ func (d *Dataset) Mutate(ctx context.Context, ops []Mutation) (*Dataset, *Mutati
 		Version: d.Version + 1,
 		mutMu:   d.mutMu,
 	}
-	if added == 0 {
+	if names, ok := d.names.resident(); ok && added == 0 {
 		// Same names, so whatever was derived from them carries over.
-		next.nameForm.Store(d.nameForm.Load())
+		next.names.seed(names)
 	}
 	res := &MutationResult{
 		Dataset:     d.Name,
@@ -217,22 +222,13 @@ func (d *Dataset) Mutate(ctx context.Context, ops []Mutation) (*Dataset, *Mutati
 		TreeRepair:  "lazy",
 	}
 	if maint != nil {
-		next.coreOnce.Do(func() {
-			next.coreNum = maint.Core()
-			next.coreReady.Store(true)
-		})
-		next.orderOnce.Do(func() { next.order = maint.Order() })
+		next.core.seed(maint.Core())
+		next.order.seed(maint.Order())
 	}
-	if d.treeReady.Load() && maint != nil && !d.Graph.Borrowed() {
-		// Repair is skipped on a borrowed (mmap-backed) base: the repaired
-		// tree would share nodes whose vertex and inverted-list arenas alias
-		// the mapping, outliving it once this version is closed. The
-		// successor's tree rebuilds lazily on the heap instead.
-		tree, shared := cltree.Repair(d.tree, g, maint.Core(), changedLevel, added, edgeOps, singleChanged)
-		next.treeOnce.Do(func() {
-			next.tree = tree
-			next.treeReady.Store(true)
-		})
+	if tree, ok := d.tree.resident(); ok && maint != nil && !d.Graph.Borrowed() {
+		// A borrowed base is not repaired (see the file comment).
+		repaired, shared := cltree.Repair(tree, g, maint.Core(), changedLevel, added, edgeOps, singleChanged)
+		next.tree.seed(repaired)
 		if shared {
 			res.TreeRepair = "shared"
 		} else {
@@ -247,12 +243,12 @@ func (d *Dataset) Mutate(ctx context.Context, ops []Mutation) (*Dataset, *Mutati
 // the order — one opened from a snapshot or bootstrapped on a replica, whose
 // core numbers arrived without it — builds it here, once.
 func (d *Dataset) maintenanceState() ([]int32, *kcore.Order) {
-	d.orderOnce.Do(func() { _, d.order = kcore.BuildOrder(d.Graph) })
-	core := d.coreNum
-	if !d.coreReady.Load() {
-		core = d.tree.CoreNumbers()
+	ord := d.order.get(func() *kcore.Order { _, o := kcore.BuildOrder(d.Graph); return o }, nil)
+	core, ok := d.core.resident()
+	if !ok {
+		core = d.Tree().CoreNumbers()
 	}
-	return slices.Clone(core), d.order.Clone()
+	return slices.Clone(core), ord.Clone()
 }
 
 // maintainerPool recycles kcore.Maintainer scratch (three n-sized arrays)
@@ -283,13 +279,10 @@ func mutationErr(i int, op Mutation, err error) error {
 // reads never block: searches in flight keep the version they resolved, and
 // requests arriving after Mutate returns see the successor.
 func (e *Explorer) Mutate(ctx context.Context, dataset string, ops []Mutation) (*MutationResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, wrapContextErr(err)
-	}
 	for {
-		ds, ok := e.Dataset(dataset)
-		if !ok {
-			return nil, fmt.Errorf("%w: mutate: %q", ErrDatasetNotFound, dataset)
+		ds, err := e.resolve(ctx, "mutate: ", dataset)
+		if err != nil {
+			return nil, err
 		}
 		// Every registration path (NewDataset, OpenSnapshot, AddDataset)
 		// installs the lineage lock before the dataset is published.

@@ -106,8 +106,8 @@ func TestFirstMutateBuildsOrder(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ds := tc.open(t)
 			defer ds.Close()
-			if !ds.Indexes().Core || ds.order != nil {
-				t.Fatalf("opened dataset: indexes %+v, order built %v", ds.Indexes(), ds.order != nil)
+			if _, built := ds.order.resident(); !ds.Indexes().Core || built {
+				t.Fatalf("opened dataset: indexes %+v, order built %v", ds.Indexes(), built)
 			}
 			g := ds.Graph
 			var eu, ev int32
@@ -124,8 +124,10 @@ func TestFirstMutateBuildsOrder(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ds.order == nil || next.order == nil || next.order == ds.order {
-					t.Fatalf("batch %d: base order built %v, successor order %p (base %p)", i, ds.order != nil, next.order, ds.order)
+				base, _ := ds.order.resident()
+				succ, _ := next.order.resident()
+				if base == nil || succ == nil || succ == base {
+					t.Fatalf("batch %d: base order built %v, successor order %p (base %p)", i, base != nil, succ, base)
 				}
 				if !slices.Equal(next.CoreNumbers(), kcore.Decompose(next.Graph)) {
 					t.Fatalf("batch %d: successor core numbers diverge from a rebuild", i)

@@ -12,7 +12,7 @@ import (
 // This file is the bridge between datasets and the persistence subsystem
 // (internal/snapshot): WriteSnapshot freezes a dataset — graph plus every
 // index, building any that are missing — and OpenSnapshot materializes one
-// with its indexes pre-seeded, so the sync.Once builders never run and a
+// with its indexes seeded into their slots, so no build ever runs and a
 // restart costs a sequential read instead of a rebuild.
 
 // WriteSnapshot serializes the dataset to w, building any missing indexes
@@ -59,25 +59,19 @@ func (d *Dataset) WriteResidentSnapshot(w io.Writer) (int64, error) {
 
 func (d *Dataset) residentSnapshot() *snapshot.Snapshot {
 	s := &snapshot.Snapshot{Name: d.Name, Version: d.Version, Graph: d.Graph}
-	if d.coreReady.Load() {
-		s.Core = d.coreNum
-	}
-	if d.treeReady.Load() {
-		s.Tree = d.tree
-	}
-	if d.trussReady.Load() {
-		s.Truss = d.truss
-	}
+	s.Core, _ = d.core.resident()
+	s.Tree, _ = d.tree.resident()
+	s.Truss, _ = d.truss.resident()
 	return s
 }
 
 // OpenSnapshot materializes a dataset from a snapshot stream. Every index
-// the snapshot carries is pre-seeded — its sync.Once is consumed here — so
-// the lazy builders become no-ops; anything absent still builds lazily on
-// first use. name overrides the snapshot's embedded dataset name when
-// non-empty. The graph's structural invariants were validated at
-// upload/build time and the file is checksummed, so the load path
-// deliberately skips the O(m log m) Validate re-check.
+// the snapshot carries is seeded into its slot here, so it never builds;
+// anything absent still builds lazily on first use. name overrides the
+// snapshot's embedded dataset name when non-empty. The graph's structural
+// invariants were validated at upload/build time and the file is
+// checksummed, so the load path deliberately skips the O(m log m) Validate
+// re-check.
 func OpenSnapshot(name string, r io.Reader) (*Dataset, error) {
 	start := time.Now()
 	s, err := snapshot.Read(r)
@@ -142,29 +136,18 @@ func datasetFromSnapshot(name string, s *snapshot.Snapshot, elapsed time.Duratio
 			OpenMode:      "copy", // the file-open path overrides for mmap
 		},
 	}
+	if s.Core != nil {
+		d.core.seed(s.Core)
+	}
 	if s.Tree != nil {
-		d.treeOnce.Do(func() {
-			d.tree = s.Tree
-			d.treeReady.Store(true)
-		})
-	}
-	core := s.Core
-	if core == nil && s.Tree != nil {
-		// The CL-tree carries per-vertex core numbers; reuse them rather
-		// than re-peeling.
-		core = s.Tree.CoreNumbers()
-	}
-	if core != nil {
-		d.coreOnce.Do(func() {
-			d.coreNum = core
-			d.coreReady.Store(true)
-		})
+		d.tree.seed(s.Tree)
+		// The CL-tree carries per-vertex core numbers: a snapshot without
+		// its own reuses them rather than re-peeling (a seeded slot keeps
+		// the snapshot's).
+		d.core.seed(s.Tree.CoreNumbers())
 	}
 	if s.Truss != nil {
-		d.trussOnce.Do(func() {
-			d.truss = s.Truss
-			d.trussReady.Store(true)
-		})
+		d.truss.seed(s.Truss)
 	}
 	return d, nil
 }

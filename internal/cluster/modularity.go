@@ -1,8 +1,7 @@
 // Package cluster provides the community-detection substrate CODICIL runs
 // on: Louvain modularity optimization over a weighted graph and label
 // propagation. CODICIL's original implementation delegates its final
-// clustering step to METIS/MLR-MCL; Louvain plays that role here (see
-// DESIGN.md §2).
+// clustering step to METIS/MLR-MCL; Louvain plays that role here.
 package cluster
 
 import "cexplorer/internal/graph"

@@ -11,7 +11,7 @@
 //     keeps its top ⌈d^e⌉; an edge survives if either endpoint keeps it.
 //  4. Cluster the sparsified weighted graph. The original delegates to
 //     METIS/MLR-MCL; here Louvain (default) or label propagation plays that
-//     role (see DESIGN.md §2).
+//     role.
 //
 // CODICIL is a community-*detection* method: it partitions the whole graph
 // offline, and the community of a query vertex is looked up from the

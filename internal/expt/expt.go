@@ -1,7 +1,14 @@
-// Package expt is the experiment harness: one function per table/figure of
-// the paper (see DESIGN.md §4 for the experiment index E1–E10). Both
-// bench_test.go and cmd/experiments call these, so EXPERIMENTS.md and the
-// benchmark output always agree.
+// Package expt is the experiment harness, one function per table or figure
+// of the paper. The experiment index:
+//
+//	E1 Figure 5 worked example      E6 CL-tree build scaling
+//	E2 Figure 6(a) method table     E7 query latency at paper scale
+//	E3 Figure 6(a) CPJ/CMF bars     E8 Global vs Local
+//	E4 Figures 1–2 exploration      E9 Figure 6(b) layouts
+//	E5 ACQ variants by |S| and k    E10 Figure 4 API round trip
+//
+// and the ablations AB1–AB4 (the Ablation* functions). Both bench_test.go
+// and cmd/experiments call these, so their outputs always agree.
 package expt
 
 import (

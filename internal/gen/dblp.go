@@ -140,7 +140,7 @@ func topicPool(t int) []string {
 // GenerateDBLP builds the synthetic attributed co-authorship network.
 // Everything is deterministic in cfg.Seed.
 //
-// Construction (documented for DESIGN.md §2):
+// Construction:
 //   - Community sizes follow a Zipf law; each author joins a primary
 //     community (Zipf-ranked) and, with SecondaryProb, a secondary one.
 //   - The first NumFamousAuthors() authors ("jim gray", ...) join several

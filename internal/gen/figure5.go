@@ -1,8 +1,7 @@
 // Package gen provides the data substrate of the reproduction: the paper's
 // Figure-5 worked-example graph, a synthetic DBLP-like attributed
 // co-authorship network (standing in for the proprietary DBLP sample the
-// demo uses — see DESIGN.md §2), and standard random-graph models for
-// scaling experiments.
+// demo uses), and standard random-graph models for scaling experiments.
 package gen
 
 import "cexplorer/internal/graph"

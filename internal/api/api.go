@@ -550,26 +550,6 @@ type Explorer struct {
 	// explore holds the live exploration sessions (the paper's Figure 1/6
 	// browse loop as server-side state; see explore.go).
 	explore exploreManager
-
-	// mutateHook, when non-nil, observes every successful Mutate while the
-	// dataset's lineage lock is still held, so invocations for one dataset
-	// are strictly ordered by the Version they produced. The replication
-	// feed hangs off this seam.
-	mutateHook MutateHook
-}
-
-// MutateHook observes a successful mutation batch: the dataset name, the
-// result (res.Version is the version the batch produced), and the applied
-// ops. It runs on the mutating goroutine under the lineage lock — keep it
-// cheap and never call back into Mutate.
-type MutateHook func(dataset string, res *MutationResult, ops []Mutation)
-
-// SetMutateHook installs the mutation observer. Install before serving;
-// a nil hook disables observation.
-func (e *Explorer) SetMutateHook(h MutateHook) {
-	e.mu.Lock()
-	e.mutateHook = h
-	e.mu.Unlock()
 }
 
 // NewExplorer returns an Explorer with the built-in algorithms registered

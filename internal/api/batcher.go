@@ -11,14 +11,15 @@ package api
 //
 // Semantics: Dataset.Mutate is all-or-nothing per batch, but callers
 // submitted independent requests — one caller's conflicting op must not
-// reject its neighbors. When a combined batch fails, the batcher falls back
-// to applying each submission in isolation, so every caller gets exactly
-// the result it would have gotten unbatched (at per-op cost for that rare
-// batch). Ops within one submission stay contiguous and ordered; the order
-// of concurrent submissions within the combined batch is arrival order.
+// reject its neighbors. When an invalid or conflicting op fails a combined
+// batch, each submission is re-applied alone, so every caller gets its
+// unbatched result (at per-op cost for that rare batch); other failures
+// answer every caller as they are. Ops within one submission stay
+// contiguous and ordered; submissions are combined in arrival order.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -60,8 +61,8 @@ type BatcherStats struct {
 	// Coalesced counts submissions that shared their apply with at least
 	// one other submission.
 	Coalesced int64 `json:"coalesced"`
-	// Fallbacks counts combined batches that failed and were re-applied
-	// per submission to isolate the failing caller.
+	// Fallbacks counts combined batches that an invalid or conflicting op
+	// failed, re-applied per submission to isolate the failing caller.
 	Fallbacks int64 `json:"fallbacks,omitempty"`
 	// AvgOpsPerBatch is Ops/Batches — the amortization factor.
 	AvgOpsPerBatch float64 `json:"avgOpsPerBatch"`
@@ -198,9 +199,16 @@ func (b *MutationBatcher) flush(pb *pendingBatch) {
 		}
 		return
 	}
-	// The combined batch was rejected as a whole (Mutate is all-or-nothing,
-	// and one submission's conflict poisons the batch). Re-apply each
-	// submission in isolation so every caller gets its unbatched outcome.
+	if !errors.Is(err, ErrInvalidMutation) && !errors.Is(err, ErrMutationConflict) {
+		// No one submission is at fault: the error is every caller's answer.
+		for _, sub := range pb.subs {
+			sub.ch <- batchOut{nil, err}
+		}
+		return
+	}
+	// One submission's op poisoned the all-or-nothing combined batch.
+	// Re-apply each submission in isolation so every caller gets its
+	// unbatched outcome.
 	b.fallbackCount.Add(1)
 	for _, sub := range pb.subs {
 		res, err := b.applyOne(ctx, pb.dataset, sub.ops)

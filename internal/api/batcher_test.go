@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -138,6 +139,40 @@ func TestBatcherFallbackIsolation(t *testing.T) {
 	ds, _ := e.Dataset("fig5")
 	if ds.Version != 1 {
 		t.Fatalf("version = %d (want exactly the valid batch applied)", ds.Version)
+	}
+}
+
+// TestBatcherSharedFailureAppliesOnce: a combined batch that fails for a
+// reason no one submission caused (here the dataset is gone) answers every
+// submitter with that error after one apply, with no per-submission
+// fallback.
+func TestBatcherSharedFailureAppliesOnce(t *testing.T) {
+	var calls atomic.Int32
+	b := NewMutationBatcher(BatcherOptions{MaxOps: 3, MaxWait: time.Hour},
+		func(context.Context, string, []Mutation) (*MutationResult, error) {
+			calls.Add(1)
+			return nil, ErrDatasetNotFound
+		})
+	var wg sync.WaitGroup
+	errs := make([]error, 3)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = b.Mutate(context.Background(), "fig5", []Mutation{{Op: OpAddEdge, U: 5, V: int32(6 + i)}})
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, ErrDatasetNotFound) {
+			t.Fatalf("submission %d: err = %v, want ErrDatasetNotFound", i, err)
+		}
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("apply called %d times for one combined batch, want 1", n)
+	}
+	if st := b.Stats(); st.Fallbacks != 0 {
+		t.Fatalf("stats = %+v, want no fallback", st)
 	}
 }
 

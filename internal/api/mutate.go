@@ -40,8 +40,8 @@ import (
 //   - The truss decomposition is invalidated (no incremental maintenance
 //     yet); it rebuilds lazily on the next k-truss query.
 //
-// Explorer.Mutate is the serving entry point: it serializes batches per
-// dataset lineage and publishes the successor with one map swap, the
+// Explorer.Mutate serializes batches per lineage, runs each one's commit
+// point (MutateThen) and swaps the successor in with one map store: the
 // copy-on-write step that keeps every in-flight search and exploration
 // session on the exact version it started with.
 
@@ -279,6 +279,15 @@ func mutationErr(i int, op Mutation, err error) error {
 // reads never block: searches in flight keep the version they resolved, and
 // requests arriving after Mutate returns see the successor.
 func (e *Explorer) Mutate(ctx context.Context, dataset string, ops []Mutation) (*MutationResult, error) {
+	return e.MutateThen(ctx, dataset, ops, func(*MutationResult) error { return nil })
+}
+
+// MutateThen is Mutate with a commit point: commit runs under the lineage
+// and registry locks after the successor is derived and before it is
+// swapped in; its error aborts the batch and is returned. A batch whose
+// dataset was removed or re-uploaded meanwhile is dropped uncommitted and
+// retried. commit must not call back into the Explorer.
+func (e *Explorer) MutateThen(ctx context.Context, dataset string, ops []Mutation, commit func(*MutationResult) error) (*MutationResult, error) {
 	for {
 		ds, err := e.resolve(ctx, "mutate: ", dataset)
 		if err != nil {
@@ -301,15 +310,20 @@ func (e *Explorer) Mutate(ctx context.Context, dataset string, ops []Mutation) (
 			return nil, err
 		}
 		e.mu.Lock()
-		e.datasets[dataset] = next
-		hook := e.mutateHook
-		e.mu.Unlock()
-		if hook != nil {
-			// Still under the lineage lock: hook calls for this dataset are
-			// serialized in exactly the order versions were published.
-			hook(dataset, res, ops)
+		stale := e.datasets[dataset] != cur
+		if !stale {
+			if err = commit(res); err == nil {
+				e.datasets[dataset] = next
+			}
 		}
+		e.mu.Unlock()
 		mu.Unlock()
+		switch {
+		case stale:
+			continue
+		case err != nil:
+			return nil, err
+		}
 		return res, nil
 	}
 }

@@ -193,3 +193,93 @@ func TestMutateConcurrency(t *testing.T) {
 		t.Fatalf("final tree invalid: %v", err)
 	}
 }
+
+// deriveWindowCtx runs inDerive, once, the first time Err is polled while
+// the lineage lock is held: inside Dataset.Mutate's op loop, after
+// MutateThen has re-checked the registry and before it swaps the successor
+// in. That is the window in which a delete or re-upload raced a batch.
+type deriveWindowCtx struct {
+	context.Context
+	lineage  *sync.Mutex
+	inDerive func()
+}
+
+func (c *deriveWindowCtx) Err() error {
+	if c.lineage.TryLock() {
+		c.lineage.Unlock()
+	} else if f := c.inDerive; f != nil {
+		c.inDerive = nil
+		f()
+	}
+	return c.Context.Err()
+}
+
+// TestMutateNeverPublishesOverRemovedOrReplacedDataset: a batch still
+// deriving when its dataset is deleted or re-uploaded must neither commit
+// nor swap its successor in. After a delete the batch answers
+// ErrDatasetNotFound and the name stays unregistered; after a re-upload the
+// batch is retried, and committed, on the new lineage only.
+func TestMutateNeverPublishesOverRemovedOrReplacedDataset(t *testing.T) {
+	op := []Mutation{{Op: OpAddEdge, U: 5, V: 9}}
+	t.Run("delete", func(t *testing.T) {
+		e, ds := figure5Explorer(t)
+		ctx := &deriveWindowCtx{Context: context.Background(), lineage: ds.mutMu,
+			inDerive: func() { e.RemoveDataset("fig5") }}
+		var commits int
+		_, err := e.MutateThen(ctx, "fig5", op, func(*MutationResult) error { commits++; return nil })
+		if !errors.Is(err, ErrDatasetNotFound) {
+			t.Fatalf("Mutate after a delete mid-batch: err = %v, want ErrDatasetNotFound", err)
+		}
+		if cur, ok := e.Dataset("fig5"); ok {
+			t.Fatalf("deleted dataset resurrected at version %d", cur.Version)
+		}
+		if commits != 0 {
+			t.Fatalf("%d commits for a batch over a deleted dataset", commits)
+		}
+	})
+	t.Run("reupload", func(t *testing.T) {
+		e, ds := figure5Explorer(t)
+		var fresh *Dataset
+		ctx := &deriveWindowCtx{Context: context.Background(), lineage: ds.mutMu, inDerive: func() {
+			var err error
+			if fresh, err = e.AddGraph("fig5", gen.Figure5()); err != nil {
+				t.Error(err)
+			}
+		}}
+		var committed []uint64
+		res, err := e.MutateThen(ctx, "fig5", op, func(r *MutationResult) error {
+			committed = append(committed, r.Version)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, _ := e.Dataset("fig5")
+		if fresh == nil || cur.mutMu != fresh.mutMu {
+			t.Fatal("the registered dataset is not the re-uploaded lineage")
+		}
+		if res.Version != 1 || cur.Version != 1 || len(committed) != 1 || committed[0] != 1 {
+			t.Fatalf("res version %d, registered version %d, commits %v; want the batch once, on the new lineage",
+				res.Version, cur.Version, committed)
+		}
+		if !cur.Graph.HasEdge(5, 9) {
+			t.Fatal("the retried batch is missing from the new lineage")
+		}
+	})
+}
+
+// TestMutateThenRefusedCommitAppliesNothing: a commit error is the batch's
+// answer, and the registered version does not move.
+func TestMutateThenRefusedCommitAppliesNothing(t *testing.T) {
+	e, ds := figure5Explorer(t)
+	refused := errors.New("refused")
+	var seen uint64
+	_, err := e.MutateThen(context.Background(), "fig5", []Mutation{{Op: OpAddEdge, U: 5, V: 9}},
+		func(r *MutationResult) error { seen = r.Version; return refused })
+	if !errors.Is(err, refused) {
+		t.Fatalf("err = %v, want the commit's error", err)
+	}
+	if cur, _ := e.Dataset("fig5"); cur != ds || seen != 1 {
+		t.Fatalf("registered version %d (commit saw %d): a refused batch was applied", cur.Version, seen)
+	}
+}

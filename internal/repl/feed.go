@@ -26,8 +26,8 @@ type FeedOptions struct {
 
 // Feed is the primary-side replication buffer: per dataset, a bounded ring
 // of pre-encoded journal frames covering sequences (base, head], plus the
-// epoch that scopes them. Publish is called from the Explorer mutate hook
-// under the lineage lock, so frames for one dataset arrive in strict
+// epoch that scopes them. Each write publishes itself at its commit point
+// (api.Explorer.MutateThen), so frames for one dataset arrive in strict
 // version order; Ship serves them to replicas with long-poll support.
 type Feed struct {
 	lookup     func(name string) (version uint64, ok bool)
@@ -43,6 +43,7 @@ type Feed struct {
 	mu       sync.Mutex
 	states   map[string]*feedState
 	draining bool
+	resets   uint64 // Reset calls; a state seeded from an older lookup is stale
 
 	published      atomic.Int64
 	publishedOps   atomic.Int64
@@ -106,23 +107,25 @@ func (f *Feed) ensureLocked(name string, version uint64) *feedState {
 	return st
 }
 
-// Publish records one applied batch: the ops that produced Version
-// `version` of dataset `name`. Called in strict version order per dataset
-// (the Explorer hook contract). A duplicate or older version is dropped; a
-// version gap (a lineage jumped versions without the hook seeing the
-// intermediate batches) resets the buffer so no replica can be served a
-// stream with a hole — they fence and re-bootstrap instead.
-func (f *Feed) Publish(name string, version uint64, ops []snapshot.JournalOp) {
+// Publish records the ops that produce Version `version` of dataset `name`,
+// before that version is applied; calls arrive in version order per
+// dataset. A duplicate or older version is dropped; a gap resets the buffer
+// so replicas fence and re-bootstrap rather than read past a hole. After
+// Drain it returns false and leaves the buffer untouched: do not apply.
+func (f *Feed) Publish(name string, version uint64, ops []snapshot.JournalOp) bool {
 	if version == 0 {
-		return
+		return true
 	}
 	frame := snapshot.EncodeJournalFrame(snapshot.JournalRecord{Version: version, Ops: ops})
 	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.draining {
+		return false
+	}
 	st := f.ensureLocked(name, version-1)
 	switch {
 	case version <= st.head:
-		f.mu.Unlock()
-		return
+		return true
 	case version != st.head+1:
 		st.recs = nil
 		st.bytes = 0
@@ -140,9 +143,9 @@ func (f *Feed) Publish(name string, version uint64, ops []snapshot.JournalOp) {
 	}
 	close(st.notify)
 	st.notify = make(chan struct{})
-	f.mu.Unlock()
 	f.published.Add(1)
 	f.publishedOps.Add(int64(len(ops)))
+	return true
 }
 
 // Reset discards a dataset's buffer and epoch — call when the lineage is
@@ -150,6 +153,7 @@ func (f *Feed) Publish(name string, version uint64, ops []snapshot.JournalOp) {
 // next touch lazily re-seeds a state with a fresh epoch.
 func (f *Feed) Reset(name string) {
 	f.mu.Lock()
+	f.resets++
 	if st := f.states[name]; st != nil {
 		close(st.notify)
 		delete(f.states, name)
@@ -161,16 +165,33 @@ func (f *Feed) Reset(name string) {
 // the dataset's current version. ok is false when the dataset is unknown
 // to the Explorer.
 func (f *Feed) Epoch(name string) (epoch uint64, ok bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if st := f.states[name]; st != nil {
-		return st.epoch, true
-	}
-	v, ok := f.lookup(name)
+	st, ok := f.lockState(name)
 	if !ok {
 		return 0, false
 	}
-	return f.ensureLocked(name, v).epoch, true
+	defer f.mu.Unlock()
+	return st.epoch, true
+}
+
+// lockState returns the dataset's state with f.mu held, seeding it at the
+// current version on first touch; false (f.mu not held) when the dataset is
+// unknown. Writes publish under the Explorer's registry lock, so the lookup
+// runs outside f.mu; a Reset meanwhile voids it.
+func (f *Feed) lockState(name string) (*feedState, bool) {
+	f.mu.Lock()
+	for f.states[name] == nil {
+		resets := f.resets
+		f.mu.Unlock()
+		v, ok := f.lookup(name)
+		if !ok {
+			return nil, false
+		}
+		f.mu.Lock()
+		if f.resets == resets {
+			f.ensureLocked(name, v)
+		}
+	}
+	return f.states[name], true
 }
 
 // ShipResult is one journal-shipping response: either Fenced (the cursor
@@ -206,15 +227,9 @@ func (f *Feed) Ship(ctx context.Context, name string, epoch, fromSeq uint64, max
 	f.activeTails.Add(1)
 	defer f.activeTails.Add(-1)
 	for {
-		f.mu.Lock()
-		st := f.states[name]
-		if st == nil {
-			v, ok := f.lookup(name)
-			if !ok {
-				f.mu.Unlock()
-				return ShipResult{}, false
-			}
-			st = f.ensureLocked(name, v)
+		st, ok := f.lockState(name)
+		if !ok {
+			return ShipResult{}, false
 		}
 		res := ShipResult{Epoch: st.epoch, Base: st.base, Head: st.head}
 		switch {
@@ -266,8 +281,8 @@ func (f *Feed) Ship(ctx context.Context, name string, epoch, fromSeq uint64, max
 // Drain releases every parked long-poller and makes subsequent Ship calls
 // answer immediately instead of parking. Call on graceful shutdown (so
 // replicas' in-flight long-polls return within one round trip, not after
-// PollWait) and on demotion (the feed is being abandoned). Publishing after
-// Drain still works but no longer parks anyone; there is no un-drain.
+// PollWait) and on demotion. It is also the write fence: every later
+// Publish is refused, so no write is applied unpublished. No un-drain.
 func (f *Feed) Drain() {
 	f.mu.Lock()
 	if !f.draining {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -264,5 +265,85 @@ func TestFeedEpochsDistinctAcrossDatasets(t *testing.T) {
 			t.Fatalf("epoch %d reused by %s and %s", e, prev, name)
 		}
 		seen[e] = name
+	}
+}
+
+// TestFeedPublishAfterDrainRefused: Drain is the write fence. A publish
+// after it answers false and leaves the buffer and the counters untouched,
+// so the caller knows not to apply the batch.
+func TestFeedPublishAfterDrainRefused(t *testing.T) {
+	f := testFeed(FeedOptions{}, map[string]uint64{"d": 0})
+	if !f.Publish("d", 1, ops(1)) {
+		t.Fatal("publish before Drain refused")
+	}
+	f.Drain()
+	before, _ := f.Status("d")
+	published := f.Stats().Published
+	if f.Publish("d", 2, ops(1)) {
+		t.Fatal("publish after Drain accepted")
+	}
+	if after, _ := f.Status("d"); after.Head != before.Head || f.Stats().Published != published {
+		t.Fatalf("refused publish moved the feed: head %d -> %d, published %d -> %d",
+			before.Head, after.Head, published, f.Stats().Published)
+	}
+}
+
+// TestFeedLookupRunsOutsideItsLock: writes publish while holding the
+// Explorer's registry lock, and the feed's lookup takes that same lock, so
+// seeding a state must not hold the feed's lock across the lookup. Here the
+// registry lock is held by the publisher while a concurrent Epoch sits in
+// its lookup; the publish must still complete.
+func TestFeedLookupRunsOutsideItsLock(t *testing.T) {
+	var registry sync.Mutex
+	inLookup := make(chan struct{})
+	f := NewFeed(func(string) (uint64, bool) {
+		close(inLookup)
+		registry.Lock()
+		defer registry.Unlock()
+		return 0, true
+	}, FeedOptions{})
+	registry.Lock()
+	epoch := make(chan uint64)
+	go func() {
+		e, _ := f.Epoch("seeded")
+		epoch <- e
+	}()
+	<-inLookup
+	published := make(chan bool)
+	go func() { published <- f.Publish("other", 1, ops(1)) }()
+	select {
+	case ok := <-published:
+		if !ok {
+			t.Fatal("publish refused")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("publish blocked behind a lookup waiting for the publisher's lock")
+	}
+	registry.Unlock()
+	if <-epoch == 0 {
+		t.Fatal("Epoch did not seed the dataset")
+	}
+}
+
+// TestFeedSeedDiscardsLookupRacingReset: a lookup that read the old lineage
+// before a re-upload's Reset must not seed the new lineage's state at the
+// old version (every write of the new lineage up to it would be dropped as
+// a duplicate); the feed looks up again.
+func TestFeedSeedDiscardsLookupRacingReset(t *testing.T) {
+	var f *Feed
+	lookups := 0
+	f = NewFeed(func(string) (uint64, bool) {
+		lookups++
+		if lookups == 1 {
+			f.Reset("d") // the re-upload lands between lookup and seed
+			return 5, true
+		}
+		return 0, true
+	}, FeedOptions{})
+	if _, ok := f.Epoch("d"); !ok {
+		t.Fatal("Epoch: dataset unknown")
+	}
+	if st, _ := f.Status("d"); st.Head != 0 || lookups != 2 {
+		t.Fatalf("seeded at head %d after %d lookups, want head 0 after 2", st.Head, lookups)
 	}
 }

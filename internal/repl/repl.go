@@ -4,9 +4,10 @@
 //
 // Three roles cooperate:
 //
-//   - Feed runs on the primary. An Explorer mutate hook publishes every
-//     applied batch — as a pre-encoded journal frame keyed by the Version
-//     it produced — into a bounded per-dataset ring. Ship answers the
+//   - Feed runs on the primary. Every write publishes itself at its commit
+//     point, before it is applied — as a pre-encoded journal frame keyed by
+//     the Version it produces — into a bounded per-dataset ring; a drained
+//     feed refuses it, and the write is not applied. Ship answers the
 //     journal-shipping endpoint: return buffered frames from a sequence
 //     number, or long-poll until one arrives. Every way a cursor can be
 //     stranded (buffer trimmed past fromSeq, re-upload starting a fresh

@@ -313,16 +313,14 @@ func (s *Server) v1Promote(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		// Stop tailing first — from here no record of the old lineage is
-		// applied — then open our own feed. Writes stay refused (read_only)
-		// until the new role is stored, so no write is accepted but not
-		// published.
+		// applied. Writes stay refused until the new role, feed included,
+		// is stored.
 		if cur.stop != nil {
 			cur.stop()
 		}
-		feed := s.openFeed(fc.Feed)
 		s.stats.promotions.Add(1)
 		s.logf("fleet: promoted to primary at fleet epoch %d (applied %d)", req.Epoch, local)
-		return &nodeRole{name: "primary", epoch: req.Epoch, feed: feed}, nil
+		return &nodeRole{name: "primary", epoch: req.Epoch, feed: s.openFeed(fc.Feed)}, nil
 	})
 }
 
@@ -356,10 +354,8 @@ func (s *Server) v1Demote(w http.ResponseWriter, r *http.Request) {
 		if req.Epoch <= cur.epoch {
 			return nil, fenced("demotion epoch %d not above own %d", req.Epoch, cur.epoch)
 		}
-		// Fence the old lineage: detach the publish hook so no further
-		// write is published, release parked pollers, then start tailing
-		// the new primary.
-		s.exp.SetMutateHook(nil)
+		// Fence the old lineage: the drained feed refuses every later write
+		// and releases parked pollers. Then tail the new primary.
 		if cur.feed != nil {
 			cur.feed.Drain()
 		}

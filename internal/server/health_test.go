@@ -533,6 +533,129 @@ func TestTransitionsAfterShutdown(t *testing.T) {
 	}
 }
 
+// TestWriteAdmittedBeforeDemotionIsNeverAckedUnshipped: a write that
+// passed writeGate on a primary is either acknowledged and in the feed, or
+// refused with 503 no_primary and absent locally, whatever demotion or
+// Shutdown lands between its admission and its apply. Each case drives the
+// seams the mutations route uses after writeGate: applyMutations, or the
+// batcher over it.
+func TestWriteAdmittedBeforeDemotionIsNeverAckedUnshipped(t *testing.T) {
+	ctx := context.Background()
+	edge := func(u int32) []api.Mutation { return []api.Mutation{{Op: api.OpAddEdge, U: u, V: 9}} }
+	primary := func(t *testing.T) (*Server, *httptest.Server, *repl.Feed) {
+		s, ts := fleetNode(t, &tailerGate{})
+		return s, ts, s.EnableReplicationPrimary(repl.FeedOptions{})
+	}
+	demote := func(t *testing.T, ts *httptest.Server) {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/api/v1/demote",
+			jsonBody(t, map[string]any{"epoch": 2, "primary": "http://p2"}))
+		ts.Config.Handler.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Errorf("demote: status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	// refused checks that err answers 503 no_primary with Retry-After, and
+	// that neither the dataset nor the feed moved.
+	refused := func(t *testing.T, s *Server, feed *repl.Feed, err error) {
+		t.Helper()
+		if err == nil {
+			ds, _ := s.exp.Dataset("fig5")
+			st, _ := feed.Status("fig5")
+			t.Fatalf("write acknowledged at version %d with feed head %d, want 503 no_primary", ds.Version, st.Head)
+		}
+		rec := httptest.NewRecorder()
+		s.writeError(rec, err)
+		var env struct {
+			Code string `json:"code"`
+		}
+		json.NewDecoder(rec.Body).Decode(&env)
+		if rec.Code != http.StatusServiceUnavailable || env.Code != repl.CodeNoPrimary || rec.Header().Get("Retry-After") == "" {
+			t.Fatalf("write answered %d %q (err %v), want 503 no_primary with Retry-After", rec.Code, env.Code, err)
+		}
+		ds, _ := s.exp.Dataset("fig5")
+		st, _ := feed.Status("fig5")
+		if ds.Version != 0 || st.Head != 0 {
+			t.Fatalf("refused write moved the node: dataset version %d, feed head %d", ds.Version, st.Head)
+		}
+	}
+	shipped := func(t *testing.T, feed *repl.Feed, res *api.MutationResult) {
+		t.Helper()
+		if st, _ := feed.Status("fig5"); st.Head != res.Version {
+			t.Fatalf("write acknowledged at version %d but the feed head is %d", res.Version, st.Head)
+		}
+	}
+
+	t.Run("apply then demote", func(t *testing.T) {
+		s, ts, feed := primary(t)
+		res, err := s.applyMutations(ctx, "fig5", edge(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		demote(t, ts)
+		shipped(t, feed, res)
+	})
+	t.Run("demote then apply", func(t *testing.T) {
+		s, ts, feed := primary(t)
+		demote(t, ts)
+		_, err := s.applyMutations(ctx, "fig5", edge(5))
+		refused(t, s, feed, err)
+	})
+	t.Run("demote then apply, batched", func(t *testing.T) {
+		s, ts, feed := primary(t)
+		s.EnableBatcher(api.BatcherOptions{MaxOps: 2, MaxWait: time.Hour})
+		demote(t, ts)
+		errs := make([]error, 2)
+		var wg sync.WaitGroup
+		for i := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[i] = s.mutationBatcher().Mutate(ctx, "fig5", edge(int32(5+i)))
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			refused(t, s, feed, err)
+		}
+		if st := s.mutationBatcher().Stats(); st.Fallbacks != 0 {
+			t.Fatalf("a refusal fell back to per-submission applies: %+v", st)
+		}
+	})
+	t.Run("apply after Shutdown", func(t *testing.T) {
+		s, _, feed := primary(t)
+		if err := s.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+		_, err := s.applyMutations(ctx, "fig5", edge(5))
+		refused(t, s, feed, err)
+	})
+	t.Run("apply racing demote", func(t *testing.T) {
+		acked := 0
+		for range 50 {
+			s, ts, feed := primary(t)
+			start := make(chan struct{})
+			var (
+				res *api.MutationResult
+				err error
+				wg  sync.WaitGroup
+			)
+			wg.Add(2)
+			go func() { defer wg.Done(); <-start; res, err = s.applyMutations(ctx, "fig5", edge(5)) }()
+			go func() { defer wg.Done(); <-start; demote(t, ts) }()
+			close(start)
+			wg.Wait()
+			if err != nil {
+				refused(t, s, feed, err)
+			} else {
+				shipped(t, feed, res)
+				acked++
+			}
+		}
+		t.Logf("%d of 50 racing writes acknowledged and shipped, the rest refused", acked)
+	})
+}
+
 // TestRetryAfterFunnel: every 429/503 envelope carries Retry-After so
 // clients can back off instead of hammering, and explicit values win.
 func TestRetryAfterFunnel(t *testing.T) {

@@ -88,7 +88,7 @@ type mutationResponse struct {
 //     version, so replay sees exactly the applied lineage.
 func (s *Server) applyMutations(ctx context.Context, name string, ops []api.Mutation) (*api.MutationResult, error) {
 	start := time.Now()
-	res, err := s.exp.Mutate(ctx, name, ops)
+	res, err := s.mutate(ctx, name, ops)
 	elapsed := time.Since(start)
 	if err != nil {
 		return nil, err
@@ -105,6 +105,21 @@ func (s *Server) applyMutations(ctx context.Context, name string, ops []api.Muta
 		}
 	}
 	return res, nil
+}
+
+// errNoPrimary refuses a write at its commit point (503 no_primary).
+var errNoPrimary = errors.New("this node is not a primary (replica, demoted, or shut down): write refused, nothing applied")
+
+// mutate applies ops through their commit point, against the role then: a
+// replica refuses, a primary publishes to its feed, standalone accepts.
+func (s *Server) mutate(ctx context.Context, name string, ops []api.Mutation) (*api.MutationResult, error) {
+	return s.exp.MutateThen(ctx, name, ops, func(res *api.MutationResult) error {
+		rs := s.role.Load()
+		if rs.src != nil || rs.feed != nil && !rs.feed.Publish(name, res.Version, repl.ToJournalOps(ops)) {
+			return errNoPrimary
+		}
+		return nil
+	})
 }
 
 func (s *Server) v1Mutations(w http.ResponseWriter, r *http.Request) {
@@ -156,14 +171,11 @@ func (s *Server) journalBatch(name string, version uint64, ops []api.Mutation) (
 	}
 	s.journalMu.Lock()
 	defer s.journalMu.Unlock()
-	rec := snapshot.JournalRecord{Version: version, Ops: toJournalOps(ops)}
+	rec := snapshot.JournalRecord{Version: version, Ops: repl.ToJournalOps(ops)}
 	if err := snapshot.AppendJournal(journalPath(dir, name), rec); err != nil {
 		return false, false, err
 	}
 	s.mu.Lock()
-	if s.journalOps == nil {
-		s.journalOps = make(map[string]int)
-	}
 	s.journalOps[name] += len(ops)
 	pending := s.journalOps[name]
 	threshold := s.journalCompactAfter
@@ -249,22 +261,17 @@ func (s *Server) replayJournal(name string, baseVersion uint64) (int, error) {
 			applyErr = fmt.Errorf("journal gap: have version %d, want %d", rec.Version, next)
 			break
 		}
-		ops := fromJournalOps(rec.Ops)
-		if _, err := s.exp.Mutate(context.Background(), name, ops); err != nil {
+		ops := repl.FromJournalOps(rec.Ops)
+		if _, err := s.mutate(context.Background(), name, ops); err != nil {
 			applyErr = fmt.Errorf("replaying batch for version %d: %w", rec.Version, err)
 			break
 		}
 		replayed += len(ops)
 		next++
 	}
-	if replayed > 0 {
-		s.mu.Lock()
-		if s.journalOps == nil {
-			s.journalOps = make(map[string]int)
-		}
-		s.journalOps[name] += replayed
-		s.mu.Unlock()
-	}
+	s.mu.Lock()
+	s.journalOps[name] += replayed
+	s.mu.Unlock()
 	stop := errors.Join(readErr, applyErr)
 	if stop == nil {
 		return replayed, nil
@@ -308,10 +315,3 @@ func (s *Server) drainJournal(name, path string) ([]snapshot.JournalRecord, erro
 	}
 	return recs, nil
 }
-
-// toJournalOps/fromJournalOps are the shared api↔journal mapping, now owned
-// by the replication package (the shipping stream and the on-disk journal
-// use the same encoding by design).
-func toJournalOps(ops []api.Mutation) []snapshot.JournalOp { return repl.ToJournalOps(ops) }
-
-func fromJournalOps(ops []snapshot.JournalOp) []api.Mutation { return repl.FromJournalOps(ops) }

@@ -10,6 +10,7 @@ import (
 
 	"cexplorer/internal/api"
 	"cexplorer/internal/gen"
+	"cexplorer/internal/repl"
 	"cexplorer/internal/snapshot"
 )
 
@@ -197,7 +198,7 @@ func TestV1MutationsCompaction(t *testing.T) {
 // acknowledged) or land behind the bad bytes, where every later boot stops.
 func TestV1MutationsReplayStopNeverResurfaces(t *testing.T) {
 	edge := func(op string, u, v int32) []snapshot.JournalOp {
-		return toJournalOps([]api.Mutation{{Op: op, U: u, V: v}})
+		return repl.ToJournalOps([]api.Mutation{{Op: op, U: u, V: v}})
 	}
 	journal := func(header string, recs ...snapshot.JournalRecord) []byte {
 		b := []byte(header)

@@ -1,7 +1,7 @@
 package server
 
-// Replication wiring (see internal/repl): a primary publishes every applied
-// mutation batch into a repl.Feed and serves two shipping endpoints —
+// Replication wiring (see internal/repl): a primary publishes each write to
+// a repl.Feed before applying it and serves two shipping endpoints —
 //
 //	GET /api/v1/datasets/{name}/journal?fromSeq=N&epoch=E[&wait=20s][&maxRecords=512]
 //	GET /api/v1/datasets/{name}/snapshot
@@ -45,9 +45,9 @@ type ReplicaSource interface {
 }
 
 // EnableReplicationPrimary makes this server a replication primary: every
-// applied mutation batch (direct, batched, or journal-replayed) is
-// published into the returned feed, and Handler registers the
-// journal/snapshot shipping endpoints. Call before Handler.
+// mutation batch (direct, batched, or journal-replayed) is published into
+// the returned feed at its commit point, before it is applied, and a batch
+// the feed refuses is not applied at all. Call before Handler.
 func (s *Server) EnableReplicationPrimary(opt repl.FeedOptions) *repl.Feed {
 	rs, _ := s.transition(func(cur *nodeRole, _ *FleetControl) (*nodeRole, *refusal) {
 		// A primary is fleet epoch 1 by definition; promotions go up from
@@ -57,20 +57,16 @@ func (s *Server) EnableReplicationPrimary(opt repl.FeedOptions) *repl.Feed {
 	return rs.feed
 }
 
-// openFeed builds a journal feed over the explorer's datasets and hooks
-// every applied mutation batch into it.
+// openFeed builds a journal feed over the explorer's datasets. Writes reach
+// it through their commit point (see mutate), never through the Explorer.
 func (s *Server) openFeed(opt repl.FeedOptions) *repl.Feed {
-	feed := repl.NewFeed(func(name string) (uint64, bool) {
+	return repl.NewFeed(func(name string) (uint64, bool) {
 		ds, ok := s.exp.Dataset(name)
 		if !ok {
 			return 0, false
 		}
 		return ds.Version, true
 	}, opt)
-	s.exp.SetMutateHook(func(name string, res *api.MutationResult, ops []api.Mutation) {
-		feed.Publish(name, res.Version, repl.ToJournalOps(ops))
-	})
-	return feed
 }
 
 // EnableReplicationReplica makes this server a read-only replica: mutations

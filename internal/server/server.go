@@ -32,6 +32,7 @@ import (
 	"cexplorer/internal/api"
 	"cexplorer/internal/gen"
 	"cexplorer/internal/par"
+	"cexplorer/internal/repl"
 	"cexplorer/internal/servecache"
 	"cexplorer/internal/snapshot"
 )
@@ -213,11 +214,12 @@ func New(exp *api.Explorer, logf func(string, ...any)) *Server {
 		logf = func(string, ...any) {}
 	}
 	s := &Server{
-		exp:       exp,
-		profiles:  make(map[string]map[int32]gen.Profile),
-		logf:      logf,
-		searchSem: make(chan struct{}, 2*runtime.GOMAXPROCS(0)),
-		started:   time.Now(),
+		exp:        exp,
+		profiles:   make(map[string]map[int32]gen.Profile),
+		journalOps: make(map[string]int),
+		logf:       logf,
+		searchSem:  make(chan struct{}, 2*runtime.GOMAXPROCS(0)),
+		started:    time.Now(),
 	}
 	// A new server is standalone; that is its first transition.
 	s.transition(func(*nodeRole, *FleetControl) (*nodeRole, *refusal) { return &nodeRole{}, nil })
@@ -533,6 +535,9 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 		s.stats.canceled.Add(1)
 	case errors.Is(err, api.ErrTimeout):
 		s.stats.timedOut.Add(1)
+	case errors.Is(err, errNoPrimary):
+		writeEnvelope(w, http.StatusServiceUnavailable, err.Error(), repl.CodeNoPrimary)
+		return
 	}
 	writeEnvelope(w, errStatus(err), err.Error(), api.ErrorCode(err))
 }

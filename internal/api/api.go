@@ -168,9 +168,7 @@ type Dataset struct {
 	// lifetime, while new queries see the new version.
 	Version uint64
 
-	// mutMu serializes mutation batches along the lineage; every successor
-	// shares the pointer. It is never held by the read path.
-	mutMu *sync.Mutex
+	lin *lineage // started by NewDataset or OpenSnapshot, shared by successors
 
 	// backing is non-nil when the graph and pre-seeded indexes borrow a
 	// mapped snapshot file (see backing.go); nil for heap-backed datasets.
@@ -220,9 +218,21 @@ type IndexStatus struct {
 	Truss  bool `json:"truss"`
 }
 
-// NewDataset wraps a graph.
+// lineage identifies one history of a dataset name: an upload or snapshot
+// open and every version mutated from it. The result cache keys on its id;
+// its lock serializes mutation batches (the read path never takes it).
+type lineage struct {
+	mu sync.Mutex
+	id uint64
+}
+
+var lineageIDs atomic.Uint64
+
+func newLineage() *lineage { return &lineage{id: lineageIDs.Add(1)} }
+
+// NewDataset wraps a graph, starting a new lineage.
 func NewDataset(name string, g *graph.Graph) *Dataset {
-	return &Dataset{Name: name, Graph: g, Info: DatasetInfo{Source: "built"}, mutMu: &sync.Mutex{}}
+	return &Dataset{Name: name, Graph: g, Info: DatasetInfo{Source: "built"}, lin: newLineage()}
 }
 
 // buildTotals accumulates index-build wall time across every dataset and
@@ -608,18 +618,22 @@ func (e *Explorer) CDAlgorithms() []string {
 	return names
 }
 
-// Upload ingests a graph in the JSON wire format under the given name
-// (Figure 4's upload; the file-path variant lives in cmd/cexplorer-cli).
-func (e *Explorer) Upload(name string, r io.Reader) (*Dataset, error) {
+// Upload registers a graph in the JSON wire format through Replace with
+// commit (Figure 4's upload; the file-path variant is in cmd/cexplorer-cli).
+func (e *Explorer) Upload(name string, r io.Reader, commit func() error) (*Dataset, error) {
 	g, err := graph.LoadJSON(r)
 	if err != nil {
 		return nil, err
 	}
-	return e.AddGraph(name, g)
+	return e.addGraph(name, g, commit)
 }
 
 // AddGraph registers an in-memory graph as a dataset.
 func (e *Explorer) AddGraph(name string, g *graph.Graph) (*Dataset, error) {
+	return e.addGraph(name, g, nil)
+}
+
+func (e *Explorer) addGraph(name string, g *graph.Graph, commit func() error) (*Dataset, error) {
 	if name == "" {
 		return nil, fmt.Errorf("upload: empty dataset name")
 	}
@@ -627,43 +641,51 @@ func (e *Explorer) AddGraph(name string, g *graph.Graph) (*Dataset, error) {
 		return nil, fmt.Errorf("upload: %w", err)
 	}
 	ds := NewDataset(name, g)
-	e.mu.Lock()
-	e.datasets[name] = ds
-	c := e.cache
-	e.mu.Unlock()
-	if c != nil {
-		// A re-registered name restarts its lineage at Version 0, which
-		// would collide with cached keys from the previous graph — purge.
-		c.Purge(name)
+	if _, err := e.Replace(name, ds, commit); err != nil {
+		return nil, err
 	}
 	return ds, nil
 }
 
-// RemoveDataset unregisters a dataset: reads from this point on see
-// ErrDatasetNotFound, exploration sessions anchored on it are closed, its
-// cached results are purged, and its backing file mapping (if any) is
-// released once in-flight pinned reads finish. Reports whether the name was
-// registered. Used by the admin delete endpoint on a primary and by a
-// replica un-claiming a dataset its primary no longer serves.
+// RemoveDataset deletes a dataset through Replace and reports whether the
+// name was registered (a replica un-claims a dropped dataset with it).
 func (e *Explorer) RemoveDataset(name string) bool {
+	removed, _ := e.Replace(name, nil, nil)
+	return removed
+}
+
+// Replace is the one registry write that starts or ends a lineage: it
+// registers next under name (nil deletes it) and reports whether a dataset
+// was displaced. commit, if non-nil, runs under the registry lock before
+// the store, and its error aborts the write; deleting an unregistered name
+// commits nothing. The displaced dataset's cache entries are purged, only
+// to free memory; a deleted one's exploration sessions are closed and its
+// mapping released once in-flight pinned reads finish.
+func (e *Explorer) Replace(name string, next *Dataset, commit func() error) (bool, error) {
 	e.mu.Lock()
-	ds, ok := e.datasets[name]
-	delete(e.datasets, name)
+	prev, ok := e.datasets[name]
+	var err error
+	if commit != nil && (ok || next != nil) {
+		err = commit()
+	}
+	if err == nil && next != nil {
+		e.datasets[name] = next
+	} else if err == nil {
+		delete(e.datasets, name)
+	}
 	c := e.cache
 	e.mu.Unlock()
-	if !ok {
-		return false
+	if err != nil || !ok {
+		return false, err
 	}
-	m := &e.explore
-	m.mu.Lock()
-	evicted := m.dropDatasetLocked(name)
-	m.mu.Unlock()
-	closeSessions(evicted)
 	if c != nil {
 		c.Purge(name)
 	}
-	ds.Close()
-	return true
+	if next == nil {
+		e.explore.dropDataset(name)
+		prev.Close()
+	}
+	return true, nil
 }
 
 // Dataset returns a registered dataset.
@@ -747,7 +769,7 @@ func (e *Explorer) SearchOn(ctx context.Context, ds *Dataset, algo string, q Que
 	if c == nil {
 		return e.searchKernel(ctx, ds, a, q)
 	}
-	return e.cachedCommunities(ctx, c, ds.Name, ds.Version, searchKey(algo, q), func(ctx context.Context) ([]Community, error) {
+	return e.cachedCommunities(ctx, c, ds, searchKey(algo, q), func(ctx context.Context) ([]Community, error) {
 		return e.searchKernel(ctx, ds, a, q)
 	})
 }
@@ -781,7 +803,7 @@ func (e *Explorer) Detect(ctx context.Context, dataset, algo string) ([]Communit
 	if c == nil {
 		return e.detectOn(ctx, ds, a)
 	}
-	return e.cachedCommunities(ctx, c, dataset, ds.Version, detectKey(algo), func(ctx context.Context) ([]Community, error) {
+	return e.cachedCommunities(ctx, c, ds, detectKey(algo), func(ctx context.Context) ([]Community, error) {
 		return e.detectOn(ctx, ds, a)
 	})
 }
@@ -820,7 +842,7 @@ func (e *Explorer) Analyze(ctx context.Context, dataset string, c Community, q i
 	if sc == nil {
 		return e.analyzeOn(ds, c, q)
 	}
-	v, err := sc.Do(ctx, dataset, ds.Version, analyzeKey(c, q), func(context.Context) (any, int64, error) {
+	v, err := sc.Do(ctx, dataset, ds.lin.id, ds.Version, analyzeKey(c, q), func(context.Context) (any, int64, error) {
 		a, err := e.analyzeOn(ds, c, q)
 		if err != nil {
 			return nil, 0, err

@@ -3,9 +3,10 @@ package api
 // The serve-time result cache (see internal/servecache). Search, Detect,
 // and Analyze are pure functions of (dataset version, query): once an
 // Explorer is given a cache, each of them becomes a cache lookup keyed by
-// the dataset name, its immutable Version, and a canonicalized rendering of
-// the request — a mutation publishes a successor version, so stale entries
-// are unreachable by construction and age out of the LRU. Concurrent
+// the dataset name, its lineage, its immutable Version, and a canonicalized
+// rendering of the request — a mutation publishes a successor version and a
+// re-upload starts a new lineage, so stale entries (late fills included) are
+// unreachable by construction and age out of the LRU. Concurrent
 // requests for one missing key coalesce onto a single computation
 // (singleflight), deterministic failures (unknown vertex, invalid query)
 // negative-cache, and per-dataset admission control sheds work beyond the
@@ -164,8 +165,8 @@ func communitiesBytes(cs []Community) int64 {
 // cached slice is shared across callers and with the cache itself: callers
 // must treat it as read-only (pagination subslicing and DTO building are
 // fine) and clone it before any in-place filter or sort.
-func (e *Explorer) cachedCommunities(ctx context.Context, c *servecache.Cache, dataset string, version uint64, key string, compute func(context.Context) ([]Community, error)) ([]Community, error) {
-	v, err := c.Do(ctx, dataset, version, key, func(ctx context.Context) (any, int64, error) {
+func (e *Explorer) cachedCommunities(ctx context.Context, c *servecache.Cache, ds *Dataset, key string, compute func(context.Context) ([]Community, error)) ([]Community, error) {
+	v, err := c.Do(ctx, ds.Name, ds.lin.id, ds.Version, key, func(ctx context.Context) (any, int64, error) {
 		out, err := compute(ctx)
 		if err != nil {
 			return nil, 0, err

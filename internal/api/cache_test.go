@@ -1,13 +1,16 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"cexplorer/internal/gen"
+	"cexplorer/internal/graph"
 	"cexplorer/internal/servecache"
 )
 
@@ -126,6 +129,97 @@ func TestReuploadPurgesCache(t *testing.T) {
 	}
 }
 
+// smallGraph builds a graph on n vertices with the given edges.
+func smallGraph(n int, edges ...[2]int32) *graph.Graph {
+	b := graph.NewBuilder(n, len(edges))
+	for i := 0; i < n; i++ {
+		b.AddVertex(string(rune('a'+i)), "x")
+	}
+	for _, e := range edges {
+		b.AddEdge(e[0], e[1])
+	}
+	return b.MustBuild()
+}
+
+// TestReuploadNeverServesReplacedLineage: once a name is registered anew,
+// every answer for it comes from the new graph, whatever the replaced
+// dataset's readers put in the cache after the swap and whatever version
+// the new dataset starts at. Global at k=2 from vertex 0 is the triangle
+// [0 1 2] on the first graph and empty on a path.
+func TestReuploadNeverServesReplacedLineage(t *testing.T) {
+	ctx := context.Background()
+	triangleTail := func() *graph.Graph {
+		return smallGraph(4, [2]int32{0, 1}, [2]int32{1, 2}, [2]int32{0, 2}, [2]int32{2, 3})
+	}
+	path := func() *graph.Graph { return smallGraph(4, [2]int32{0, 1}, [2]int32{1, 2}, [2]int32{2, 3}) }
+	q := Query{Vertices: []int32{0}, K: 2}
+	// check searches "d" and compares with the uncached kernel on the
+	// registered dataset.
+	check := func(t *testing.T, e *Explorer) {
+		t.Helper()
+		got, err := e.Search(ctx, "d", "Global", q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, _ := e.Dataset("d")
+		want, err := e.searchKernel(ctx, cur, GlobalAlgorithm{}, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("search on the new dataset = %v, want %v: the replaced lineage answered", got, want)
+		}
+	}
+	newExplorer := func(t *testing.T) *Explorer {
+		e := NewExplorer()
+		e.SetCache(NewServeCache(128, 1<<20, 0))
+		if _, err := e.AddGraph("d", triangleTail()); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+
+	t.Run("reader of the old graph fills after the re-upload", func(t *testing.T) {
+		e := newExplorer(t)
+		old, _ := e.Dataset("d")
+		if _, err := e.AddGraph("d", path()); err != nil {
+			t.Fatal(err)
+		}
+		if comms, err := e.SearchOn(ctx, old, "Global", q); err != nil || len(comms) != 1 {
+			t.Fatalf("search on the old graph = %v, %v; want the triangle", comms, err)
+		}
+		check(t, e)
+	})
+	t.Run("snapshot added at the replaced version", func(t *testing.T) {
+		e := newExplorer(t)
+		if _, err := e.Mutate(ctx, "d", []Mutation{{Op: OpAddEdge, U: 0, V: 3}}); err != nil {
+			t.Fatal(err)
+		}
+		if comms, err := e.Search(ctx, "d", "Global", q); err != nil || len(comms) != 1 {
+			t.Fatalf("search at version 1 = %v, %v", comms, err)
+		}
+		other, _, err := NewDataset("d", path()).Mutate(ctx, []Mutation{{Op: OpAddVertex, Name: "e"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := other.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := OpenSnapshot("d", &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.Version != 1 {
+			t.Fatalf("snapshot version %d, want 1", snap.Version)
+		}
+		if err := e.AddDataset(snap); err != nil {
+			t.Fatal(err)
+		}
+		check(t, e)
+	})
+}
+
 func TestSearchKeyCanonical(t *testing.T) {
 	a := searchKey("ACQ", Query{Vertices: []int32{0}, K: 2,
 		Keywords: []string{"y", "x", "w"},
@@ -198,7 +292,7 @@ func TestNewServeCacheClassifiers(t *testing.T) {
 	// Transient errors must not be cached: two calls, two computations.
 	calls := 0
 	for i := 0; i < 2; i++ {
-		_, err := c.Do(ctx, "d", 1, "q", func(context.Context) (any, int64, error) {
+		_, err := c.Do(ctx, "d", 1, 1, "q", func(context.Context) (any, int64, error) {
 			calls++
 			return nil, 0, wrapContextErr(context.Canceled)
 		})
@@ -212,7 +306,7 @@ func TestNewServeCacheClassifiers(t *testing.T) {
 	// Deterministic typed errors are cached: one computation serves both.
 	calls = 0
 	for i := 0; i < 2; i++ {
-		_, err := c.Do(ctx, "d", 1, "neg", func(context.Context) (any, int64, error) {
+		_, err := c.Do(ctx, "d", 1, 1, "neg", func(context.Context) (any, int64, error) {
 			calls++
 			return nil, 0, ErrVertexNotFound
 		})

@@ -162,11 +162,12 @@ func (m *exploreManager) sweepLocked(now time.Time) []*exploreSession {
 	return evicted
 }
 
-// dropDatasetLocked removes every session anchored on the named dataset and
-// returns them for the caller to close outside m.mu (same discipline as
-// sweepLocked). Used when the dataset itself is unregistered.
-func (m *exploreManager) dropDatasetLocked(name string) []*exploreSession {
+// dropDataset closes every session anchored on the named dataset, outside
+// m.mu (same discipline as sweepLocked). Used when the dataset itself is
+// unregistered.
+func (m *exploreManager) dropDataset(name string) {
 	var evicted []*exploreSession
+	m.mu.Lock()
 	for id, s := range m.sessions {
 		if s.ds.Name == name {
 			delete(m.sessions, id)
@@ -174,7 +175,8 @@ func (m *exploreManager) dropDatasetLocked(name string) []*exploreSession {
 			m.closed.Add(1)
 		}
 	}
-	return evicted
+	m.mu.Unlock()
+	closeSessions(evicted)
 }
 
 // evictOldestLocked removes the least-recently-used session (cap pressure)

@@ -206,7 +206,7 @@ func (d *Dataset) Mutate(ctx context.Context, ops []Mutation) (*Dataset, *Mutati
 		Graph:   g,
 		Info:    info,
 		Version: d.Version + 1,
-		mutMu:   d.mutMu,
+		lin:     d.lin,
 	}
 	if names, ok := d.names.resident(); ok && added == 0 {
 		// Same names, so whatever was derived from them carries over.
@@ -293,20 +293,18 @@ func (e *Explorer) MutateThen(ctx context.Context, dataset string, ops []Mutatio
 		if err != nil {
 			return nil, err
 		}
-		// Every registration path (NewDataset, OpenSnapshot, AddDataset)
-		// installs the lineage lock before the dataset is published.
-		mu := ds.mutMu
-		mu.Lock()
+		lin := ds.lin
+		lin.mu.Lock()
 		cur, ok := e.Dataset(dataset)
-		if !ok || cur.mutMu != mu {
+		if !ok || cur.lin != lin {
 			// The dataset was removed or replaced wholesale (re-upload)
 			// while we waited; retry against whatever is there now.
-			mu.Unlock()
+			lin.mu.Unlock()
 			continue
 		}
 		next, res, err := cur.Mutate(ctx, ops)
 		if err != nil {
-			mu.Unlock()
+			lin.mu.Unlock()
 			return nil, err
 		}
 		e.mu.Lock()
@@ -317,7 +315,7 @@ func (e *Explorer) MutateThen(ctx context.Context, dataset string, ops []Mutatio
 			}
 		}
 		e.mu.Unlock()
-		mu.Unlock()
+		lin.mu.Unlock()
 		switch {
 		case stale:
 			continue

@@ -223,7 +223,7 @@ func TestMutateNeverPublishesOverRemovedOrReplacedDataset(t *testing.T) {
 	op := []Mutation{{Op: OpAddEdge, U: 5, V: 9}}
 	t.Run("delete", func(t *testing.T) {
 		e, ds := figure5Explorer(t)
-		ctx := &deriveWindowCtx{Context: context.Background(), lineage: ds.mutMu,
+		ctx := &deriveWindowCtx{Context: context.Background(), lineage: &ds.lin.mu,
 			inDerive: func() { e.RemoveDataset("fig5") }}
 		var commits int
 		_, err := e.MutateThen(ctx, "fig5", op, func(*MutationResult) error { commits++; return nil })
@@ -240,7 +240,7 @@ func TestMutateNeverPublishesOverRemovedOrReplacedDataset(t *testing.T) {
 	t.Run("reupload", func(t *testing.T) {
 		e, ds := figure5Explorer(t)
 		var fresh *Dataset
-		ctx := &deriveWindowCtx{Context: context.Background(), lineage: ds.mutMu, inDerive: func() {
+		ctx := &deriveWindowCtx{Context: context.Background(), lineage: &ds.lin.mu, inDerive: func() {
 			var err error
 			if fresh, err = e.AddGraph("fig5", gen.Figure5()); err != nil {
 				t.Error(err)
@@ -255,7 +255,7 @@ func TestMutateNeverPublishesOverRemovedOrReplacedDataset(t *testing.T) {
 			t.Fatal(err)
 		}
 		cur, _ := e.Dataset("fig5")
-		if fresh == nil || cur.mutMu != fresh.mutMu {
+		if fresh == nil || cur.lin != fresh.lin {
 			t.Fatal("the registered dataset is not the re-uploaded lineage")
 		}
 		if res.Version != 1 || cur.Version != 1 || len(committed) != 1 || committed[0] != 1 {

@@ -3,7 +3,6 @@ package api
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"cexplorer/internal/snapshot"
@@ -128,7 +127,7 @@ func datasetFromSnapshot(name string, s *snapshot.Snapshot, elapsed time.Duratio
 		Name:    name,
 		Graph:   s.Graph,
 		Version: s.Version,
-		mutMu:   &sync.Mutex{},
+		lin:     newLineage(),
 		Info: DatasetInfo{
 			Source:        "snapshot",
 			LoadDuration:  elapsed,
@@ -157,25 +156,9 @@ func datasetFromSnapshot(name string, s *snapshot.Snapshot, elapsed time.Duratio
 // Unlike AddGraph it does not re-run Validate: snapshot integrity is the
 // checksum's job, and re-validating would forfeit the warm-start win.
 func (e *Explorer) AddDataset(ds *Dataset) error {
-	if ds == nil || ds.Name == "" {
-		return fmt.Errorf("add dataset: missing dataset or name")
+	if ds == nil || ds.Name == "" || ds.Graph == nil || ds.lin == nil {
+		return fmt.Errorf("add dataset: unnamed, or not made by NewDataset, OpenSnapshot or Mutate")
 	}
-	if ds.Graph == nil {
-		return fmt.Errorf("add dataset %q: nil graph", ds.Name)
-	}
-	if ds.mutMu == nil {
-		ds.mutMu = &sync.Mutex{}
-	}
-	e.mu.Lock()
-	e.datasets[ds.Name] = ds
-	c := e.cache
-	e.mu.Unlock()
-	if c != nil && ds.Version == 0 {
-		// Same rule as AddGraph: a name re-registered at Version 0 must not
-		// inherit cache entries from the graph it replaced. Successor
-		// versions (Explorer.Mutate republishing a lineage) keep the cache —
-		// their keys are version-disambiguated already.
-		c.Purge(ds.Name)
-	}
-	return nil
+	_, err := e.Replace(ds.Name, ds, nil)
+	return err
 }

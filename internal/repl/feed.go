@@ -26,17 +26,17 @@ type FeedOptions struct {
 
 // Feed is the primary-side replication buffer: per dataset, a bounded ring
 // of pre-encoded journal frames covering sequences (base, head], plus the
-// epoch that scopes them. Each write publishes itself at its commit point
-// (api.Explorer.MutateThen), so frames for one dataset arrive in strict
-// version order; Ship serves them to replicas with long-poll support.
+// epoch that scopes them. Every write reaches it at its commit point (a
+// batch publishes its frame, in version order; an upload or delete resets
+// the dataset), and Ship serves the frames to replicas with long-poll support.
 type Feed struct {
 	lookup     func(name string) (version uint64, ok bool)
 	maxRecords int
 	maxBytes   int64
 
-	// epochSalt makes epochs unique across process boots: a replica that
-	// tails a restarted primary must fence, because the in-memory buffer
-	// it was promised is gone.
+	// epochSalt makes each epoch unique across process boots: a replica
+	// that tails a restarted primary must fence, because the in-memory
+	// buffer it was promised is gone.
 	epochSalt  uint64
 	epochCount atomic.Uint64
 
@@ -148,17 +148,21 @@ func (f *Feed) Publish(name string, version uint64, ops []snapshot.JournalOp) bo
 	return true
 }
 
-// Reset discards a dataset's buffer and epoch — call when the lineage is
-// replaced wholesale (re-upload). Parked long-pollers wake and fence; the
-// next touch lazily re-seeds a state with a fresh epoch.
-func (f *Feed) Reset(name string) {
+// Reset discards a dataset's buffer and epoch before its lineage is
+// replaced or deleted: parked long-pollers fence, the next touch re-seeds a
+// fresh epoch. After Drain it returns false and changes nothing, like Publish.
+func (f *Feed) Reset(name string) bool {
 	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.draining {
+		return false
+	}
 	f.resets++
 	if st := f.states[name]; st != nil {
 		close(st.notify)
 		delete(f.states, name)
 	}
-	f.mu.Unlock()
+	return true
 }
 
 // Epoch returns the dataset's current epoch, lazily seeding feed state at
@@ -175,8 +179,9 @@ func (f *Feed) Epoch(name string) (epoch uint64, ok bool) {
 
 // lockState returns the dataset's state with f.mu held, seeding it at the
 // current version on first touch; false (f.mu not held) when the dataset is
-// unknown. Writes publish under the Explorer's registry lock, so the lookup
-// runs outside f.mu; a Reset meanwhile voids it.
+// unknown. Writes commit under the Explorer's registry lock, so the lookup
+// runs outside f.mu; a Reset meanwhile voids it (it may have read the
+// lineage being replaced).
 func (f *Feed) lockState(name string) (*feedState, bool) {
 	f.mu.Lock()
 	for f.states[name] == nil {

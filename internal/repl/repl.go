@@ -94,7 +94,7 @@
 //     candidate independently re-verifies it is the most caught up among
 //     the reachable peers (409 not_caught_up sends the router to the next
 //     candidate), stops its tailer, opens its own journal Feed — with
-//     fresh, boot-salted snapshot epochs no old cursor can match — and
+//     a fresh, boot-salted snapshot epoch no old cursor can match — and
 //     flips to accepting writes. A restarted router needs no memory of
 //     past elections: it adopts the highest-epoch node claiming primacy,
 //     and never stamps writes with an epoch a replica reports.
@@ -153,7 +153,7 @@ const (
 	// actually answered.
 	HeaderServedBy = "X-CExplorer-Served-By"
 	// HeaderFleetEpoch stamps a routed write with the router's fleet epoch
-	// (the promotion counter, distinct from per-dataset snapshot epochs).
+	// (the promotion counter, distinct from each dataset's snapshot epoch).
 	// A node whose own fleet epoch differs answers 409 epoch_fenced
 	// without applying: the split-brain guard that keeps a stale primary
 	// from acknowledging writes after a promotion.

@@ -412,6 +412,8 @@ func (r *Replica) unclaim(name string) {
 }
 
 // bootstrap fetches the primary's snapshot and (re)registers the dataset.
+// The snapshot opens as a new lineage, so no result cached for the dataset
+// it replaces can be served for it.
 func (r *Replica) bootstrap(ctx context.Context, name string) error {
 	u := r.Primary() + "/api/v1/datasets/" + url.PathEscape(name) + "/snapshot"
 	resp, release, err := r.boundedGet(ctx, u, r.opt.HeaderTimeout)
@@ -434,12 +436,6 @@ func (r *Replica) bootstrap(ctx context.Context, name string) error {
 	ds, err := api.OpenSnapshot(name, resp.Body)
 	if err != nil {
 		return fmt.Errorf("snapshot decode: %w", err)
-	}
-	// A re-bootstrap may install a different lineage whose versions
-	// restart; cached results keyed under the old lineage's versions would
-	// collide, so purge first (the primary does the same on re-upload).
-	if c := r.exp.Cache(); c != nil {
-		c.Purge(name)
 	}
 	if err := r.exp.AddDataset(ds); err != nil {
 		return err

@@ -5,10 +5,10 @@
 // Searches are pure functions of (dataset version, query): the same query
 // against the same immutable dataset version always yields the same
 // communities. That purity is what makes result caching sound without any
-// invalidation protocol — the cache key embeds the dataset's Version
-// counter, so a mutation (which publishes a successor version) makes every
-// cached entry for the old version unreachable *by construction*. Stale
-// entries are never served; they simply age out of the LRU.
+// invalidation protocol — the key embeds the dataset's lineage (new on every
+// re-upload) and Version, so a mutation or re-upload makes every entry and
+// in-flight computation of the old version unreachable *by construction*,
+// however late it fills. Stale entries are never served; they age out.
 //
 // Three mechanisms share one lookup path (Do):
 //
@@ -114,13 +114,7 @@ type DatasetStats struct {
 
 type key struct {
 	dataset string
-	// epoch is the dataset's purge generation (bumped by Purge). Embedding
-	// it in the key means a computation started before a purge can neither
-	// be joined by post-purge callers nor fill an entry they can reach: a
-	// re-registered dataset restarts its Version counter, so without the
-	// epoch a late fill from the old lineage could shadow the new graph's
-	// results under a colliding (name, 0, query) key.
-	epoch   uint64
+	lineage uint64 // the caller's id for one history of the name
 	version uint64
 	query   string
 }
@@ -155,9 +149,6 @@ type Cache struct {
 	inflight map[key]*call
 	// computing counts in-flight leaders per dataset (admission control).
 	computing map[string]int
-	// epochs is each dataset's purge generation; lookups key on it so
-	// purged lineages can never serve or fill reachable entries.
-	epochs map[string]uint64
 
 	hits, negHits, misses, coalesced atomic.Int64
 	computations, shedded, evictions atomic.Int64
@@ -179,25 +170,24 @@ func New(cfg Config) *Cache {
 		perDS:     make(map[string]DatasetStats),
 		inflight:  make(map[key]*call),
 		computing: make(map[string]int),
-		epochs:    make(map[string]uint64),
 	}
 }
 
-// Do returns the cached result for (dataset, version, query), or computes
-// it. Exactly one computation runs per missing key at a time: concurrent
-// callers coalesce onto the leader and share its result. compute reports
-// the value, its approximate byte size, and an error; a nil error always
-// caches, an error caches only if cfg.Cacheable says so, and a transient
-// error (cfg.Transient) is returned to the leader alone while followers
-// retry. When the dataset already has cfg.MaxInflight computations running,
-// Do fails fast with ErrOverloaded instead of queueing.
+// Do returns the cached result for (dataset, lineage, version, query), or
+// computes it. Exactly one computation runs per missing key at a time:
+// concurrent callers coalesce onto the leader and share its result. compute
+// reports the value, its approximate byte size, and an error; a nil error
+// always caches, an error caches only if cfg.Cacheable says so, and a
+// transient error (cfg.Transient) is returned to the leader alone while
+// followers retry. When the dataset already has cfg.MaxInflight
+// computations running, Do fails fast with ErrOverloaded instead of queueing.
 //
 // The returned value is shared across callers and with the cache itself:
 // treat it as immutable.
-func (c *Cache) Do(ctx context.Context, dataset string, version uint64, query string, compute func(context.Context) (any, int64, error)) (any, error) {
+func (c *Cache) Do(ctx context.Context, dataset string, lineage, version uint64, query string, compute func(context.Context) (any, int64, error)) (any, error) {
+	k := key{dataset, lineage, version, query}
 	for {
 		c.mu.Lock()
-		k := key{dataset, c.epochs[dataset], version, query}
 		if el, ok := c.entries[k]; ok {
 			c.lru.MoveToFront(el)
 			e := el.Value.(*entry)
@@ -266,9 +256,7 @@ func (c *Cache) lead(ctx context.Context, k key, cl *call, compute func(context.
 		if c.computing[k.dataset]--; c.computing[k.dataset] <= 0 {
 			delete(c.computing, k.dataset)
 		}
-		// A purge while we computed bumped the epoch: the result belongs to
-		// the dead lineage and must not be stored.
-		if cacheable && k.epoch == c.epochs[k.dataset] {
+		if cacheable {
 			c.addLocked(k, cl.val, cl.err, bytes)
 		}
 		c.mu.Unlock()
@@ -285,9 +273,9 @@ func (c *Cache) lead(ctx context.Context, k key, cl *call, compute func(context.
 
 // Get reports a cached value without computing (test and introspection
 // hook). It counts as a hit/negative hit when present.
-func (c *Cache) Get(dataset string, version uint64, query string) (any, error, bool) {
+func (c *Cache) Get(dataset string, lineage, version uint64, query string) (any, error, bool) {
 	c.mu.Lock()
-	k := key{dataset, c.epochs[dataset], version, query}
+	k := key{dataset, lineage, version, query}
 	el, ok := c.entries[k]
 	if !ok {
 		c.mu.Unlock()
@@ -349,18 +337,13 @@ func (c *Cache) removeLocked(el *list.Element) {
 	}
 }
 
-// Purge drops every cached entry for a dataset, all versions, and bumps the
-// dataset's epoch. Required when a dataset name is re-registered from
-// scratch (re-upload): the new lineage restarts its Version counter at
-// zero, so without a purge an old entry keyed (name, 0, q) could shadow
-// results from the new graph. The epoch bump extends the guarantee to
-// computations still in flight at purge time — their late fills land under
-// the old epoch's keys (never stored, see lead) and post-purge callers
-// cannot coalesce onto them.
+// Purge drops every cached entry for a dataset, all lineages and versions,
+// and reports how many. It only releases memory early — entries of a
+// replaced lineage are already unreachable by key — so a computation in
+// flight at purge time may still fill its (equally unreachable) entry.
 func (c *Cache) Purge(dataset string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.epochs[dataset]++
 	var next *list.Element
 	n := 0
 	for el := c.lru.Front(); el != nil; el = next {

@@ -31,21 +31,21 @@ func TestHitMissAndVersionKeying(t *testing.T) {
 		calls++
 		return fmt.Sprintf("result-%d", calls), 8, nil
 	}
-	v1, err := c.Do(ctx, "ds", 0, "q", compute)
+	v1, err := c.Do(ctx, "ds", 1, 0, "q", compute)
 	if err != nil || v1 != "result-1" {
 		t.Fatalf("first Do = %v, %v", v1, err)
 	}
-	v2, err := c.Do(ctx, "ds", 0, "q", compute)
+	v2, err := c.Do(ctx, "ds", 1, 0, "q", compute)
 	if err != nil || v2 != "result-1" {
 		t.Fatalf("second Do = %v, %v (want cached result-1)", v2, err)
 	}
 	// A version bump makes the old entry unreachable: fresh computation.
-	v3, err := c.Do(ctx, "ds", 1, "q", compute)
+	v3, err := c.Do(ctx, "ds", 1, 1, "q", compute)
 	if err != nil || v3 != "result-2" {
 		t.Fatalf("post-mutation Do = %v, %v (want result-2)", v3, err)
 	}
 	// ...and the old version's entry still answers if asked for explicitly.
-	if v, _, ok := c.Get("ds", 0, "q"); !ok || v != "result-1" {
+	if v, _, ok := c.Get("ds", 1, 0, "q"); !ok || v != "result-1" {
 		t.Fatalf("Get(v0) = %v, %v", v, ok)
 	}
 	st := c.Stats()
@@ -66,7 +66,7 @@ func TestNegativeCaching(t *testing.T) {
 		return nil, 0, fmt.Errorf("%w: vertex 99", errNotFound)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := c.Do(ctx, "ds", 0, "bad", compute); !errors.Is(err, errNotFound) {
+		if _, err := c.Do(ctx, "ds", 1, 0, "bad", compute); !errors.Is(err, errNotFound) {
 			t.Fatalf("Do #%d: err = %v", i, err)
 		}
 	}
@@ -87,7 +87,7 @@ func TestUncacheableErrorNotCached(t *testing.T) {
 		return nil, 0, errFlaky // neither cacheable nor transient
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := c.Do(ctx, "ds", 0, "q", compute); !errors.Is(err, errFlaky) {
+		if _, err := c.Do(ctx, "ds", 1, 0, "q", compute); !errors.Is(err, errFlaky) {
 			t.Fatalf("err = %v", err)
 		}
 	}
@@ -115,14 +115,14 @@ func TestSingleflightCoalescing(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		results[0], errs[0] = c.Do(ctx, "ds", 3, "hot", compute)
+		results[0], errs[0] = c.Do(ctx, "ds", 1, 3, "hot", compute)
 	}()
 	<-started // leader is computing; everyone else must coalesce
 	for i := 1; i < herd; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = c.Do(ctx, "ds", 3, "hot", func(context.Context) (any, int64, error) {
+			results[i], errs[i] = c.Do(ctx, "ds", 1, 3, "hot", func(context.Context) (any, int64, error) {
 				computations.Add(1)
 				return "should-not-run", 8, nil
 			})
@@ -151,7 +151,7 @@ func TestTransientLeaderDoesNotPoisonFollowers(t *testing.T) {
 	started := make(chan struct{})
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, err := c.Do(leaderCtx, "ds", 0, "q", func(ctx context.Context) (any, int64, error) {
+		_, err := c.Do(leaderCtx, "ds", 1, 0, "q", func(ctx context.Context) (any, int64, error) {
 			close(started)
 			<-ctx.Done()
 			return nil, 0, ctx.Err()
@@ -164,7 +164,7 @@ func TestTransientLeaderDoesNotPoisonFollowers(t *testing.T) {
 	var followerErr error
 	go func() {
 		defer close(followerDone)
-		followerVal, followerErr = c.Do(context.Background(), "ds", 0, "q",
+		followerVal, followerErr = c.Do(context.Background(), "ds", 1, 0, "q",
 			func(context.Context) (any, int64, error) { return "recomputed", 8, nil })
 	}()
 	time.Sleep(10 * time.Millisecond) // let the follower join the in-flight call
@@ -177,10 +177,10 @@ func TestTransientLeaderDoesNotPoisonFollowers(t *testing.T) {
 		t.Fatalf("follower = %v, %v (want retry success)", followerVal, followerErr)
 	}
 	// The canceled result must not have been cached.
-	if _, _, ok := c.Get("ds", 0, "never"); ok {
+	if _, _, ok := c.Get("ds", 1, 0, "never"); ok {
 		t.Fatal("unexpected entry")
 	}
-	if v, err, ok := c.Get("ds", 0, "q"); !ok || err != nil || v != "recomputed" {
+	if v, err, ok := c.Get("ds", 1, 0, "q"); !ok || err != nil || v != "recomputed" {
 		t.Fatalf("cached = %v, %v, %v (want follower's recomputed value)", v, err, ok)
 	}
 }
@@ -189,7 +189,7 @@ func TestCanceledFollowerReturnsPromptly(t *testing.T) {
 	c := newTest(Config{})
 	started := make(chan struct{})
 	release := make(chan struct{})
-	go c.Do(context.Background(), "ds", 0, "slow", func(context.Context) (any, int64, error) {
+	go c.Do(context.Background(), "ds", 1, 0, "slow", func(context.Context) (any, int64, error) {
 		close(started)
 		<-release
 		return "late", 8, nil
@@ -197,7 +197,7 @@ func TestCanceledFollowerReturnsPromptly(t *testing.T) {
 	<-started
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := c.Do(ctx, "ds", 0, "slow", nil)
+	_, err := c.Do(ctx, "ds", 1, 0, "slow", nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -212,7 +212,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 	started.Add(2)
 	for i := 0; i < 2; i++ {
 		q := fmt.Sprintf("q%d", i)
-		go c.Do(ctx, "ds", 0, q, func(context.Context) (any, int64, error) {
+		go c.Do(ctx, "ds", 1, 0, q, func(context.Context) (any, int64, error) {
 			started.Done()
 			<-release
 			return "v", 8, nil
@@ -220,14 +220,14 @@ func TestAdmissionControlSheds(t *testing.T) {
 	}
 	started.Wait()
 	// Third distinct query on the same dataset: over the bound, shed.
-	_, err := c.Do(ctx, "ds", 0, "q2", func(context.Context) (any, int64, error) {
+	_, err := c.Do(ctx, "ds", 1, 0, "q2", func(context.Context) (any, int64, error) {
 		return "v", 8, nil
 	})
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
 	// A different dataset is not affected: the bound is per dataset.
-	if _, err := c.Do(ctx, "other", 0, "q", func(context.Context) (any, int64, error) {
+	if _, err := c.Do(ctx, "other", 1, 0, "q", func(context.Context) (any, int64, error) {
 		return "v", 8, nil
 	}); err != nil {
 		t.Fatalf("other dataset shed: %v", err)
@@ -236,7 +236,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 	joined := make(chan struct{})
 	go func() {
 		defer close(joined)
-		if v, err := c.Do(ctx, "ds", 0, "q0", nil); err != nil || v != "v" {
+		if v, err := c.Do(ctx, "ds", 1, 0, "q0", nil); err != nil || v != "v" {
 			t.Errorf("follower = %v, %v", v, err)
 		}
 	}()
@@ -247,7 +247,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 		t.Fatalf("shedded = %d, want 1", st.Shedded)
 	}
 	// With the computations drained, the dataset admits work again.
-	if _, err := c.Do(ctx, "ds", 0, "q3", func(context.Context) (any, int64, error) {
+	if _, err := c.Do(ctx, "ds", 1, 0, "q3", func(context.Context) (any, int64, error) {
 		return "v", 8, nil
 	}); err != nil {
 		t.Fatalf("post-drain Do: %v", err)
@@ -257,17 +257,19 @@ func TestAdmissionControlSheds(t *testing.T) {
 func TestLRUEvictionByEntries(t *testing.T) {
 	c := newTest(Config{MaxEntries: 3})
 	ctx := context.Background()
-	mk := func(q string) { c.Do(ctx, "ds", 0, q, func(context.Context) (any, int64, error) { return q, 8, nil }) }
+	mk := func(q string) {
+		c.Do(ctx, "ds", 1, 0, q, func(context.Context) (any, int64, error) { return q, 8, nil })
+	}
 	mk("a")
 	mk("b")
 	mk("c")
-	c.Get("ds", 0, "a") // refresh a; b is now LRU
-	mk("d")             // evicts b
-	if _, _, ok := c.Get("ds", 0, "b"); ok {
+	c.Get("ds", 1, 0, "a") // refresh a; b is now LRU
+	mk("d")                // evicts b
+	if _, _, ok := c.Get("ds", 1, 0, "b"); ok {
 		t.Fatal("b should have been evicted")
 	}
 	for _, q := range []string{"a", "c", "d"} {
-		if _, _, ok := c.Get("ds", 0, q); !ok {
+		if _, _, ok := c.Get("ds", 1, 0, q); !ok {
 			t.Fatalf("%s missing", q)
 		}
 	}
@@ -281,7 +283,7 @@ func TestLRUEvictionByBytes(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
 		q := fmt.Sprintf("q%d", i)
-		c.Do(ctx, "ds", 0, q, func(context.Context) (any, int64, error) { return q, 700, nil })
+		c.Do(ctx, "ds", 1, 0, q, func(context.Context) (any, int64, error) { return q, 700, nil })
 	}
 	st := c.Stats()
 	if st.Bytes > 3*1024 {
@@ -291,8 +293,8 @@ func TestLRUEvictionByBytes(t *testing.T) {
 		t.Fatal("expected byte-cap evictions")
 	}
 	// An entry bigger than the whole cache is refused, not force-fitted.
-	c.Do(ctx, "ds", 0, "huge", func(context.Context) (any, int64, error) { return "big", 1 << 20, nil })
-	if _, _, ok := c.Get("ds", 0, "huge"); ok {
+	c.Do(ctx, "ds", 1, 0, "huge", func(context.Context) (any, int64, error) { return "big", 1 << 20, nil })
+	if _, _, ok := c.Get("ds", 1, 0, "huge"); ok {
 		t.Fatal("oversized entry should not be cached")
 	}
 }
@@ -302,8 +304,8 @@ func TestPurgeDataset(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 4; i++ {
 		q := fmt.Sprintf("q%d", i)
-		c.Do(ctx, "a", uint64(i), q, func(context.Context) (any, int64, error) { return q, 8, nil })
-		c.Do(ctx, "b", 0, q, func(context.Context) (any, int64, error) { return q, 8, nil })
+		c.Do(ctx, "a", 1, uint64(i), q, func(context.Context) (any, int64, error) { return q, 8, nil })
+		c.Do(ctx, "b", 1, 0, q, func(context.Context) (any, int64, error) { return q, 8, nil })
 	}
 	if ds := c.DatasetStats("a"); ds.Entries != 4 || ds.Bytes == 0 {
 		t.Fatalf("dataset a stats = %+v", ds)
@@ -341,7 +343,7 @@ func TestComputePanicReleasesCall(t *testing.T) {
 				t.Error("panic did not propagate to the leader")
 			}
 		}()
-		c.Do(ctx, "ds", 0, "q", func(context.Context) (any, int64, error) {
+		c.Do(ctx, "ds", 1, 0, "q", func(context.Context) (any, int64, error) {
 			close(started)
 			<-release
 			panic("kernel bug")
@@ -353,7 +355,7 @@ func TestComputePanicReleasesCall(t *testing.T) {
 	followerDone := make(chan struct{})
 	go func() {
 		defer close(followerDone)
-		v, err := c.Do(ctx, "ds", 0, "q", func(context.Context) (any, int64, error) {
+		v, err := c.Do(ctx, "ds", 1, 0, "q", func(context.Context) (any, int64, error) {
 			return "recovered", 8, nil
 		})
 		if err != nil || v != "recovered" {
@@ -377,7 +379,7 @@ func TestComputePanicReleasesCall(t *testing.T) {
 		t.Fatal("follower never unblocked after the leader panicked")
 	}
 	// The admission slot must be free again: a fresh leader computes.
-	v, err := c.Do(ctx, "ds", 0, "q2", func(context.Context) (any, int64, error) {
+	v, err := c.Do(ctx, "ds", 1, 0, "q2", func(context.Context) (any, int64, error) {
 		return "alive", 8, nil
 	})
 	if err != nil || v != "alive" {
@@ -385,11 +387,11 @@ func TestComputePanicReleasesCall(t *testing.T) {
 	}
 }
 
-// TestPurgeFencesInflightFills: a computation in flight when Purge runs
-// belongs to the purged lineage. Its late fill must not be stored under a
-// key the re-registered dataset (whose Version counter restarts at 0) can
-// reach, and post-purge callers must not coalesce onto it.
-func TestPurgeFencesInflightFills(t *testing.T) {
+// TestLineagesNeverShareEntries: a re-registered dataset starts a new
+// lineage whose Version counter restarts at 0. A lookup on the new lineage
+// must neither join the old lineage's in-flight computation nor, once that
+// computation fills late, read its entry. No purge is involved.
+func TestLineagesNeverShareEntries(t *testing.T) {
 	c := newTest(Config{})
 	ctx := context.Background()
 	started := make(chan struct{})
@@ -397,24 +399,23 @@ func TestPurgeFencesInflightFills(t *testing.T) {
 	oldDone := make(chan struct{})
 	go func() {
 		defer close(oldDone)
-		v, err := c.Do(ctx, "ds", 0, "q", func(context.Context) (any, int64, error) {
+		v, err := c.Do(ctx, "ds", 1, 0, "q", func(context.Context) (any, int64, error) {
 			close(started)
 			<-release
 			return "old-lineage", 8, nil
 		})
-		// The leader itself still gets its own (stale-lineage) answer.
+		// The leader itself still gets its own (old-lineage) answer.
 		if err != nil || v != "old-lineage" {
 			t.Errorf("old leader: %v, %v", v, err)
 		}
 	}()
 	<-started
-	c.Purge("ds") // re-upload of "ds": new lineage, Version restarts at 0
 
-	// A post-purge request for the same (version, query) must not join the
-	// stale in-flight call; it computes against the new lineage.
+	// A request for the same (name, version, query) on the new lineage must
+	// not join the old lineage's in-flight call.
 	newDone := make(chan any, 1)
 	go func() {
-		v, err := c.Do(ctx, "ds", 0, "q", func(context.Context) (any, int64, error) {
+		v, err := c.Do(ctx, "ds", 2, 0, "q", func(context.Context) (any, int64, error) {
 			return "new-lineage", 8, nil
 		})
 		if err != nil {
@@ -425,17 +426,20 @@ func TestPurgeFencesInflightFills(t *testing.T) {
 	select {
 	case v := <-newDone:
 		if v != "new-lineage" {
-			t.Fatalf("post-purge Do = %v, want new-lineage", v)
+			t.Fatalf("new-lineage Do = %v, want new-lineage", v)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("post-purge Do coalesced onto the purged lineage's call")
+		t.Fatal("new-lineage Do coalesced onto the old lineage's call")
 	}
 
 	close(release)
 	<-oldDone
-	// The stale fill must be unreachable: lookups see the new lineage only.
-	if v, _, ok := c.Get("ds", 0, "q"); !ok || v != "new-lineage" {
-		t.Fatalf("Get after late fill = %v, %v (stale fill stored?)", v, ok)
+	// The late fill is stored under its own lineage only.
+	if v, _, ok := c.Get("ds", 2, 0, "q"); !ok || v != "new-lineage" {
+		t.Fatalf("new-lineage Get after late fill = %v, %v", v, ok)
+	}
+	if v, _, ok := c.Get("ds", 1, 0, "q"); !ok || v != "old-lineage" {
+		t.Fatalf("old-lineage Get = %v, %v", v, ok)
 	}
 }
 
@@ -449,7 +453,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				q := fmt.Sprintf("q%d", i%10)
-				v, err := c.Do(ctx, "ds", uint64(i%3), q, func(context.Context) (any, int64, error) {
+				v, err := c.Do(ctx, "ds", 1, uint64(i%3), q, func(context.Context) (any, int64, error) {
 					return q, 32, nil
 				})
 				if err != nil && !errors.Is(err, ErrOverloaded) {

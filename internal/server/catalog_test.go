@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"os"
@@ -177,5 +178,46 @@ func TestSnapshotPathEscaping(t *testing.T) {
 		if err != nil || strings.Contains(rel, string(filepath.Separator)) || rel == ".." {
 			t.Fatalf("name %q maps to nested/parent path %q", name, p)
 		}
+	}
+}
+
+// TestDeleteCleanupSparesReupload: a delete removes the catalog files after
+// the registry entry, so an upload may register and persist the name in
+// between. The cleanup must then leave the new snapshot and journal alone,
+// or the upload's acknowledged persist would be lost at restart.
+func TestDeleteCleanupSparesReupload(t *testing.T) {
+	dir := t.TempDir()
+	s := New(api.NewExplorer(), t.Logf)
+	if err := s.SetDataDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	snap, journal := snapshotPath(dir, "fig5"), journalPath(dir, "fig5")
+	exists := func(path string) bool { _, err := os.Stat(path); return err == nil }
+
+	if _, err := s.exp.AddGraph("fig5", gen.Figure5()); err != nil {
+		t.Fatal(err)
+	}
+	if !s.exp.RemoveDataset("fig5") { // the delete's registry write
+		t.Fatal("fig5 was not registered")
+	}
+	ds, err := s.exp.AddGraph("fig5", gen.Figure5()) // the re-upload lands
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.PersistDataset(ds); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.applyMutations(context.Background(), "fig5", []api.Mutation{{Op: api.OpAddEdge, U: 5, V: 9}}); err != nil {
+		t.Fatal(err)
+	}
+	s.removeCatalogFiles("fig5") // the delete's cleanup runs late
+	if !exists(snap) || !exists(journal) {
+		t.Fatalf("cleanup removed the re-upload's files: snapshot %v, journal %v", exists(snap), exists(journal))
+	}
+
+	s.exp.RemoveDataset("fig5")
+	s.removeCatalogFiles("fig5")
+	if exists(snap) || exists(journal) {
+		t.Fatalf("delete left files behind: snapshot %v, journal %v", exists(snap), exists(journal))
 	}
 }

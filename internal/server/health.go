@@ -13,9 +13,9 @@ package server
 // node's own epoch is refused with 409 epoch_fenced, which makes every verb
 // idempotent and makes a partitioned router harmless (its stale epoch can
 // demote nobody). The same epoch fences data: writes the router forwards are
-// stamped with X-CExplorer-Fleet-Epoch, and writeGate refuses a mismatch
-// before anything is applied — the guarantee that a stale primary never
-// acknowledges a routed write.
+// stamped with X-CExplorer-Fleet-Epoch; writeGate refuses a mismatch, and a
+// write's commit point refuses it once the node is demoted, both before
+// anything is applied — so a stale primary never acknowledges a routed write.
 //
 // The node's role (name, epoch, feed, tailer) is one immutable nodeRole
 // value that only transition replaces, which gives three guarantees:
@@ -156,34 +156,34 @@ func (s *Server) StartFleetReplica(primaryURL string) {
 // FleetEpoch reports the node's promotion counter (0 = never fenced).
 func (s *Server) FleetEpoch() uint64 { return s.role.Load().epoch }
 
-// writeGate admits a write against one role snapshot. A request stamped
-// with a fleet epoch (the router stamps every routed write) is refused with
-// 409 epoch_fenced unless it matches the node's own epoch — the split-brain
-// guard; unstamped requests pass, as does everything on a node that has no
-// epoch yet. A replica then refuses every write with 403 read_only. It
-// returns the role the write was admitted under, or nil when it answered
-// the request itself.
-func (s *Server) writeGate(w http.ResponseWriter, r *http.Request) *nodeRole {
+// writeGate admits a write. A request stamped with a fleet epoch (the
+// router stamps every routed write) is refused with 409 epoch_fenced unless
+// it matches the node's own epoch — the split-brain guard; unstamped
+// requests pass, as does everything on a node that has no epoch yet. A
+// replica then refuses every write with 403 read_only. It reports false
+// when it answered the request; an admitted write meets the role again at
+// its commit point (see commit).
+func (s *Server) writeGate(w http.ResponseWriter, r *http.Request) bool {
 	rs := s.role.Load()
 	if hdr := r.Header.Get(repl.HeaderFleetEpoch); hdr != "" {
 		stamped, err := strconv.ParseUint(hdr, 10, 64)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "bad %s header: %v", repl.HeaderFleetEpoch, err)
-			return nil
+			return false
 		}
 		if rs.epoch != 0 && stamped != rs.epoch {
 			writeEnvelope(w, http.StatusConflict,
 				"write stamped with fleet epoch "+hdr+" but node is at "+strconv.FormatUint(rs.epoch, 10)+
 					": topology changed, retry through the router", repl.CodeEpochFenced)
-			return nil
+			return false
 		}
 	}
 	if rs.src != nil {
 		writeEnvelope(w, http.StatusForbidden,
 			"replica is read-only: send writes to the primary (or through the router)", repl.CodeReadOnly)
-		return nil
+		return false
 	}
-	return rs
+	return true
 }
 
 // position is one dataset's replication position under rs: the single

@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -653,6 +654,135 @@ func TestWriteAdmittedBeforeDemotionIsNeverAckedUnshipped(t *testing.T) {
 			}
 		}
 		t.Logf("%d of 50 racing writes acknowledged and shipped, the rest refused", acked)
+	})
+}
+
+// firstRead runs hook, once, on the first Read of the body it wraps.
+type firstRead struct {
+	io.Reader
+	hook func()
+}
+
+func (b *firstRead) Read(p []byte) (int, error) {
+	if h := b.hook; h != nil {
+		b.hook = nil
+		h()
+	}
+	return b.Reader.Read(p)
+}
+
+// TestUploadOrDeleteAdmittedBeforeDemotionIsRefused: an upload or delete
+// that passed writeGate on a primary either lands with the dataset's feed
+// reset while the node was still a primary, or is refused with 503
+// no_primary and leaves the dataset and the feed as they were, whatever
+// demotion or Shutdown lands between its admission and its commit.
+func TestUploadOrDeleteAdmittedBeforeDemotionIsRefused(t *testing.T) {
+	upload := `{"vertices":[{"id":0,"name":"a","keywords":["x"]},{"id":1,"name":"b","keywords":["x"]}],"edges":[[0,1]]}`
+	// primary returns a primary node whose feed already holds fig5's state.
+	primary := func(t *testing.T) (*Server, *httptest.Server, *repl.Feed) {
+		s, ts := fleetNode(t, &tailerGate{})
+		feed := s.EnableReplicationPrimary(repl.FeedOptions{})
+		if _, ok := feed.Epoch("fig5"); !ok {
+			t.Fatal("feed does not know fig5")
+		}
+		return s, ts, feed
+	}
+	demote := func(t *testing.T, ts *httptest.Server) {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/api/v1/demote",
+			jsonBody(t, map[string]any{"epoch": 2, "primary": "http://p2"}))
+		ts.Config.Handler.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Errorf("demote: status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	put := func(ts *httptest.Server, body io.Reader) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		ts.Config.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/api/v1/datasets/fig5", body))
+		return rec
+	}
+	// unchanged checks that the answer was 503 no_primary and that neither
+	// the dataset nor the feed moved.
+	unchanged := func(t *testing.T, s *Server, feed *repl.Feed, ds *api.Dataset, st repl.FeedStatus, rec *httptest.ResponseRecorder) {
+		t.Helper()
+		var env struct {
+			Code string `json:"code"`
+		}
+		json.NewDecoder(rec.Body).Decode(&env)
+		if rec.Code != http.StatusServiceUnavailable || env.Code != repl.CodeNoPrimary {
+			t.Fatalf("write answered %d %q, want 503 no_primary", rec.Code, env.Code)
+		}
+		if cur, ok := s.exp.Dataset("fig5"); !ok || cur != ds {
+			t.Fatalf("refused write changed the dataset (registered %v)", ok)
+		}
+		if now, ok := feed.Status("fig5"); !ok || now != st {
+			t.Fatalf("refused write moved the feed: %+v (present %v), was %+v", now, ok, st)
+		}
+	}
+	before := func(s *Server, feed *repl.Feed) (*api.Dataset, repl.FeedStatus) {
+		ds, _ := s.exp.Dataset("fig5")
+		st, _ := feed.Status("fig5")
+		return ds, st
+	}
+
+	t.Run("PUT demoted while reading its body", func(t *testing.T) {
+		s, ts, feed := primary(t)
+		ds, st := before(s, feed)
+		rec := put(ts, &firstRead{strings.NewReader(upload), func() { demote(t, ts) }})
+		unchanged(t, s, feed, ds, st, rec)
+	})
+	t.Run("DELETE committed after demotion", func(t *testing.T) {
+		s, ts, feed := primary(t)
+		ds, st := before(s, feed)
+		demote(t, ts)
+		removed, err := s.exp.Replace("fig5", nil, func() error { return s.commit("fig5", 0, nil) }) // the route's call
+		if removed {
+			t.Fatal("delete applied on a demoted node")
+		}
+		rec := httptest.NewRecorder()
+		s.writeError(rec, err)
+		unchanged(t, s, feed, ds, st, rec)
+	})
+	t.Run("PUT after Shutdown", func(t *testing.T) {
+		s, ts, feed := primary(t)
+		ds, st := before(s, feed)
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		unchanged(t, s, feed, ds, st, put(ts, strings.NewReader(upload)))
+	})
+	t.Run("PUT racing demote", func(t *testing.T) {
+		acked := 0
+		for range 50 {
+			s, ts, feed := primary(t)
+			ds, st := before(s, feed)
+			reading, start := make(chan struct{}), make(chan struct{})
+			var rec *httptest.ResponseRecorder
+			var wg sync.WaitGroup
+			wg.Add(2)
+			go func() {
+				defer wg.Done()
+				rec = put(ts, &firstRead{strings.NewReader(upload), func() { close(reading); <-start }})
+			}()
+			go func() { defer wg.Done(); <-start; demote(t, ts) }()
+			<-reading // admitted: the handler is past writeGate
+			close(start)
+			wg.Wait()
+			if rec.Code != http.StatusOK {
+				unchanged(t, s, feed, ds, st, rec)
+				continue
+			}
+			// Reset refuses after the demotion's Drain, so a landed upload
+			// reset the feed while the node was still a primary.
+			if cur, _ := s.exp.Dataset("fig5"); cur == ds || cur.Graph.N() != 2 {
+				t.Fatal("upload acknowledged but not registered")
+			}
+			if now, ok := feed.Status("fig5"); ok {
+				t.Fatalf("upload acknowledged without resetting the feed: %+v", now)
+			}
+			acked++
+		}
+		t.Logf("%d of 50 racing uploads acknowledged, the rest refused", acked)
 	})
 }
 

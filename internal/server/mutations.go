@@ -110,20 +110,30 @@ func (s *Server) applyMutations(ctx context.Context, name string, ops []api.Muta
 // errNoPrimary refuses a write at its commit point (503 no_primary).
 var errNoPrimary = errors.New("this node is not a primary (replica, demoted, or shut down): write refused, nothing applied")
 
-// mutate applies ops through their commit point, against the role then: a
-// replica refuses, a primary publishes to its feed, standalone accepts.
+// mutate applies ops through their commit point (see commit).
 func (s *Server) mutate(ctx context.Context, name string, ops []api.Mutation) (*api.MutationResult, error) {
 	return s.exp.MutateThen(ctx, name, ops, func(res *api.MutationResult) error {
-		rs := s.role.Load()
-		if rs.src != nil || rs.feed != nil && !rs.feed.Publish(name, res.Version, repl.ToJournalOps(ops)) {
-			return errNoPrimary
-		}
-		return nil
+		return s.commit(name, res.Version, ops)
 	})
 }
 
+// commit is every write's commit point, run under the Explorer's registry
+// lock against the role at that moment: a replica refuses; a primary
+// publishes a batch, or resets the feed for an upload or delete (nil ops),
+// and refuses when its feed does; standalone accepts. Refusal: errNoPrimary.
+func (s *Server) commit(name string, version uint64, ops []api.Mutation) error {
+	rs := s.role.Load()
+	switch {
+	case rs.src != nil: // a replica refuses
+	case rs.feed == nil, ops == nil && rs.feed.Reset(name),
+		ops != nil && rs.feed.Publish(name, version, repl.ToJournalOps(ops)):
+		return nil
+	}
+	return errNoPrimary
+}
+
 func (s *Server) v1Mutations(w http.ResponseWriter, r *http.Request) {
-	if s.writeGate(w, r) == nil {
+	if !s.writeGate(w, r) {
 		return
 	}
 	var body json.RawMessage

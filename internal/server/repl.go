@@ -58,7 +58,7 @@ func (s *Server) EnableReplicationPrimary(opt repl.FeedOptions) *repl.Feed {
 }
 
 // openFeed builds a journal feed over the explorer's datasets. Writes reach
-// it through their commit point (see mutate), never through the Explorer.
+// it through their commit point (see commit), never through the Explorer.
 func (s *Server) openFeed(opt repl.FeedOptions) *repl.Feed {
 	return repl.NewFeed(func(name string) (uint64, bool) {
 		ds, ok := s.exp.Dataset(name)

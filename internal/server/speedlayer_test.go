@@ -121,7 +121,7 @@ func TestV1OverloadedEnvelope(t *testing.T) {
 	release := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Do(context.Background(), "fig5", 999, "occupier", func(context.Context) (any, int64, error) {
+		_, err := c.Do(context.Background(), "fig5", 0, 999, "occupier", func(context.Context) (any, int64, error) {
 			close(started)
 			<-release
 			return "x", 1, nil

@@ -27,6 +27,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -79,22 +80,21 @@ func (s *Server) v1GetDataset(w http.ResponseWriter, r *http.Request) {
 
 // v1PutDataset uploads a graph under {name}, the body being the JSON graph
 // wire format itself, and replaces any dataset of that name wholesale.
-// Replicas refuse it like every write.
+// Replicas refuse it like every write, and so does a node demoted while the
+// body was read: the upload commits like a mutation (see commit).
 func (s *Server) v1PutDataset(w http.ResponseWriter, r *http.Request) {
-	rs := s.writeGate(w, r)
-	if rs == nil {
+	if !s.writeGate(w, r) {
 		return
 	}
-	ds, err := s.exp.Upload(r.PathValue("name"), r.Body)
+	name := r.PathValue("name")
+	ds, err := s.exp.Upload(name, r.Body, func() error { return s.commit(name, 0, nil) })
+	if errors.Is(err, errNoPrimary) {
+		s.writeError(w, err)
+		return
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "upload: %v", err)
 		return
-	}
-	if rs.feed != nil {
-		// A re-upload replaces the lineage wholesale: fence every shipping
-		// cursor so replicas re-bootstrap instead of applying the new
-		// lineage's records onto the old graph.
-		rs.feed.Reset(ds.Name)
 	}
 	resp := map[string]any{"name": ds.Name, "stats": ds.Graph.ComputeStats()}
 	// With a catalog configured, the upload persists before the response:
@@ -123,28 +123,37 @@ func (s *Server) v1PutDataset(w http.ResponseWriter, r *http.Request) {
 // ghost forever. Replicas refuse the call — dataset lifecycle is the
 // primary's to decide and replicate, never a per-node edit.
 func (s *Server) v1DeleteDataset(w http.ResponseWriter, r *http.Request) {
-	rs := s.writeGate(w, r)
-	if rs == nil {
+	if !s.writeGate(w, r) {
 		return
 	}
 	name := r.PathValue("name")
-	if !s.exp.RemoveDataset(name) {
-		s.writeError(w, fmt.Errorf("%w: %q", api.ErrDatasetNotFound, name))
+	removed, err := s.exp.Replace(name, nil, func() error { return s.commit(name, 0, nil) })
+	if err == nil && !removed {
+		err = fmt.Errorf("%w: %q", api.ErrDatasetNotFound, name)
+	}
+	if err != nil {
+		s.writeError(w, err)
 		return
 	}
-	if rs.feed != nil {
-		rs.feed.Reset(name)
-	}
-	if dir := s.DataDir(); dir != "" {
-		s.journalMu.Lock()
-		s.resetJournalLocked(name)
-		if err := os.Remove(snapshotPath(dir, name)); err != nil && !os.IsNotExist(err) {
-			s.logf("catalog: removing snapshot for %s: %v", name, err)
-		}
-		s.journalMu.Unlock()
-	}
+	s.removeCatalogFiles(name)
 	s.logf("dataset %s deleted", name)
 	writeJSON(w, map[string]any{"deleted": name})
+}
+
+// removeCatalogFiles deletes a dataset's snapshot and journal unless the
+// name is registered again: an upload that landed after the delete owns
+// them, and removing them would lose its acknowledged persist at restart.
+func (s *Server) removeCatalogFiles(name string) {
+	dir := s.DataDir()
+	s.journalMu.Lock()
+	defer s.journalMu.Unlock()
+	if _, ok := s.exp.Dataset(name); ok || dir == "" {
+		return
+	}
+	s.resetJournalLocked(name)
+	if err := os.Remove(snapshotPath(dir, name)); err != nil && !os.IsNotExist(err) {
+		s.logf("catalog: removing snapshot for %s: %v", name, err)
+	}
 }
 
 // v1GetVertex resolves the {id} path segment as a vertex id when numeric,

@@ -173,7 +173,8 @@
 // POST /api/v1/datasets/{name}/mutations) derives the successor — core
 // numbers maintained over a k-order with order-based insertion and a
 // removal cascade (internal/kcore), the CL-tree repaired locally
-// (internal/cltree), the truss invalidated to rebuild lazily. Publishing is
+// (internal/cltree), the truss decomposition maintained op by op over its
+// per-adjacency-slot store (internal/ktruss). Publishing is
 // one atomic swap: requests in flight keep
 // the exact version they resolved, exploration sessions stay pinned to the
 // version they were created on, and new requests see the successor. The

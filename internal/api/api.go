@@ -262,8 +262,9 @@ func (d *Dataset) CoreNumbers() []int32 {
 }
 
 // Truss returns the truss decomposition, computing it on first use if it
-// was not pre-seeded from a snapshot. The build parallelizes its support
-// counting across par.Workers() workers (the -index.workers knob).
+// was neither pre-seeded from a snapshot nor carried from the predecessor
+// by Mutate. The build parallelizes its support counting across
+// par.Workers() workers (the -index.workers knob).
 func (d *Dataset) Truss() *ktruss.Decomposition {
 	return d.truss.get(func() *ktruss.Decomposition { return ktruss.Decompose(d.Graph) }, &buildTotals.truss)
 }

@@ -160,12 +160,13 @@ func TestCloseWhilePinnedRace(t *testing.T) {
 
 // TestMutateDetachesFromMapping proves a mutation successor owns all of its
 // memory: after the mapped base is closed (and its pages gone), the
-// successor keeps answering, identically to a heap-built twin.
+// successor keeps answering, identically to a heap-built twin — including
+// the k-truss search over the truss it carried from the mapped base.
 func TestMutateDetachesFromMapping(t *testing.T) {
 	g := gen.Figure5()
 	mapped := openMmapDataset(t, NewDataset("g", g))
-	if !mapped.Indexes().CLTree {
-		t.Fatalf("mapped base holds no tree: %+v", mapped.Indexes())
+	if st := mapped.Indexes(); !st.CLTree || !st.Truss {
+		t.Fatalf("mapped base holds no tree or truss: %+v", st)
 	}
 	ops := []Mutation{
 		{Op: OpAddVertex, Name: "newcomer", Keywords: []string{"db"}},
@@ -183,6 +184,9 @@ func TestMutateDetachesFromMapping(t *testing.T) {
 	// base: the successor's tree stays lazy and rebuilds on the heap.
 	if res.TreeRepair != "lazy" || next.Indexes().CLTree {
 		t.Fatalf("borrowed base: treeRepair %q, successor indexes %+v; want lazy, no tree", res.TreeRepair, next.Indexes())
+	}
+	if !next.Indexes().Truss {
+		t.Fatalf("successor of a truss-resident mapped base carries no truss")
 	}
 	if next.Graph.Borrowed() {
 		t.Fatalf("successor graph still borrows the mapping")
@@ -226,8 +230,62 @@ func TestMutateDetachesFromMapping(t *testing.T) {
 	if _, err := exp.Display(context.Background(), "g", nc[0], layout.Options{}); err != nil {
 		t.Fatalf("display touching new vertex name: %v", err)
 	}
-	if next.Truss() == nil {
-		t.Fatalf("successor truss build failed")
+	// The carried truss survives the unmap: it equals a rebuild and answers
+	// k-truss searches exactly as the twin's lazily built one does.
+	checkCarriedTruss(t, next, "successor after base close")
+	for q := 0; q < next.Graph.N(); q++ {
+		for k := 2; k <= 4; k++ {
+			query := Query{Vertices: []int32{int32(q)}, K: k}
+			got, err := exp.Search(context.Background(), "g", "KTruss", query)
+			if err != nil {
+				t.Fatalf("ktruss q=%d k=%d: %v", q, k, err)
+			}
+			want, err := expTwin.Search(context.Background(), "g", "KTruss", query)
+			if err != nil {
+				t.Fatalf("twin ktruss q=%d k=%d: %v", q, k, err)
+			}
+			gotJSON, _ := json.Marshal(got)
+			wantJSON, _ := json.Marshal(want)
+			if !bytes.Equal(gotJSON, wantJSON) {
+				t.Fatalf("ktruss q=%d k=%d: successor diverges from heap twin:\n%s\n%s", q, k, gotJSON, wantJSON)
+			}
+		}
+	}
+}
+
+// TestMutateLeavesTrussLazyWithoutOne: a base holding no truss — heap-built
+// with only the core indexes, or mapped from a snapshot that carries none —
+// yields a successor with none, and Mutate builds none.
+func TestMutateLeavesTrussLazyWithoutOne(t *testing.T) {
+	heap := NewDataset("g", gen.GNMAttributed(200, 900, 8, 4))
+	heap.Tree()
+	heap.CoreNumbers()
+	path := filepath.Join(t.TempDir(), "resident.cxsnap")
+	if _, err := heap.WriteResidentSnapshotFile(path); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := OpenSnapshotFileMode("", path, snapshot.OpenAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	var u, v int32
+	heap.Graph.Edges(func(a, b int32) bool { u, v = a, b; return false })
+	for _, base := range []*Dataset{heap, mapped} {
+		if base.Indexes().Truss {
+			t.Fatalf("%q base holds a truss", base.Info.OpenMode)
+		}
+		built := BuildTotals().TrussMS
+		next, _, err := base.Mutate(context.Background(), []Mutation{{Op: OpRemoveEdge, U: u, V: v}, {Op: OpAddEdge, U: u, V: v}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next.Indexes().Truss || base.Indexes().Truss {
+			t.Fatalf("%q base: Mutate left a truss (base %v, successor %v)", base.Info.OpenMode, base.Indexes().Truss, next.Indexes().Truss)
+		}
+		if now := BuildTotals().TrussMS; now != built {
+			t.Fatalf("%q base: Mutate built a truss (totals %.2f -> %.2f ms)", base.Info.OpenMode, built, now)
+		}
 	}
 }
 

@@ -83,10 +83,11 @@ func TestBuildIndexesConcurrentWithSearches(t *testing.T) {
 }
 
 // TestSuccessorPaysOnlyForWhatItRebuilds: a fresh dataset reports zero
-// build cost; a mutation successor arrives with the tree and core carried
-// from its predecessor at zero cost, pays (per version and in the process
-// totals) only for the truss it rebuilds, and reads a resident index
-// without allocating.
+// build cost; a mutation successor of a fully indexed base arrives with the
+// tree, core numbers and truss all carried from its predecessor at zero
+// build cost, so it rebuilds nothing — per version or in the process totals
+// — and reads a resident index without allocating. A successor's lazily
+// built index still reports its own cost.
 func TestSuccessorPaysOnlyForWhatItRebuilds(t *testing.T) {
 	ds := NewDataset("d", gen.GNMAttributed(300, 1200, 8, 3))
 	if tm := ds.BuildTimings(); tm != (IndexTimings{}) {
@@ -95,25 +96,22 @@ func TestSuccessorPaysOnlyForWhatItRebuilds(t *testing.T) {
 	ds.BuildIndexes()
 	var eu, ev int32
 	ds.Graph.Edges(func(a, b int32) bool { eu, ev = a, b; return false })
+	before := BuildTotals()
 	next, _, err := ds.Mutate(context.Background(), []Mutation{{Op: OpRemoveEdge, U: eu, V: ev}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := next.Indexes(); st != (IndexStatus{CLTree: true, Core: true}) {
-		t.Fatalf("successor indexes %+v, want CLTree and Core carried, no Truss", st)
+	if st := next.Indexes(); st != (IndexStatus{CLTree: true, Core: true, Truss: true}) {
+		t.Fatalf("successor indexes %+v, want CLTree, Core and Truss carried", st)
 	}
+	next.Tree()
+	next.CoreNumbers()
+	next.Truss()
 	if tm := next.BuildTimings(); tm != (IndexTimings{}) {
 		t.Fatalf("successor reports build cost for carried indexes: %+v", tm)
 	}
-
-	before := BuildTotals()
-	next.Truss()
-	if tm := next.BuildTimings(); tm.TrussMS <= 0 || tm.CLTreeMS != 0 || tm.CoreMS != 0 {
-		t.Fatalf("successor timings after Truss(): %+v, want only TrussMS > 0", tm)
-	}
-	after := BuildTotals()
-	if after.TrussMS <= before.TrussMS || after.CLTreeMS != before.CLTreeMS || after.CoreMS != before.CoreMS {
-		t.Fatalf("build totals %+v -> %+v, want only TrussMS to grow", before, after)
+	if after := BuildTotals(); after != before {
+		t.Fatalf("build totals %+v -> %+v across a write and reads of carried indexes, want unchanged", before, after)
 	}
 
 	if n := testing.AllocsPerRun(100, func() {
@@ -122,6 +120,28 @@ func TestSuccessorPaysOnlyForWhatItRebuilds(t *testing.T) {
 		next.Truss()
 	}); n != 0 {
 		t.Fatalf("resident index reads allocate %.1f times per run, want 0", n)
+	}
+
+	// A base holding no truss leaves its successor's lazy: the successor
+	// pays, per version and in the totals, for that build alone.
+	bare := NewDataset("d", ds.Graph)
+	bare.Tree()
+	bare.CoreNumbers()
+	lazy, _, err := bare.Mutate(context.Background(), []Mutation{{Op: OpRemoveEdge, U: eu, V: ev}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := lazy.Indexes(); st != (IndexStatus{CLTree: true, Core: true}) {
+		t.Fatalf("successor of a truss-less base: indexes %+v, want CLTree and Core only", st)
+	}
+	before = BuildTotals()
+	lazy.Truss()
+	if tm := lazy.BuildTimings(); tm.TrussMS <= 0 || tm.CLTreeMS != 0 || tm.CoreMS != 0 {
+		t.Fatalf("successor timings after Truss(): %+v, want only TrussMS > 0", tm)
+	}
+	after := BuildTotals()
+	if after.TrussMS <= before.TrussMS || after.CLTreeMS != before.CLTreeMS || after.CoreMS != before.CoreMS {
+		t.Fatalf("build totals %+v -> %+v, want only TrussMS to grow", before, after)
 	}
 }
 

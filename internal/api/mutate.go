@@ -10,6 +10,7 @@ import (
 	"cexplorer/internal/cltree"
 	"cexplorer/internal/graph"
 	"cexplorer/internal/kcore"
+	"cexplorer/internal/ktruss"
 )
 
 // Streaming mutations. A Dataset is an immutable version of a graph plus
@@ -37,8 +38,15 @@ import (
 //     would share nodes whose vertex and inverted-list arenas alias the
 //     mapping, outliving it once the base is closed. The successor's tree
 //     stays lazy and rebuilds on the heap on first use.
-//   - The truss decomposition is invalidated (no incremental maintenance
-//     yet); it rebuilds lazily on the next k-truss query.
+//   - The truss decomposition is maintained op by op by a
+//     ktruss.Maintainer, when the base version holds it: an insert or
+//     removal moves trussness by at most one, and only on edges
+//     triangle-connected to it, with the moved values held in a small
+//     edge-keyed delta. At materialization the base's per-slot trussness is
+//     carried with the same untouched-span copies as the adjacency and the
+//     delta written in. A base without a truss leaves its successor lazy,
+//     and the write path never builds one; once a version holds a truss,
+//     every later version carries it.
 //
 // Explorer.Mutate serializes batches per lineage, runs each one's commit
 // point (MutateThen) and swaps the successor in with one map store: the
@@ -127,6 +135,10 @@ func (d *Dataset) Mutate(ctx context.Context, ops []Mutation) (*Dataset, *Mutati
 	}
 
 	ov := graph.NewOverlay(d.Graph)
+	var truss *ktruss.Maintainer
+	if base, ok := d.truss.resident(); ok {
+		truss = ktruss.NewMaintainer(base, ov)
+	}
 	var (
 		edgeOps     []cltree.EdgeOp
 		coreChanged int
@@ -161,6 +173,9 @@ func (d *Dataset) Mutate(ctx context.Context, ops []Mutation) (*Dataset, *Mutati
 					}
 				}
 			}
+			if truss != nil {
+				truss.InsertEdge(op.U, op.V)
+			}
 			edgeOps = append(edgeOps, cltree.EdgeOp{U: op.U, V: op.V, Insert: true})
 		case OpRemoveEdge:
 			if err := ov.RemoveEdge(op.U, op.V); err != nil {
@@ -178,6 +193,9 @@ func (d *Dataset) Mutate(ctx context.Context, ops []Mutation) (*Dataset, *Mutati
 						singleChanged = slices.Clone(ch)
 					}
 				}
+			}
+			if truss != nil {
+				truss.RemoveEdge(op.U, op.V)
 			}
 			edgeOps = append(edgeOps, cltree.EdgeOp{U: op.U, V: op.V})
 		case OpAddVertex:
@@ -224,6 +242,13 @@ func (d *Dataset) Mutate(ctx context.Context, ops []Mutation) (*Dataset, *Mutati
 	if maint != nil {
 		next.core.seed(maint.Core())
 		next.order.seed(maint.Order())
+	}
+	if truss != nil {
+		carried, err := truss.Decomposition(g)
+		if err != nil {
+			return nil, nil, err
+		}
+		next.truss.seed(carried)
 	}
 	if tree, ok := d.tree.resident(); ok && maint != nil && !d.Graph.Borrowed() {
 		// A borrowed base is not repaired (see the file comment).

@@ -62,7 +62,7 @@ findEdge:
 		t.Errorf("successor tree invalid: %v", err)
 	}
 	if next.Indexes().Truss {
-		t.Errorf("truss must be invalidated, not carried over")
+		t.Errorf("a base without a truss must leave the successor's lazy")
 	}
 }
 

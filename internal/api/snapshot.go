@@ -41,8 +41,8 @@ func (d *Dataset) makeSnapshot() *snapshot.Snapshot {
 
 // WriteResidentSnapshotFile persists the dataset with whatever indexes it
 // currently holds — no forced builds. Journal compaction uses it from the
-// mutation request path, where forcing a from-scratch truss decomposition
-// (mutations always invalidate the truss) would stall the response; a
+// mutation request path, where forcing a from-scratch build of an index the
+// lineage never held (most often the truss) would stall the response; a
 // snapshot without an index simply reloads with that index lazy, exactly
 // like an unindexed upload.
 func (d *Dataset) WriteResidentSnapshotFile(path string) (int64, error) {

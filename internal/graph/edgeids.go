@@ -1,7 +1,5 @@
 package graph
 
-import "cexplorer/internal/ds"
-
 // The per-neighbor edge-ID surface: every adjacency slot of the CSR maps to
 // the canonical undirected edge index of the edge it represents. Edge IDs
 // are dense in [0, M()) and assigned in the order Edges enumerates —
@@ -51,24 +49,6 @@ func (g *Graph) ensureEdgeIDs() {
 func (g *Graph) EdgeIDs(v int32) []int32 {
 	g.ensureEdgeIDs()
 	return g.edgeIDs[g.offsets[v]:g.offsets[v+1]]
-}
-
-// EdgeID resolves edge {u,v} to its canonical index via binary search on the
-// shorter adjacency list; ok is false when {u,v} is not an edge.
-func (g *Graph) EdgeID(u, v int32) (int32, bool) {
-	if u < 0 || v < 0 || int(u) >= g.N() || int(v) >= g.N() {
-		return 0, false
-	}
-	if g.Degree(u) > g.Degree(v) {
-		u, v = v, u
-	}
-	nb := g.Neighbors(u)
-	i, ok := ds.IndexSorted(nb, v)
-	if !ok {
-		return 0, false
-	}
-	g.ensureEdgeIDs()
-	return g.edgeIDs[g.offsets[u]+int64(i)], true
 }
 
 // EdgeTable returns the id-indexed endpoint table: entry e is the (u<v) pair

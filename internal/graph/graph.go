@@ -7,7 +7,7 @@
 // without locking.
 //
 // Besides adjacency, a graph carries a lazily materialized per-neighbor
-// edge-ID surface (EdgeIDs/EdgeID/EdgeTable, see edgeids.go): every CSR
+// edge-ID surface (EdgeIDs/EdgeTable, see edgeids.go): every CSR
 // adjacency slot maps to the canonical undirected edge index of the edge it
 // represents, so edge-indexed engines — the CSR-native truss decomposition
 // in particular — address per-edge arrays directly instead of resolving

@@ -274,7 +274,9 @@ func (o *Overlay) checkEndpoints(u, v int32) error {
 // not affect already-materialized graphs. Derived per-edge state (the
 // edge-ID surface, see edgeids.go) is deliberately NOT shared: edge
 // mutation renumbers canonical edge IDs, so each materialized graph
-// lazily builds its own surface on first edge-indexed use.
+// lazily builds its own surface on first edge-indexed use. Per-slot state,
+// which does not depend on edge numbering, carries across through
+// CarrySlots.
 func (o *Overlay) Materialize() (*Graph, error) {
 	n := o.N()
 	if n == 0 {
@@ -286,21 +288,7 @@ func (o *Overlay) Materialize() (*Graph, error) {
 	// touched vertices cuts the CSR arenas into untouched spans (bulk
 	// offset shift + bulk adjacency copy) separated by per-vertex merges.
 	// No per-vertex map lookups, no per-vertex copy calls.
-	// Appended vertices (ids ≥ baseN) are excluded: the tail loop below
-	// writes their adjacency regardless of patch state.
-	touched := make([]int32, 0, len(o.adds)+len(o.dels))
-	for v := range o.adds {
-		if v < int32(o.baseN) {
-			touched = append(touched, v)
-		}
-	}
-	for v := range o.dels {
-		if _, dup := o.adds[v]; !dup && v < int32(o.baseN) {
-			touched = append(touched, v)
-		}
-	}
-	slices.Sort(touched)
-
+	touched := o.touchedBase()
 	offsets := make([]int64, n+1)
 	adj := make([]int32, int64(2*o.m))
 	raw := o.base.Raw()
@@ -391,6 +379,63 @@ func (o *Overlay) Materialize() (*Graph, error) {
 		}
 	}
 	return o.disown(g), nil
+}
+
+// touchedBase returns the base vertices with patched adjacency, ascending.
+// Appended vertices (ids ≥ baseN) are excluded: Materialize writes their
+// adjacency regardless of patch state.
+func (o *Overlay) touchedBase() []int32 {
+	touched := make([]int32, 0, len(o.adds)+len(o.dels))
+	for v := range o.adds {
+		if v < int32(o.baseN) {
+			touched = append(touched, v)
+		}
+	}
+	for v := range o.dels {
+		if _, dup := o.adds[v]; !dup && v < int32(o.baseN) {
+			touched = append(touched, v)
+		}
+	}
+	slices.Sort(touched)
+	return touched
+}
+
+// CarrySlots carries a per-slot array across the batch: base is parallel to
+// the base graph's adjacency arena (one value per adjacency slot, so both
+// directions of an edge), and the result is parallel to g's, where g is the
+// graph Materialize returned with no mutation since. Every edge present in
+// both graphs keeps its base value in both of its slots; every edge the
+// batch added reads zero, for the caller to fill. The untouched vertices'
+// spans are bulk copies — the spans Materialize copies — and only the
+// touched vertices' lists are merged against their base lists.
+func (o *Overlay) CarrySlots(g *Graph, base []int32) []int32 {
+	out := make([]int32, len(g.adj))
+	bo := o.base.offsets
+	var cur int32 // next base vertex to bulk-copy
+	copySpan := func(until int32) {
+		if cur < until {
+			copy(out[g.offsets[cur]:], base[bo[cur]:bo[until]])
+			cur = until
+		}
+	}
+	for _, tv := range o.touchedBase() {
+		copySpan(tv)
+		bn, bs := o.base.Neighbors(tv), base[bo[tv]:bo[tv+1]]
+		dst := out[g.offsets[tv]:g.offsets[tv+1]]
+		j := 0
+		for i, x := range g.Neighbors(tv) {
+			for j < len(bn) && bn[j] < x {
+				j++
+			}
+			if j < len(bn) && bn[j] == x {
+				dst[i] = bs[j]
+				j++
+			}
+		}
+		cur = tv + 1
+	}
+	copySpan(int32(o.baseN))
+	return out
 }
 
 // disown deep-copies every arena g may still share with a borrowed base, so

@@ -172,3 +172,54 @@ func TestOverlayBaseUntouched(t *testing.T) {
 		t.Errorf("VertexByName(e) = %d,%v", got, ok)
 	}
 }
+
+// TestCarrySlotsKeepsEdgeValues: a per-slot array labelling every base edge
+// by its endpoints carries to the materialized graph with each surviving
+// edge's label in both of its slots and zero in every slot of an added
+// edge, over random batches that remove, add, re-add and append vertices.
+func TestCarrySlotsKeepsEdgeValues(t *testing.T) {
+	label := func(u, v int32) int32 { return 1 + min(u, v)*1000 + max(u, v) }
+	for seed := int64(1); seed <= 30; seed++ {
+		base := randomGraph(seed)
+		slots := make([]int32, len(base.adj))
+		for u := int32(0); u < int32(base.N()); u++ {
+			for i, v := range base.Neighbors(u) {
+				slots[base.offsets[u]+int64(i)] = label(u, v)
+			}
+		}
+		rng := rand.New(rand.NewSource(seed))
+		o := NewOverlay(base)
+		for op := 0; op < 12; op++ {
+			u, v := int32(rng.Intn(o.N())), int32(rng.Intn(o.N()))
+			switch {
+			case rng.Intn(8) == 0:
+				o.AddVertex("", nil)
+			case u == v:
+			case o.HasEdge(u, v):
+				if err := o.RemoveEdge(u, v); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				if err := o.AddEdge(u, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		g, err := o.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := o.CarrySlots(g, slots)
+		for u := int32(0); u < int32(g.N()); u++ {
+			for i, v := range g.Neighbors(u) {
+				want := int32(0)
+				if n := int32(base.N()); u < n && v < n && base.HasEdge(u, v) {
+					want = label(u, v)
+				}
+				if s := got[g.offsets[u]+int64(i)]; s != want {
+					t.Fatalf("seed %d: slot of {%d,%d} at %d carries %d, want %d", seed, u, v, u, s, want)
+				}
+			}
+		}
+	}
+}

@@ -8,17 +8,25 @@
 // least k−2 triangles; the community of a query vertex q is a maximal
 // triangle-connected set of trussness-≥k edges incident to q.
 //
-// The engine is CSR-native: every per-edge array is indexed by the graph's
-// canonical edge IDs (graph.EdgeIDs), so neither support counting nor
-// peeling ever resolves a {u,v} pair through a hash map. Support counting is
-// an oriented triangle enumeration — edges point from the earlier to the
-// later endpoint in the degeneracy order, bounding out-degrees by the graph
-// degeneracy — sharded across vertex chunks over a configurable worker pool
-// with per-worker counters merged into the shared support array. The peel
-// loop is the same bucket-queue structure the k-core peeler uses (supports
-// only decrease, one bucket at a time), replacing the former
-// sort.Slice + binary-heap pipeline: O(m + Σ support) instead of
-// O(m log m).
+// A Decomposition stores trussness per adjacency slot, parallel to the
+// graph's CSR arena: both slots of an edge hold its value (8 B per edge).
+// Reads and the community BFS walk adjacency lists and their slot spans
+// side by side, so nothing past the decomposition needs an edge numbering.
+//
+// The from-scratch build is CSR-native: support counting and peeling index
+// per-edge arrays by the graph's canonical edge IDs (graph.EdgeIDs), never
+// resolving a {u,v} pair through a hash map, and scatter the result to the
+// slots once at the end. Support counting is an oriented triangle
+// enumeration — edges point from the earlier to the later endpoint in the
+// degeneracy order, bounding out-degrees by the graph degeneracy — sharded
+// across vertex chunks over a configurable worker pool with per-worker
+// counters merged into the shared support array. The peel loop is the same
+// bucket-queue structure the k-core peeler uses (supports only decrease,
+// one bucket at a time): O(m + Σ support).
+//
+// A Maintainer (maintain.go) carries a decomposition across a batch of
+// edge inserts and removals op by op, so a mutated graph never needs the
+// full build again.
 package ktruss
 
 import (
@@ -41,13 +49,33 @@ const cancelCheckStride = 4096
 // load-balances the skewed per-vertex triangle work.
 const countChunk = 256
 
-// Decomposition holds per-edge trussness for one graph. Per-edge arrays are
-// indexed by the graph's canonical edge IDs (graph.EdgeIDs order, which is
-// also the (u<v)-lexicographic order Edges enumerates).
+// Decomposition holds the trussness of every edge of one graph, per
+// adjacency slot: truss[s] is the trussness of the edge whose endpoint sits
+// at slot s of the CSR arena, so both slots of an edge hold the same value.
+// Slot ids are int32, which bounds a decomposed graph below 2^30 edges.
 type Decomposition struct {
 	g     *graph.Graph
-	edges [][2]int32 // edge id -> (u,v), u < v
-	truss []int32    // edge id -> trussness (≥ 2)
+	off   []int64 // the graph's adjacency offsets (len n+1)
+	adj   []int32 // the graph's adjacency arena (len 2m)
+	truss []int32 // adjacency slot -> trussness (≥ 2), len 2m
+}
+
+// newDecomposition wraps a per-slot trussness array for g.
+func newDecomposition(g *graph.Graph, truss []int32) *Decomposition {
+	raw := g.Raw()
+	return &Decomposition{g: g, off: raw.Offsets, adj: raw.Adj, truss: truss}
+}
+
+// Slots returns the trussness of v's edges, parallel to Graph().Neighbors(v).
+// The slice aliases internal storage and must not be modified.
+func (d *Decomposition) Slots(v int32) []int32 {
+	return d.truss[d.off[v]:d.off[v+1]]
+}
+
+// slot returns the slot of neighbor b in a's adjacency list.
+func (d *Decomposition) slot(a, b int32) (int32, bool) {
+	i, ok := ds.IndexSorted(d.g.Neighbors(a), b)
+	return int32(d.off[a]) + int32(i), ok
 }
 
 // Decompose computes the trussness of every edge via support peeling, using
@@ -68,13 +96,21 @@ func DecomposeContext(ctx context.Context, g *graph.Graph) (*Decomposition, erro
 // the support-counting phase (≤ 0 = process default). The result is
 // identical for every worker count; only wall time differs.
 func DecomposeParallel(ctx context.Context, g *graph.Graph, workers int) (*Decomposition, error) {
-	d := &Decomposition{g: g, edges: g.EdgeTable(), truss: make([]int32, g.M())}
 	support, tris, err := countSupport(ctx, g, workers)
 	if err != nil {
 		return nil, err
 	}
-	if err := d.peel(ctx, support, tris); err != nil {
+	byID := make([]int32, g.M())
+	if err := peel(ctx, support, tris, byID); err != nil {
 		return nil, err
+	}
+	// Scatter edge-ID trussness to both slots of every edge.
+	d := newDecomposition(g, make([]int32, 2*g.M()))
+	for v := int32(0); v < int32(g.N()); v++ {
+		dst := d.Slots(v)
+		for i, id := range g.EdgeIDs(v) {
+			dst[i] = byID[id]
+		}
 	}
 	return d, nil
 }
@@ -264,13 +300,14 @@ func countSupport(ctx context.Context, g *graph.Graph, workers int) ([]int32, tr
 }
 
 // peel removes edges in nondecreasing support order with the bucket-queue
-// structure of the k-core peeler: a counting sort seeds the order, and a
-// support decrement moves an edge one bucket down by swapping it with its
-// bucket's front. Supports only ever decrease and never below the current
-// peel level, so position i is final once iteration i reaches it. Removing
-// an edge walks its materialized triangle list rather than re-intersecting
-// adjacency — O(m + Σ support) total, no heap, no pre-sort, no lookups.
-func (d *Decomposition) peel(ctx context.Context, support []int32, tris triangles) error {
+// structure of the k-core peeler, writing each edge's trussness into truss
+// (by edge ID): a counting sort seeds the order, and a support decrement
+// moves an edge one bucket down by swapping it with its bucket's front.
+// Supports only ever decrease and never below the current peel level, so
+// position i is final once iteration i reaches it. Removing an edge walks
+// its materialized triangle list rather than re-intersecting adjacency —
+// O(m + Σ support) total, no heap, no pre-sort, no lookups.
+func peel(ctx context.Context, support []int32, tris triangles, truss []int32) error {
 	m := len(support)
 	if m == 0 {
 		return nil
@@ -310,7 +347,7 @@ func (d *Decomposition) peel(ctx context.Context, support []int32, tris triangle
 		id := vert[i]
 		s := support[id]
 		removed[id] = true
-		d.truss[id] = s + 2
+		truss[id] = s + 2
 		// Every still-alive triangle through this edge loses it: drop the
 		// supports of the two other sides one bucket each, floored at the
 		// current level.
@@ -345,22 +382,20 @@ func demote(support, bin, vert, pos []int32, e int32) {
 	support[e]--
 }
 
-// lookup resolves edge {u,v} to its canonical id via the graph's edge-ID
-// surface (binary search on the shorter adjacency list — no hash map). IDs
-// follow g.Edges order, which is exactly the order Parts serializes and
-// FromParts validates, so decompositions loaded from a snapshot resolve
-// through the same surface.
-func (d *Decomposition) lookup(u, v int32) (int32, bool) {
-	return d.g.EdgeID(u, v)
-}
-
 // Trussness returns the trussness of edge {u,v}; ok is false if not an edge.
 func (d *Decomposition) Trussness(u, v int32) (int32, bool) {
-	id, ok := d.lookup(u, v)
+	n := int32(d.g.N())
+	if u < 0 || v < 0 || u >= n || v >= n {
+		return 0, false
+	}
+	if d.g.Degree(u) > d.g.Degree(v) {
+		u, v = v, u
+	}
+	s, ok := d.slot(u, v)
 	if !ok {
 		return 0, false
 	}
-	return d.truss[id], true
+	return d.truss[s], true
 }
 
 // MaxTruss returns the maximum edge trussness (0 for edgeless graphs).
@@ -424,23 +459,31 @@ func (d *Decomposition) communities(ctx context.Context, q int32, k int32, withE
 	s := g.AcquireScratch()
 	defer s.Release()
 	// Edge classes partition the trussness-≥k edges, so one visited set
-	// spans the whole call; the vertex set restarts per class.
+	// spans the whole call; the vertex set restarts per class. The set is
+	// over slots, and visiting an edge marks both of its slots, so either
+	// direction answers for it.
 	visited, verts := &s.Edges, &s.Seen
-	visited.Reset(g.M())
+	visited.Reset(len(d.truss))
+	visit := func(a, b, sa int32) {
+		visited.Add(sa)
+		sb, _ := d.slot(b, a)
+		visited.Add(sb)
+	}
 	var out []Community
 	expansions := 0
-	qnb, qids := g.Neighbors(q), g.EdgeIDs(q)
-	for qi := range qnb {
-		seed := qids[qi]
-		if d.truss[seed] < k || visited.Has(seed) {
+	qs, qoff := d.Slots(q), int32(d.off[q])
+	for qi, w := range g.Neighbors(q) {
+		seed := qoff + int32(qi)
+		if qs[qi] < k || visited.Has(seed) {
 			continue
 		}
-		// BFS over triangle-adjacent edges of trussness ≥ k.
+		// BFS over triangle-adjacent edges of trussness ≥ k. The queue holds
+		// (endpoint, slot in its list) pairs.
 		verts.Reset(g.N())
 		members := s.List[:0]
-		var classIDs []int32
-		queue := append(s.Queue[:0], seed)
-		visited.Add(seed)
+		var class [][2]int32
+		queue := append(s.Queue[:0], q, seed)
+		visit(q, w, seed)
 		for len(queue) > 0 {
 			if expansions%cancelCheckStride == 0 {
 				if err := ctx.Err(); err != nil {
@@ -448,42 +491,44 @@ func (d *Decomposition) communities(ctx context.Context, q int32, k int32, withE
 				}
 			}
 			expansions++
-			id := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			for _, v := range d.edges[id] {
+			a, sa := queue[len(queue)-2], queue[len(queue)-1]
+			queue = queue[:len(queue)-2]
+			b := d.adj[sa]
+			for _, v := range [2]int32{a, b} {
 				if !verts.Has(v) {
 					verts.Add(v)
 					members = append(members, v)
 				}
 			}
 			if withEdges {
-				classIDs = append(classIDs, id)
+				class = append(class, [2]int32{min(a, b), max(a, b)})
 			}
-			u, w := d.edges[id][0], d.edges[id][1]
-			forEachCommonEdge(g.Neighbors(u), g.EdgeIDs(u), g.Neighbors(w), g.EdgeIDs(w),
-				func(_, e1, e2 int32) {
-					if d.truss[e1] < k || d.truss[e2] < k {
-						return
-					}
-					if !visited.Has(e1) {
-						visited.Add(e1)
-						queue = append(queue, e1)
-					}
-					if !visited.Has(e2) {
-						visited.Add(e2)
-						queue = append(queue, e2)
-					}
-				})
+			ta, tb := d.Slots(a), d.Slots(b)
+			offA, offB := int32(d.off[a]), int32(d.off[b])
+			forEachCommon(g.Neighbors(a), g.Neighbors(b), func(x int32, i, j int) {
+				if ta[i] < k || tb[j] < k {
+					return
+				}
+				if s1 := offA + int32(i); !visited.Has(s1) {
+					visit(a, x, s1)
+					queue = append(queue, a, s1)
+				}
+				if s2 := offB + int32(j); !visited.Has(s2) {
+					visit(b, x, s2)
+					queue = append(queue, b, s2)
+				}
+			})
 		}
 		s.Queue, s.List = queue, members
 		c := Community{Vertices: verts.Ascending(members)}
 		if withEdges {
-			// Edge ids ascend in (u<v)-lexicographic order.
-			slices.Sort(classIDs)
-			c.Edges = make([][2]int32, len(classIDs))
-			for i, id := range classIDs {
-				c.Edges[i] = d.edges[id]
-			}
+			slices.SortFunc(class, func(x, y [2]int32) int {
+				if x[0] != y[0] {
+					return int(x[0] - y[0])
+				}
+				return int(x[1] - y[1])
+			})
+			c.Edges = class
 		}
 		out = append(out, c)
 	}
@@ -496,23 +541,26 @@ func (d *Decomposition) communities(ctx context.Context, q int32, k int32, withE
 	return out, nil
 }
 
-// forEachCommonEdge intersects two sorted adjacency lists, calling fn with
-// each common neighbor w and the canonical edge IDs of (a,w) and (b,w)
-// taken from the parallel edge-ID spans — triangle enumeration without a
-// single edge lookup. Comparable sizes intersect by linear merge; skewed
-// pairs (a hub against a low-degree vertex) probe the longer list by binary
-// search instead, turning O(d_max) into O(d_min·log d_max).
-func forEachCommonEdge(nbA, eidA, nbB, eidB []int32, fn func(w, ea, eb int32)) {
-	if len(nbA) > len(nbB) {
-		nbA, nbB = nbB, nbA
-		eidA, eidB = eidB, eidA
-		inner := fn
-		fn = func(w, ea, eb int32) { inner(w, eb, ea) }
-	}
+// forEachCommon intersects two sorted adjacency lists, calling fn with each
+// common neighbor w and its positions i in nbA and j in nbB — positions
+// that index any array parallel to the lists (edge-ID or trussness slots),
+// so triangle enumeration needs no edge lookup. Comparable sizes intersect
+// by linear merge; skewed pairs (a hub against a low-degree vertex) probe
+// the longer list by binary search instead, turning O(d_max) into
+// O(d_min·log d_max).
+func forEachCommon(nbA, nbB []int32, fn func(w int32, i, j int)) {
 	if len(nbA)*16 < len(nbB) {
 		for i, w := range nbA {
 			if j, ok := ds.IndexSorted(nbB, w); ok {
-				fn(w, eidA[i], eidB[j])
+				fn(w, i, j)
+			}
+		}
+		return
+	}
+	if len(nbB)*16 < len(nbA) {
+		for j, w := range nbB {
+			if i, ok := ds.IndexSorted(nbA, w); ok {
+				fn(w, i, j)
 			}
 		}
 		return
@@ -525,7 +573,7 @@ func forEachCommonEdge(nbA, eidA, nbB, eidB []int32, fn func(w, ea, eb int32)) {
 		case nbA[i] > nbB[j]:
 			j++
 		default:
-			fn(nbA[i], eidA[i], eidB[j])
+			fn(nbA[i], i, j)
 			i++
 			j++
 		}

@@ -31,13 +31,13 @@ func Naive(g *graph.Graph) []int32 {
 					continue
 				}
 				u, v := edges[id][0], edges[id][1]
+				idsU, idsV := g.EdgeIDs(u), g.EdgeIDs(v)
 				cnt := int32(0)
-				forEachCommonEdge(g.Neighbors(u), g.EdgeIDs(u), g.Neighbors(v), g.EdgeIDs(v),
-					func(_, e1, e2 int32) {
-						if alive[e1] && alive[e2] {
-							cnt++
-						}
-					})
+				forEachCommon(g.Neighbors(u), g.Neighbors(v), func(_ int32, i, j int) {
+					if alive[idsU[i]] && alive[idsV[j]] {
+						cnt++
+					}
+				})
 				if cnt < k-1 {
 					alive[id] = false
 					remaining--

@@ -25,9 +25,11 @@
 // stays) 8-byte aligned, and all numbers are little-endian. On a
 // little-endian Unix host, OpenFile can therefore mmap the file and
 // DecodeView stitches the runtime structures directly over the mapping —
-// bulk arrays (CSR graph, keyword arenas, tree arenas, truss table) and
-// even string contents (names, vocabulary) are views of the mapped pages,
-// so opening costs O(index stitch) allocations instead of O(bytes) copies.
+// bulk arrays (CSR graph, keyword arenas, tree arenas) and even string
+// contents (names, vocabulary) are views of the mapped pages, so opening
+// costs O(index stitch) allocations instead of O(bytes) copies. The truss
+// section is the exception: it is read off the mapping into the
+// decomposition's heap per-slot array (ktruss.FromParts, one O(m) sweep).
 // View-decoded graphs are marked borrowed (graph.Raw.Borrowed); the
 // refcounted Mapping returned by OpenFile must outlive every reader and is
 // released by the owner's Close (callers pin it across reads).
@@ -497,19 +499,12 @@ func decode(data []byte, view bool) (*Snapshot, error) {
 			return nil, fmt.Errorf("snapshot: truss edge table length %d does not match %d trussness values",
 				len(flat), len(trussRaw[1]))
 		}
-		var edges [][2]int32
-		if view {
-			// The flat table is already (u,v) pairs in memory; reinterpret
-			// it in place instead of building a pair-array copy.
-			edges, err = viewPairs(flat)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			edges = make([][2]int32, len(trussRaw[1]))
-			for i := range edges {
-				edges[i] = [2]int32{flat[2*i], flat[2*i+1]}
-			}
+		// The flat table is already (u,v) pairs in memory, and FromParts
+		// only reads it into the decomposition's own per-slot array, so it
+		// is reinterpreted in place — mapped or heap-decoded alike.
+		edges, err := viewPairs(flat)
+		if err != nil {
+			return nil, err
 		}
 		d, err := ktruss.FromParts(g, edges, trussRaw[1])
 		if err != nil {

@@ -372,28 +372,6 @@ func BenchmarkAblation_CodicilSparsify(b *testing.B) {
 	})
 }
 
-// BenchmarkIndexSerialization times CL-tree save/load round trips.
-func BenchmarkIndexSerialization(b *testing.B) {
-	env := sharedEnv()
-	var buf writeCounter
-	b.Run("write", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			buf.n = 0
-			if _, err := env.Tree.WriteTo(&buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.SetBytes(buf.n)
-	})
-}
-
-type writeCounter struct{ n int64 }
-
-func (w *writeCounter) Write(p []byte) (int, error) {
-	w.n += int64(len(p))
-	return len(p), nil
-}
-
 // TestFacadeSmoke exercises the public facade end to end (the README
 // quick-start must keep working).
 func TestFacadeSmoke(t *testing.T) {

@@ -68,9 +68,6 @@ const (
 // BuildIndex constructs the CL-tree for g.
 func BuildIndex(g *Graph) *Index { return cltree.Build(g) }
 
-// ReadIndex deserializes an index previously written with Index.WriteTo.
-var ReadIndex = cltree.Read
-
 // NewEngine returns an ACQ engine over the given index. Engines are cheap;
 // create one per goroutine.
 func NewEngine(idx *Index) *Engine { return core.NewEngine(idx) }

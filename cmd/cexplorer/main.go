@@ -8,6 +8,8 @@
 //	cexplorer -role router -primary http://primary:8080 -replicas http://r1:8081,http://r2:8082
 //	cexplorer snapshot build -o out.cxsnap [-edges graph.txt [-attrs attrs.txt] | -json graph.json] [-name NAME]
 //	cexplorer snapshot inspect file.cxsnap
+//	cexplorer journal inspect [-v] file.cxjournal
+//	cexplorer fleet status -nodes http://n1:8080,http://n2:8081 [-timeout 2s]
 //
 // -role selects the replication topology position (see internal/repl): a
 // primary (the default) accepts writes and ships its mutation journal; a
@@ -33,7 +35,13 @@
 // `snapshot build` precomputes a dataset offline — parse, build all three
 // indexes (CL-tree, core numbers, truss), write one checksummed file —
 // which a server with -data.dir then opens in O(read) time. `snapshot
-// inspect` verifies a file's checksum and prints its layout.
+// inspect` verifies a file's checksum and prints its layout. `journal
+// inspect` walks a mutation journal frame by frame — the same CRC checks
+// boot replay and the replication feed perform — and prints each record's
+// version, op breakdown and frame size, plus any torn tail. `fleet status`
+// probes each node's /api/v1/health (the endpoint the router's failure
+// detector uses) and prints role, fleet epoch, and per-dataset applied
+// position and lag: the operator's view of who is primary after a failover.
 package main
 
 import (
@@ -45,7 +53,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -61,8 +68,12 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "snapshot" {
-		if err := runSnapshot(os.Args[2:]); err != nil {
+	if len(os.Args) > 1 && tools[os.Args[1]] != nil {
+		switch err := runTool(os.Stdout, os.Args[1:]); {
+		case err == nil, errors.Is(err, flag.ErrHelp):
+		case errors.Is(err, errUsage):
+			os.Exit(2)
+		default:
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -174,7 +185,7 @@ func runServer() {
 		}
 		srv.StartFleetReplica(*primaryURL)
 		log.Printf("replica: tailing %s (refresh %s, read-your-writes wait %s)", *primaryURL, *replRefresh, *replicaWait)
-		serveUntilSignal(srv, *addr, *drainTimeout)
+		serveUntilSignal(func() error { return srv.ListenAndServe(*addr) }, srv.Shutdown, *drainTimeout)
 		return
 	}
 	if *role != "primary" {
@@ -246,21 +257,22 @@ func runServer() {
 		}
 	}
 
-	serveUntilSignal(srv, *addr, *drainTimeout)
+	serveUntilSignal(func() error { return srv.ListenAndServe(*addr) }, srv.Shutdown, *drainTimeout)
 }
 
-// serveUntilSignal runs the server until it fails or a SIGTERM/SIGINT
-// arrives, then drains gracefully: in-flight requests finish (bounded by the
-// drain budget), journal long-polls are released, and a replica's tailer
-// stops before the listener closes.
-func serveUntilSignal(srv *server.Server, addr string, drain time.Duration) {
+// serveUntilSignal runs listen until it fails or a SIGTERM/SIGINT arrives,
+// then drains gracefully through shutdown: in-flight requests finish within
+// the drain budget (a node's Shutdown also releases journal long-polls and
+// stops a replica's tailer before the listener closes). listen returns nil
+// or http.ErrServerClosed once shutdown has closed it.
+func serveUntilSignal(listen func() error, shutdown func(context.Context) error, drain time.Duration) {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
 	defer stop()
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe(addr) }()
+	go func() { errc <- listen() }()
 	select {
 	case err := <-errc:
-		if err != nil {
+		if err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -269,11 +281,11 @@ func serveUntilSignal(srv *server.Server, addr string, drain time.Duration) {
 		log.Printf("shutdown: draining (budget %s)", drain)
 		sctx, cancel := context.WithTimeout(context.Background(), drain)
 		defer cancel()
-		if err := srv.Shutdown(sctx); err != nil {
+		if err := shutdown(sctx); err != nil {
 			log.Printf("shutdown: %v", err)
 			os.Exit(1)
 		}
-		<-errc // ListenAndServe returns nil after a clean Shutdown
+		<-errc
 		log.Printf("shutdown: complete")
 	}
 }
@@ -300,8 +312,10 @@ func runRouter(addr, primary, replicaList string, heal routerHealOptions) {
 		}
 	}
 	rt := repl.NewRouter(primary, replicas, repl.RouterOptions{Logf: log.Printf})
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
-	defer stop()
+	// The monitor stops when the drain starts, so it cannot promote a
+	// replica while this router shuts down.
+	ctx, stopMonitor := context.WithCancel(context.Background())
+	defer stopMonitor()
 	if heal.interval > 0 {
 		rt.EnableSelfHealing(repl.SelfHealOptions{
 			Monitor: repl.MonitorOptions{
@@ -323,26 +337,10 @@ func runRouter(addr, primary, replicaList string, heal routerHealOptions) {
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      60 * time.Second,
 	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	case <-ctx.Done():
-		stop()
-		log.Printf("shutdown: draining router (budget %s)", heal.drain)
-		sctx, cancel := context.WithTimeout(context.Background(), heal.drain)
-		defer cancel()
-		if err := srv.Shutdown(sctx); err != nil {
-			log.Printf("shutdown: %v", err)
-			os.Exit(1)
-		}
-		<-errc
-		log.Printf("shutdown: complete")
-	}
+	serveUntilSignal(srv.ListenAndServe, func(ctx context.Context) error {
+		stopMonitor()
+		return srv.Shutdown(ctx)
+	}, heal.drain)
 }
 
 // persistBuiltin snapshots a freshly built dataset into the catalog (no-op
@@ -376,138 +374,4 @@ func loadFiles(edgePath, attrPath string) (*graph.Graph, error) {
 	}
 	defer af.Close()
 	return graph.LoadAttributed(ef, af)
-}
-
-// runSnapshot dispatches the `cexplorer snapshot` subcommands.
-func runSnapshot(args []string) error {
-	if len(args) == 0 {
-		return fmt.Errorf("usage: cexplorer snapshot <build|inspect> ...")
-	}
-	switch args[0] {
-	case "build":
-		return snapshotBuild(args[1:])
-	case "inspect":
-		return snapshotInspect(args[1:])
-	default:
-		return fmt.Errorf("unknown snapshot subcommand %q (want build or inspect)", args[0])
-	}
-}
-
-// snapshotBuild is the offline index precomputation step: load a graph
-// from text or JSON, build all three indexes, and write one snapshot file.
-func snapshotBuild(args []string) error {
-	fs := flag.NewFlagSet("snapshot build", flag.ExitOnError)
-	var (
-		out      = fs.String("o", "", "output snapshot file (required)")
-		edges    = fs.String("edges", "", "edge-list input")
-		attrs    = fs.String("attrs", "", "vertex-attribute input (with -edges)")
-		jsonPath = fs.String("json", "", "JSON wire-format input (alternative to -edges)")
-		name     = fs.String("name", "", "dataset name to embed (default: derived from input filename)")
-		dblpN    = fs.Int("dblp.n", 0, "generate a synthetic DBLP of this size instead of reading a file")
-		dblpSeed = fs.Int64("dblp.seed", 1, "synthetic DBLP seed")
-		workers  = fs.Int("index.workers", 0, "workers for index construction and snapshot encoding (0 = GOMAXPROCS)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *out == "" {
-		return fmt.Errorf("snapshot build: -o is required")
-	}
-	par.SetWorkers(*workers)
-
-	var (
-		g   *graph.Graph
-		err error
-		src string
-	)
-	switch {
-	case *dblpN > 0:
-		cfg := gen.DefaultDBLPConfig()
-		cfg.Authors = *dblpN
-		cfg.Seed = *dblpSeed
-		g = gen.GenerateDBLP(cfg).Graph
-		src = "dblp"
-	case *jsonPath != "":
-		f, ferr := os.Open(*jsonPath)
-		if ferr != nil {
-			return ferr
-		}
-		g, err = graph.LoadJSON(f)
-		f.Close()
-		src = *jsonPath
-	case *edges != "":
-		g, err = loadFiles(*edges, *attrs)
-		src = *edges
-	default:
-		return fmt.Errorf("snapshot build: need one of -edges, -json, or -dblp.n")
-	}
-	if err != nil {
-		return fmt.Errorf("snapshot build: loading %s: %v", src, err)
-	}
-	if err := g.Validate(); err != nil {
-		return fmt.Errorf("snapshot build: invalid graph: %v", err)
-	}
-	if *name == "" {
-		*name = datasetNameFrom(src)
-	}
-
-	ds := api.NewDataset(*name, g)
-	start := time.Now()
-	ds.BuildIndexes()
-	buildTime := time.Since(start)
-	start = time.Now()
-	n, err := ds.WriteSnapshotFile(*out)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s: %d vertices, %d edges → %s (%d bytes)\n", *name, g.N(), g.M(), *out, n)
-	fmt.Printf("indexes built in %s (%d workers), written in %s\n",
-		buildTime.Round(time.Millisecond), par.Workers(), time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-func datasetNameFrom(src string) string {
-	base := strings.TrimSuffix(filepath.Base(src), filepath.Ext(src))
-	if base == "" || base == "." || base == string(filepath.Separator) {
-		return "dataset"
-	}
-	return base
-}
-
-// snapshotInspect verifies a snapshot file and prints its metadata and
-// section layout without materializing the dataset.
-func snapshotInspect(args []string) error {
-	fs := flag.NewFlagSet("snapshot inspect", flag.ExitOnError)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: cexplorer snapshot inspect FILE")
-	}
-	path := fs.Arg(0)
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	info, err := snapshot.Inspect(f)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s: snapshot v%d, %d bytes, checksum OK\n", path, info.Version, info.Bytes)
-	fmt.Printf("  dataset   %q\n", info.Name)
-	fmt.Printf("  graph     %d vertices, %d edges, %d keywords, named=%v\n",
-		info.Vertices, info.Edges, info.Keywords, info.Named)
-	fmt.Printf("  indexes   core=%v cltree=%v ktruss=%v\n", info.HasCore, info.HasTree, info.HasTruss)
-	fmt.Printf("  created   %s\n", info.Created.Format(time.RFC3339))
-	if info.ZeroCopy {
-		fmt.Printf("  zero-copy eligible (opens via mmap without heap copies)\n")
-	} else {
-		fmt.Printf("  zero-copy ineligible: %s\n", info.ZeroCopyReason)
-	}
-	fmt.Printf("  sections         offset       bytes  aligned\n")
-	for _, sec := range info.Sections {
-		fmt.Printf("    %-14s %7d  %10d  %v\n", sec.Name, sec.Offset, sec.Bytes, sec.Aligned)
-	}
-	return nil
 }

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"testing"
 
+	"cexplorer/internal/api"
 	"cexplorer/internal/cluster"
 	"cexplorer/internal/codicil"
 	"cexplorer/internal/core"
@@ -30,21 +31,26 @@ func smallDBLP(t testing.TB) *gen.DBLP {
 	return gen.GenerateDBLP(gen.SmallDBLPConfig())
 }
 
-// TestIndexPersistenceEndToEnd: serialize the CL-tree, reload it, and check
-// queries answer identically through the reloaded index.
+// TestIndexPersistenceEndToEnd: build the indexes offline, write a
+// snapshot, reopen it, and check queries answer identically through the
+// reloaded CL-tree.
 func TestIndexPersistenceEndToEnd(t *testing.T) {
 	d := smallDBLP(t)
-	tree := BuildIndex(d.Graph)
+	ds := api.NewDataset("dblp", d.Graph)
+	ds.BuildIndexes()
 	var buf bytes.Buffer
-	if _, err := tree.WriteTo(&buf); err != nil {
+	if _, err := ds.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	tree2, err := ReadIndex(&buf, d.Graph)
+	reopened, err := api.OpenSnapshot("", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1 := NewEngine(tree)
-	e2 := NewEngine(tree2)
+	if !reopened.Indexes().CLTree {
+		t.Fatal("reopened snapshot carries no CL-tree")
+	}
+	e1 := NewEngine(ds.Tree())
+	e2 := NewEngine(reopened.Tree())
 	for i := 0; i < gen.NumFamousAuthors(); i += 3 {
 		q, ok := d.Graph.VertexByName(gen.FamousAuthor(i))
 		if !ok {

@@ -620,7 +620,8 @@ func (e *Explorer) CDAlgorithms() []string {
 }
 
 // Upload registers a graph in the JSON wire format through Replace with
-// commit (Figure 4's upload; the file-path variant is in cmd/cexplorer-cli).
+// commit (Figure 4's upload; cmd/cexplorer's -edges flag and `snapshot
+// build` read graph files).
 func (e *Explorer) Upload(name string, r io.Reader, commit func() error) (*Dataset, error) {
 	g, err := graph.LoadJSON(r)
 	if err != nil {

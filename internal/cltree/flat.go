@@ -12,10 +12,6 @@ import (
 // field is one contiguous slice, so serialization is a handful of bulk
 // writes and loading is a handful of bulk reads plus pointer stitching,
 // with no per-node decode and no re-sort of the inverted lists.
-//
-// The older WriteTo/Read pair (serial.go) remains for standalone index
-// files; Flat is strictly richer (it carries the inverted lists, which
-// WriteTo drops and Read rebuilds with a keyword scan + sort).
 type Flat struct {
 	// Per-node arrays, preorder. Parents[i] is the preorder index of node
 	// i's parent, -1 for the root (index 0).

@@ -111,6 +111,24 @@ func TestJournalInspectBadMagic(t *testing.T) {
 	}
 }
 
+// TestJournalInspectNonConsecutiveVersions: boot replay stops at a record
+// that is not one version past the one before it, so inspect fails there.
+func TestJournalInspectNonConsecutiveVersions(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gap"+snapshot.JournalExt)
+	for _, v := range []uint64{4, 5, 7} {
+		if err := snapshot.AppendJournal(path, snapshot.JournalRecord{Version: v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := runCmd(t, "journal", "inspect", path)
+	if !errors.Is(err, snapshot.ErrJournalCorrupt) || !strings.Contains(err.Error(), "record 3") {
+		t.Fatalf("err = %v, want one matching snapshot.ErrJournalCorrupt that names record 3", err)
+	}
+	if !strings.Contains(out, "seq=5") || strings.Contains(out, "seq=7") {
+		t.Fatalf("output should list records 1-2 only:\n%s", out)
+	}
+}
+
 func TestJournalInspectShortHeader(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "short"+snapshot.JournalExt)
 	if err := os.WriteFile(path, []byte("abc"), 0o644); err != nil {

@@ -190,8 +190,9 @@ func snapshotInspect(w io.Writer, args []string) error {
 // journalInspect verifies a mutation journal frame by frame and prints each
 // record's version (its replication seq), op breakdown, and frame size —
 // the journal-side mirror of snapshotInspect. A torn tail (crash
-// mid-append) is reported, not treated as corruption; a bad header or a
-// checksummed-but-malformed record is an error matching
+// mid-append) is reported, not treated as corruption; a bad header, a
+// checksummed-but-malformed record, or a record whose version is not one
+// past the one before it (where boot replay stops) is an error matching
 // snapshot.ErrJournalCorrupt.
 func journalInspect(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("journal inspect", flag.ContinueOnError)
@@ -223,6 +224,9 @@ func journalInspect(w io.Writer, args []string) error {
 		}
 		if err != nil {
 			return fmt.Errorf("record %d: %w", records+1, err)
+		}
+		if records > 0 && rec.Version != last+1 {
+			return fmt.Errorf("record %d: %w: version %d does not follow %d", records+1, snapshot.ErrJournalCorrupt, rec.Version, last)
 		}
 		if records == 0 {
 			first = rec.Version

@@ -178,11 +178,16 @@
 // one atomic swap: requests in flight keep
 // the exact version they resolved, exploration sessions stay pinned to the
 // version they were created on, and new requests see the successor. The
-// version counter persists in snapshots, and with a catalog configured
-// every acknowledged batch is journaled (.cxjournal, checksummed,
-// tail-tolerant) so a warm restart replays exactly the batches the snapshot
-// predates; the catalog compacts journals into fresh snapshots once they
-// grow. The equivalence harness (internal/dyntest) holds incremental
+// version counter persists in snapshots. With a catalog configured, every
+// write to a dataset name runs under that name's one writer lock and is
+// made durable before it is published or acknowledged: a batch appends and
+// fsyncs its journal record (.cxjournal, checksummed, tail-tolerant), an
+// upload writes its snapshot, a delete removes the files, and a write that
+// cannot be made durable is refused with nothing applied. The journal
+// append is the commit point, so records land in version order and a warm
+// restart replays exactly the acknowledged batches the snapshot predates;
+// the catalog compacts journals into fresh snapshots once they grow. The
+// equivalence harness (internal/dyntest) holds incremental
 // maintenance bit-compatible with from-scratch rebuilds: core numbers,
 // CL-tree communities, and ACQ answers are asserted identical after every
 // random mutation batch, with failing op streams shrunk to minimal repros.

@@ -168,7 +168,9 @@ type Dataset struct {
 	// lifetime, while new queries see the new version.
 	Version uint64
 
-	lin *lineage // started by NewDataset or OpenSnapshot, shared by successors
+	// lin identifies the lineage (an upload or snapshot open and every
+	// version mutated from it) for the result cache's keys.
+	lin uint64
 
 	// backing is non-nil when the graph and pre-seeded indexes borrow a
 	// mapped snapshot file (see backing.go); nil for heap-backed datasets.
@@ -218,17 +220,9 @@ type IndexStatus struct {
 	Truss  bool `json:"truss"`
 }
 
-// lineage identifies one history of a dataset name: an upload or snapshot
-// open and every version mutated from it. The result cache keys on its id;
-// its lock serializes mutation batches (the read path never takes it).
-type lineage struct {
-	mu sync.Mutex
-	id uint64
-}
-
 var lineageIDs atomic.Uint64
 
-func newLineage() *lineage { return &lineage{id: lineageIDs.Add(1)} }
+func newLineage() uint64 { return lineageIDs.Add(1) }
 
 // NewDataset wraps a graph, starting a new lineage.
 func NewDataset(name string, g *graph.Graph) *Dataset {
@@ -553,6 +547,10 @@ type Explorer struct {
 	cs       map[string]CSAlgorithm
 	cd       map[string]CDAlgorithm
 
+	// writers holds the lock of every dataset name being written (Lock).
+	writersMu sync.Mutex
+	writers   map[string]*nameLock
+
 	// cache, when non-nil, is the serve-time result cache (see cache.go):
 	// Search/Detect/Analyze become version-keyed cache lookups with
 	// singleflight coalescing and per-dataset admission control.
@@ -568,6 +566,7 @@ type Explorer struct {
 func NewExplorer() *Explorer {
 	e := &Explorer{
 		datasets: make(map[string]*Dataset),
+		writers:  make(map[string]*nameLock),
 		cs:       make(map[string]CSAlgorithm),
 		cd:       make(map[string]CDAlgorithm),
 	}
@@ -619,23 +618,18 @@ func (e *Explorer) CDAlgorithms() []string {
 	return names
 }
 
-// Upload registers a graph in the JSON wire format through Replace with
-// commit (Figure 4's upload; cmd/cexplorer's -edges flag and `snapshot
-// build` read graph files).
-func (e *Explorer) Upload(name string, r io.Reader, commit func() error) (*Dataset, error) {
+// Upload registers a graph in the JSON wire format (Figure 4's upload;
+// cmd/cexplorer's -edges flag and `snapshot build` read graph files).
+func (e *Explorer) Upload(name string, r io.Reader) (*Dataset, error) {
 	g, err := graph.LoadJSON(r)
 	if err != nil {
 		return nil, err
 	}
-	return e.addGraph(name, g, commit)
+	return e.AddGraph(name, g)
 }
 
 // AddGraph registers an in-memory graph as a dataset.
 func (e *Explorer) AddGraph(name string, g *graph.Graph) (*Dataset, error) {
-	return e.addGraph(name, g, nil)
-}
-
-func (e *Explorer) addGraph(name string, g *graph.Graph, commit func() error) (*Dataset, error) {
 	if name == "" {
 		return nil, fmt.Errorf("upload: empty dataset name")
 	}
@@ -643,51 +637,101 @@ func (e *Explorer) addGraph(name string, g *graph.Graph, commit func() error) (*
 		return nil, fmt.Errorf("upload: %w", err)
 	}
 	ds := NewDataset(name, g)
-	if _, err := e.Replace(name, ds, commit); err != nil {
-		return nil, err
-	}
+	e.replace(name, ds)
 	return ds, nil
 }
 
-// RemoveDataset deletes a dataset through Replace and reports whether the
-// name was registered (a replica un-claims a dropped dataset with it).
+// RemoveDataset deletes a dataset, reporting whether it was registered.
 func (e *Explorer) RemoveDataset(name string) bool {
-	removed, _ := e.Replace(name, nil, nil)
-	return removed
+	return e.replace(name, nil)
 }
 
-// Replace is the one registry write that starts or ends a lineage: it
-// registers next under name (nil deletes it) and reports whether a dataset
-// was displaced. commit, if non-nil, runs under the registry lock before
-// the store, and its error aborts the write; deleting an unregistered name
-// commits nothing. The displaced dataset's cache entries are purged, only
-// to free memory; a deleted one's exploration sessions are closed and its
-// mapping released once in-flight pinned reads finish.
-func (e *Explorer) Replace(name string, next *Dataset, commit func() error) (bool, error) {
-	e.mu.Lock()
-	prev, ok := e.datasets[name]
-	var err error
-	if commit != nil && (ok || next != nil) {
-		err = commit()
+// replace registers next under name (nil deletes it) as one write.
+func (e *Explorer) replace(name string, next *Dataset) bool {
+	w := e.Lock(name)
+	defer w.Unlock()
+	_, ok := w.Dataset()
+	w.Store(next, nil)
+	return ok
+}
+
+// A Writer holds the writer lock of one dataset name. Every change to a
+// name takes it (batches, uploads, deletes, and the serving layer's
+// persists and boot replay), so the dataset a Writer finds registered
+// stays so until it stores another or unlocks. Reads never take it.
+type Writer struct {
+	e    *Explorer
+	name string
+	l    *nameLock
+}
+
+// nameLock is one name's writer lock; the last of its refs deletes it.
+type nameLock struct {
+	mu   sync.Mutex
+	refs int
+}
+
+// Lock takes the writer lock of the dataset name.
+func (e *Explorer) Lock(name string) *Writer {
+	e.writersMu.Lock()
+	l := e.writers[name]
+	if l == nil {
+		l = &nameLock{}
+		e.writers[name] = l
 	}
-	if err == nil && next != nil {
-		e.datasets[name] = next
-	} else if err == nil {
-		delete(e.datasets, name)
+	l.refs++
+	e.writersMu.Unlock()
+	l.mu.Lock()
+	return &Writer{e, name, l}
+}
+
+// Unlock releases the writer lock.
+func (w *Writer) Unlock() {
+	w.l.mu.Unlock()
+	w.e.writersMu.Lock()
+	if w.l.refs--; w.l.refs == 0 {
+		delete(w.e.writers, w.name)
+	}
+	w.e.writersMu.Unlock()
+}
+
+// Dataset returns the registered dataset.
+func (w *Writer) Dataset() (*Dataset, bool) { return w.e.Dataset(w.name) }
+
+// Store registers next under the name (nil deletes it). commit, if
+// non-nil, runs under the registry lock just before the store, and its
+// error aborts the store; it must not call back into the Explorer. Ending
+// a lineage purges its cached results (only to free memory); a delete also
+// closes its exploration sessions and releases its mapping once in-flight
+// pinned reads finish.
+func (w *Writer) Store(next *Dataset, commit func() error) error {
+	e := w.e
+	e.mu.Lock()
+	prev, ok := e.datasets[w.name]
+	if commit != nil {
+		if err := commit(); err != nil {
+			e.mu.Unlock()
+			return err
+		}
+	}
+	if next != nil {
+		e.datasets[w.name] = next
+	} else {
+		delete(e.datasets, w.name)
 	}
 	c := e.cache
 	e.mu.Unlock()
-	if err != nil || !ok {
-		return false, err
+	if !ok || next != nil && next.lin == prev.lin {
+		return nil
 	}
 	if c != nil {
-		c.Purge(name)
+		c.Purge(w.name)
 	}
 	if next == nil {
-		e.explore.dropDataset(name)
+		e.explore.dropDataset(w.name)
 		prev.Close()
 	}
-	return true, nil
+	return nil
 }
 
 // Dataset returns a registered dataset.
@@ -844,7 +888,7 @@ func (e *Explorer) Analyze(ctx context.Context, dataset string, c Community, q i
 	if sc == nil {
 		return e.analyzeOn(ds, c, q)
 	}
-	v, err := sc.Do(ctx, dataset, ds.lin.id, ds.Version, analyzeKey(c, q), func(context.Context) (any, int64, error) {
+	v, err := sc.Do(ctx, dataset, ds.lin, ds.Version, analyzeKey(c, q), func(context.Context) (any, int64, error) {
 		a, err := e.analyzeOn(ds, c, q)
 		if err != nil {
 			return nil, 0, err

@@ -183,7 +183,7 @@ func TestUploadJSON(t *testing.T) {
 	if err := json.NewEncoder(&buf).Encode(jg); err != nil {
 		t.Fatal(err)
 	}
-	ds, err := e.Upload("uploaded", &buf, nil)
+	ds, err := e.Upload("uploaded", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestUploadJSON(t *testing.T) {
 	if got := e.Datasets(); len(got) != 1 || got[0] != "uploaded" {
 		t.Fatalf("datasets = %v", got)
 	}
-	if _, err := e.Upload("bad", strings.NewReader("{"), nil); err == nil {
+	if _, err := e.Upload("bad", strings.NewReader("{")); err == nil {
 		t.Fatal("bad json accepted")
 	}
 	if _, err := e.AddGraph("", gen.Figure5()); err == nil {

@@ -166,7 +166,7 @@ func communitiesBytes(cs []Community) int64 {
 // must treat it as read-only (pagination subslicing and DTO building are
 // fine) and clone it before any in-place filter or sort.
 func (e *Explorer) cachedCommunities(ctx context.Context, c *servecache.Cache, ds *Dataset, key string, compute func(context.Context) ([]Community, error)) ([]Community, error) {
-	v, err := c.Do(ctx, ds.Name, ds.lin.id, ds.Version, key, func(ctx context.Context) (any, int64, error) {
+	v, err := c.Do(ctx, ds.Name, ds.lin, ds.Version, key, func(ctx context.Context) (any, int64, error) {
 		out, err := compute(ctx)
 		if err != nil {
 			return nil, 0, err

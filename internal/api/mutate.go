@@ -48,8 +48,8 @@ import (
 //     and the write path never builds one; once a version holds a truss,
 //     every later version carries it.
 //
-// Explorer.Mutate serializes batches per lineage, runs each one's commit
-// point (MutateThen) and swaps the successor in with one map store: the
+// Explorer.Mutate derives each batch under its dataset name's writer lock
+// (see Writer) and stores the successor with one map store: the
 // copy-on-write step that keeps every in-flight search and exploration
 // session on the exact version it started with.
 
@@ -93,9 +93,11 @@ type MutationResult struct {
 	// Coalesced is set by the MutationBatcher: the number of caller
 	// submissions that shared this applied batch (0 when unbatched).
 	Coalesced int `json:"coalesced,omitempty"`
-	// Journaled and Compacted are set by the serving layer after durable
-	// logging: the batch's journal record was fsynced, and (rarely) the
-	// append tripped a snapshot-rewrite compaction.
+	// Journaled and Compacted are set by the serving layer, which with a
+	// data dir fsyncs the batch's journal record before the successor is
+	// published: Journaled is then true on every applied batch (a failed
+	// append refuses the batch instead), and Compacted reports the rare
+	// batch that also tripped a snapshot-rewrite compaction.
 	Journaled bool `json:"journaled"`
 	Compacted bool `json:"compacted,omitempty"`
 }
@@ -107,8 +109,8 @@ type MutationResult struct {
 // index, and no successor is produced. ctx is polled between ops.
 //
 // Callers that publish successors concurrently must serialize; the
-// Explorer does this per lineage. Calling Mutate directly is the embedded
-// use (tests, harnesses): derive, inspect, discard.
+// Explorer does this per dataset name (see Writer). Calling Mutate directly
+// is the embedded use (tests, harnesses): derive, inspect, discard.
 func (d *Dataset) Mutate(ctx context.Context, ops []Mutation) (*Dataset, *MutationResult, error) {
 	if len(ops) == 0 {
 		return nil, nil, fmt.Errorf("%w: empty batch", ErrInvalidMutation)
@@ -300,53 +302,23 @@ func mutationErr(i int, op Mutation, err error) error {
 }
 
 // Mutate applies a batch to the named dataset and publishes the successor
-// version. Batches on one dataset serialize (a lineage-wide mutex), while
-// reads never block: searches in flight keep the version they resolved, and
-// requests arriving after Mutate returns see the successor.
+// under the name's writer lock. Reads never block: searches in flight keep
+// the version they resolved, and later requests see the successor.
 func (e *Explorer) Mutate(ctx context.Context, dataset string, ops []Mutation) (*MutationResult, error) {
-	return e.MutateThen(ctx, dataset, ops, func(*MutationResult) error { return nil })
+	w := e.Lock(dataset)
+	defer w.Unlock()
+	next, res, err := w.Mutate(ctx, ops)
+	if err != nil {
+		return nil, err
+	}
+	return res, w.Store(next, nil)
 }
 
-// MutateThen is Mutate with a commit point: commit runs under the lineage
-// and registry locks after the successor is derived and before it is
-// swapped in; its error aborts the batch and is returned. A batch whose
-// dataset was removed or re-uploaded meanwhile is dropped uncommitted and
-// retried. commit must not call back into the Explorer.
-func (e *Explorer) MutateThen(ctx context.Context, dataset string, ops []Mutation, commit func(*MutationResult) error) (*MutationResult, error) {
-	for {
-		ds, err := e.resolve(ctx, "mutate: ", dataset)
-		if err != nil {
-			return nil, err
-		}
-		lin := ds.lin
-		lin.mu.Lock()
-		cur, ok := e.Dataset(dataset)
-		if !ok || cur.lin != lin {
-			// The dataset was removed or replaced wholesale (re-upload)
-			// while we waited; retry against whatever is there now.
-			lin.mu.Unlock()
-			continue
-		}
-		next, res, err := cur.Mutate(ctx, ops)
-		if err != nil {
-			lin.mu.Unlock()
-			return nil, err
-		}
-		e.mu.Lock()
-		stale := e.datasets[dataset] != cur
-		if !stale {
-			if err = commit(res); err == nil {
-				e.datasets[dataset] = next
-			}
-		}
-		e.mu.Unlock()
-		lin.mu.Unlock()
-		switch {
-		case stale:
-			continue
-		case err != nil:
-			return nil, err
-		}
-		return res, nil
+// Mutate derives the registered dataset's successor without storing it.
+func (w *Writer) Mutate(ctx context.Context, ops []Mutation) (*Dataset, *MutationResult, error) {
+	cur, err := w.e.resolve(ctx, "mutate: ", w.name)
+	if err != nil {
+		return nil, nil, err
 	}
+	return cur.Mutate(ctx, ops)
 }

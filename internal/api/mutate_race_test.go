@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -195,91 +196,109 @@ func TestMutateConcurrency(t *testing.T) {
 }
 
 // deriveWindowCtx runs inDerive, once, the first time Err is polled while
-// the lineage lock is held: inside Dataset.Mutate's op loop, after
-// MutateThen has re-checked the registry and before it swaps the successor
-// in. That is the window in which a delete or re-upload raced a batch.
+// the batch holds the dataset name's writer lock (the batch polls it as it
+// resolves the dataset and between ops), before Mutate stores the
+// successor. That is the window in which a delete or re-upload raced a
+// batch.
 type deriveWindowCtx struct {
 	context.Context
-	lineage  *sync.Mutex
+	e        *Explorer
 	inDerive func()
 }
 
 func (c *deriveWindowCtx) Err() error {
-	if c.lineage.TryLock() {
-		c.lineage.Unlock()
-	} else if f := c.inDerive; f != nil {
+	if f := c.inDerive; f != nil && c.e.writerRefs("fig5") == 1 {
 		c.inDerive = nil
 		f()
 	}
 	return c.Context.Err()
 }
 
-// TestMutateNeverPublishesOverRemovedOrReplacedDataset: a batch still
-// deriving when its dataset is deleted or re-uploaded must neither commit
-// nor swap its successor in. After a delete the batch answers
-// ErrDatasetNotFound and the name stays unregistered; after a re-upload the
-// batch is retried, and committed, on the new lineage only.
+// writerRefs counts the holder and the waiters of name's writer lock.
+func (e *Explorer) writerRefs(name string) int {
+	e.writersMu.Lock()
+	defer e.writersMu.Unlock()
+	if l := e.writers[name]; l != nil {
+		return l.refs
+	}
+	return 0
+}
+
+// TestMutateNeverPublishesOverRemovedOrReplacedDataset: a delete or
+// re-upload issued while a batch is deriving waits for the batch, which
+// commits on the lineage it started on; the delete or re-upload then lands
+// over it. No deleted dataset comes back, and no re-upload is overwritten
+// by a batch derived from the lineage it replaced.
 func TestMutateNeverPublishesOverRemovedOrReplacedDataset(t *testing.T) {
 	op := []Mutation{{Op: OpAddEdge, U: 5, V: 9}}
+	// during starts write from another goroutine once the batch holds the
+	// writer lock, and returns only when write is queued behind it.
+	during := func(e *Explorer, write func()) (*deriveWindowCtx, *sync.WaitGroup) {
+		var wg sync.WaitGroup
+		return &deriveWindowCtx{Context: context.Background(), e: e, inDerive: func() {
+			wg.Add(1)
+			go func() { defer wg.Done(); write() }()
+			for e.writerRefs("fig5") < 2 {
+				runtime.Gosched()
+			}
+		}}, &wg
+	}
 	t.Run("delete", func(t *testing.T) {
-		e, ds := figure5Explorer(t)
-		ctx := &deriveWindowCtx{Context: context.Background(), lineage: &ds.lin.mu,
-			inDerive: func() { e.RemoveDataset("fig5") }}
-		var commits int
-		_, err := e.MutateThen(ctx, "fig5", op, func(*MutationResult) error { commits++; return nil })
-		if !errors.Is(err, ErrDatasetNotFound) {
-			t.Fatalf("Mutate after a delete mid-batch: err = %v, want ErrDatasetNotFound", err)
+		e, _ := figure5Explorer(t)
+		var removed bool
+		ctx, wg := during(e, func() { removed = e.RemoveDataset("fig5") })
+		res, err := e.Mutate(ctx, "fig5", op)
+		wg.Wait()
+		if err != nil || res.Version != 1 {
+			t.Fatalf("batch before the delete: res %+v, err %v; want version 1", res, err)
+		}
+		if !removed {
+			t.Fatal("the delete found nothing to remove")
 		}
 		if cur, ok := e.Dataset("fig5"); ok {
 			t.Fatalf("deleted dataset resurrected at version %d", cur.Version)
-		}
-		if commits != 0 {
-			t.Fatalf("%d commits for a batch over a deleted dataset", commits)
 		}
 	})
 	t.Run("reupload", func(t *testing.T) {
 		e, ds := figure5Explorer(t)
 		var fresh *Dataset
-		ctx := &deriveWindowCtx{Context: context.Background(), lineage: &ds.lin.mu, inDerive: func() {
+		ctx, wg := during(e, func() {
 			var err error
 			if fresh, err = e.AddGraph("fig5", gen.Figure5()); err != nil {
 				t.Error(err)
 			}
-		}}
-		var committed []uint64
-		res, err := e.MutateThen(ctx, "fig5", op, func(r *MutationResult) error {
-			committed = append(committed, r.Version)
-			return nil
 		})
-		if err != nil {
-			t.Fatal(err)
+		res, err := e.Mutate(ctx, "fig5", op)
+		wg.Wait()
+		if err != nil || res.Version != 1 {
+			t.Fatalf("batch before the re-upload: res %+v, err %v; want version 1", res, err)
 		}
 		cur, _ := e.Dataset("fig5")
-		if fresh == nil || cur.lin != fresh.lin {
-			t.Fatal("the registered dataset is not the re-uploaded lineage")
+		if fresh == nil || cur != fresh || cur.lin == ds.lin {
+			t.Fatal("the registered dataset is not the re-upload")
 		}
-		if res.Version != 1 || cur.Version != 1 || len(committed) != 1 || committed[0] != 1 {
-			t.Fatalf("res version %d, registered version %d, commits %v; want the batch once, on the new lineage",
-				res.Version, cur.Version, committed)
-		}
-		if !cur.Graph.HasEdge(5, 9) {
-			t.Fatal("the retried batch is missing from the new lineage")
+		if cur.Version != 0 || cur.Graph.HasEdge(5, 9) {
+			t.Fatalf("the re-upload was overwritten: version %d, edge 5-9 %v", cur.Version, cur.Graph.HasEdge(5, 9))
 		}
 	})
 }
 
-// TestMutateThenRefusedCommitAppliesNothing: a commit error is the batch's
+// TestStoreRefusedCommitAppliesNothing: a commit error is the write's
 // answer, and the registered version does not move.
-func TestMutateThenRefusedCommitAppliesNothing(t *testing.T) {
+func TestStoreRefusedCommitAppliesNothing(t *testing.T) {
 	e, ds := figure5Explorer(t)
 	refused := errors.New("refused")
-	var seen uint64
-	_, err := e.MutateThen(context.Background(), "fig5", []Mutation{{Op: OpAddEdge, U: 5, V: 9}},
-		func(r *MutationResult) error { seen = r.Version; return refused })
+	w := e.Lock("fig5")
+	next, res, err := w.Mutate(context.Background(), []Mutation{{Op: OpAddEdge, U: 5, V: 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = w.Store(next, func() error { return refused })
+	w.Unlock()
 	if !errors.Is(err, refused) {
 		t.Fatalf("err = %v, want the commit's error", err)
 	}
-	if cur, _ := e.Dataset("fig5"); cur != ds || seen != 1 {
-		t.Fatalf("registered version %d (commit saw %d): a refused batch was applied", cur.Version, seen)
+	if cur, _ := e.Dataset("fig5"); cur != ds || res.Version != 1 {
+		t.Fatalf("registered version %d (the batch derived %d): a refused batch was applied", cur.Version, res.Version)
 	}
 }

@@ -156,9 +156,9 @@ func datasetFromSnapshot(name string, s *snapshot.Snapshot, elapsed time.Duratio
 // Unlike AddGraph it does not re-run Validate: snapshot integrity is the
 // checksum's job, and re-validating would forfeit the warm-start win.
 func (e *Explorer) AddDataset(ds *Dataset) error {
-	if ds == nil || ds.Name == "" || ds.Graph == nil || ds.lin == nil {
+	if ds == nil || ds.Name == "" || ds.Graph == nil || ds.lin == 0 {
 		return fmt.Errorf("add dataset: unnamed, or not made by NewDataset, OpenSnapshot or Mutate")
 	}
-	_, err := e.Replace(ds.Name, ds, nil)
-	return err
+	e.replace(ds.Name, ds)
+	return nil
 }

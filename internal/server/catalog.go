@@ -83,46 +83,48 @@ func (s *Server) LoadSnapshots() (int, error) {
 			s.stats.snapshotLoadErrors.Add(1)
 			continue
 		}
-		if err := s.exp.AddDataset(ds); err != nil {
-			s.logf("catalog: skipping %s: %v", path, err)
-			s.stats.snapshotLoadErrors.Add(1)
-			continue
-		}
 		elapsed := time.Since(start)
 		s.stats.snapshotLoads.Add(1)
 		s.stats.snapshotLoadNanos.Add(elapsed.Nanoseconds())
 		s.logf("catalog: %s ready from %s in %s (%d vertices, %d edges, %d bytes, %s)",
 			ds.Name, fname, elapsed.Round(time.Millisecond),
 			ds.Graph.N(), ds.Graph.M(), ds.Info.SnapshotBytes, ds.Info.OpenMode)
-		// Replay the mutation journal's tail: batches acknowledged after
-		// the snapshot was last written, so a warm restart resumes at the
+		// Register the dataset and replay the journal's tail under one
+		// hold of the name's writer lock: a warm restart resumes at the
 		// exact version the previous process served.
-		if n, err := s.replayJournal(ds.Name, ds.Version); err != nil {
+		w := s.exp.Lock(ds.Name)
+		w.Store(ds, nil)
+		if n, err := s.replayJournal(w, ds.Name, ds.Version); err != nil {
 			s.logf("catalog: %s: journal replay stopped after %d ops: %v", ds.Name, n, err)
 			s.stats.snapshotLoadErrors.Add(1)
 		} else if n > 0 {
-			cur, _ := s.exp.Dataset(ds.Name)
+			cur, _ := w.Dataset()
 			s.logf("catalog: %s replayed %d journaled ops (now version %d)", ds.Name, n, cur.Version)
 		}
+		w.Unlock()
 		loaded++
 	}
 	return loaded, nil
 }
 
-// PersistDataset writes the dataset's snapshot into the catalog (building
-// any missing indexes first) and returns the encoded size. It is a no-op
-// returning (0, nil) when no data dir is configured.
+// PersistDataset writes the snapshot of the dataset registered under ds's
+// name (ds, or a later version or re-upload) under the name's writer lock,
+// building missing indexes first, and returns the encoded size (0 without
+// a data dir).
 func (s *Server) PersistDataset(ds *api.Dataset) (int64, error) {
-	s.journalMu.Lock()
-	defer s.journalMu.Unlock()
-	return s.persistDatasetLocked(ds, false)
+	w := s.exp.Lock(ds.Name)
+	defer w.Unlock()
+	cur, ok := w.Dataset()
+	if !ok {
+		return 0, fmt.Errorf("persist: %w: %q", api.ErrDatasetNotFound, ds.Name)
+	}
+	return s.persistDataset(cur, false)
 }
 
-// persistDatasetLocked is PersistDataset under an already-held journalMu
-// (the compaction path holds it across the append that triggered it).
-// residentOnly skips forced index builds — compaction runs on the mutation
-// request path and must not pay a from-scratch truss decomposition there.
-func (s *Server) persistDatasetLocked(ds *api.Dataset, residentOnly bool) (int64, error) {
+// persistDataset writes ds's snapshot and drops the journal it supersedes,
+// under the caller's writer lock. residentOnly skips forced index builds,
+// which compaction must not pay on the mutation request path.
+func (s *Server) persistDataset(ds *api.Dataset, residentOnly bool) (int64, error) {
 	dir := s.DataDir()
 	if dir == "" {
 		return 0, nil
@@ -137,28 +139,24 @@ func (s *Server) persistDatasetLocked(ds *api.Dataset, residentOnly bool) (int64
 	} else {
 		n, err = ds.WriteSnapshotFile(snapshotPath(dir, ds.Name))
 	}
+	if err == nil {
+		err = s.dropJournal(dir, ds.Name)
+	}
 	if err != nil {
 		return 0, err
 	}
 	elapsed := time.Since(start)
 	s.stats.snapshotPersists.Add(1)
 	s.stats.snapshotPersistNanos.Add(elapsed.Nanoseconds())
-	// A full persist supersedes every journaled batch (the snapshot now
-	// embeds the dataset's version); drop the journal so a restart does not
-	// replay stale records onto a newer — or, after a re-upload, entirely
-	// different — base.
-	s.resetJournalLocked(ds.Name)
 	s.logf("catalog: persisted %s (%d bytes) in %s", ds.Name, n, elapsed.Round(time.Millisecond))
 	return n, nil
 }
 
-// HasSnapshot reports whether the catalog already holds a snapshot for the
-// dataset name (used at boot to decide whether built-ins need generating).
-func (s *Server) HasSnapshot(name string) bool {
-	dir := s.DataDir()
-	if dir == "" {
-		return false
+// removeCatalogFiles is a delete's durable step: it removes the dataset's
+// snapshot and journal.
+func (s *Server) removeCatalogFiles(dir, name string) error {
+	if err := os.Remove(snapshotPath(dir, name)); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("removing the snapshot: %w", err)
 	}
-	_, err := os.Stat(snapshotPath(dir, name))
-	return err == nil
+	return s.dropJournal(dir, name)
 }

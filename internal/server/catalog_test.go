@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http/httptest"
 	"os"
@@ -55,13 +54,12 @@ func TestWarmRestart(t *testing.T) {
 		Name           string  `json:"name"`
 		PersistedBytes int64   `json:"persistedBytes"`
 		PersistMS      float64 `json:"persistMs"`
-		PersistError   string  `json:"persistError"`
 	}
 	resp := doJSON(t, "PUT", ts1.URL+"/api/v1/datasets/persisted", gen.Figure5().ToJSONGraph("persisted"), &up)
 	if resp.StatusCode != 200 {
 		t.Fatalf("upload status = %d", resp.StatusCode)
 	}
-	if up.PersistError != "" || up.PersistedBytes == 0 {
+	if up.PersistedBytes == 0 {
 		t.Fatalf("upload did not persist: %+v", up)
 	}
 	path := filepath.Join(dir, "persisted"+snapshot.FileExt)
@@ -158,7 +156,7 @@ func TestPersistDisabledWithoutDataDir(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("upload status = %d", resp.StatusCode)
 	}
-	for _, k := range []string{"persistedBytes", "persistMs", "persistError"} {
+	for _, k := range []string{"persistedBytes", "persistMs"} {
 		if _, present := up[k]; present {
 			t.Fatalf("unexpected %s in response: %+v", k, up)
 		}
@@ -181,43 +179,37 @@ func TestSnapshotPathEscaping(t *testing.T) {
 	}
 }
 
-// TestDeleteCleanupSparesReupload: a delete removes the catalog files after
-// the registry entry, so an upload may register and persist the name in
-// between. The cleanup must then leave the new snapshot and journal alone,
-// or the upload's acknowledged persist would be lost at restart.
+// TestDeleteCleanupSparesReupload: a delete removes the catalog files under
+// the name's writer lock, before it drops the registry entry, so an upload
+// of the name issued meanwhile waits and lands after it. The upload's
+// snapshot, and the journal of a write after it, survive; a later delete
+// removes both.
 func TestDeleteCleanupSparesReupload(t *testing.T) {
-	dir := t.TempDir()
-	s := New(api.NewExplorer(), t.Logf)
-	if err := s.SetDataDir(dir); err != nil {
-		t.Fatal(err)
-	}
+	s, h, dir := catalogNode(t)
 	snap, journal := snapshotPath(dir, "fig5"), journalPath(dir, "fig5")
 	exists := func(path string) bool { _, err := os.Stat(path); return err == nil }
 
-	if _, err := s.exp.AddGraph("fig5", gen.Figure5()); err != nil {
-		t.Fatal(err)
-	}
-	if !s.exp.RemoveDataset("fig5") { // the delete's registry write
-		t.Fatal("fig5 was not registered")
-	}
-	ds, err := s.exp.AddGraph("fig5", gen.Figure5()) // the re-upload lands
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.PersistDataset(ds); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.applyMutations(context.Background(), "fig5", []api.Mutation{{Op: api.OpAddEdge, U: 5, V: 9}}); err != nil {
-		t.Fatal(err)
-	}
-	s.removeCatalogFiles("fig5") // the delete's cleanup runs late
+	entered, release := holdFirst(s)
+	del := serve(h, "DELETE", "/api/v1/datasets/fig5", nil)
+	<-entered
+	up := serve(h, "PUT", "/api/v1/datasets/fig5", gen.Figure5().ToJSONGraph("fig5"))
+	queued(up)
+	release()
+	del.wait(t, "delete")
+	up.wait(t, "re-upload")
+	serve(h, "POST", "/api/v1/datasets/fig5/mutations", addEdge(0, 9)).wait(t, "write")
 	if !exists(snap) || !exists(journal) {
-		t.Fatalf("cleanup removed the re-upload's files: snapshot %v, journal %v", exists(snap), exists(journal))
+		t.Fatalf("the delete removed the re-upload's files: snapshot %v, journal %v", exists(snap), exists(journal))
+	}
+	if cur, ok := reboot(t, dir).Dataset("fig5"); !ok || cur.Version != 1 {
+		t.Fatalf("reboot lost the re-upload or its write (registered %v)", ok)
 	}
 
-	s.exp.RemoveDataset("fig5")
-	s.removeCatalogFiles("fig5")
+	serve(h, "DELETE", "/api/v1/datasets/fig5", nil).wait(t, "second delete")
 	if exists(snap) || exists(journal) {
 		t.Fatalf("delete left files behind: snapshot %v, journal %v", exists(snap), exists(journal))
+	}
+	if _, ok := reboot(t, dir).Dataset("fig5"); ok {
+		t.Fatal("deleted dataset back after reboot")
 	}
 }

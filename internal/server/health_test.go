@@ -534,17 +534,32 @@ func TestTransitionsAfterShutdown(t *testing.T) {
 	}
 }
 
+// withCatalog gives s a fresh data dir holding its fig5 at version 0.
+func withCatalog(t *testing.T, s *Server) {
+	t.Helper()
+	if err := s.SetDataDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	ds, _ := s.exp.Dataset("fig5")
+	if _, err := s.PersistDataset(ds); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestWriteAdmittedBeforeDemotionIsNeverAckedUnshipped: a write that
-// passed writeGate on a primary is either acknowledged and in the feed, or
-// refused with 503 no_primary and absent locally, whatever demotion or
-// Shutdown lands between its admission and its apply. Each case drives the
-// seams the mutations route uses after writeGate: applyMutations, or the
-// batcher over it.
+// passed writeGate on a primary is either acknowledged, in the feed and in
+// the journal, or refused with 503 no_primary and absent locally and on
+// disk, whatever demotion or Shutdown lands between its admission and its
+// apply — a demotion inside the write's durable step included, after which
+// the appended record is truncated off again. Each case drives the seams
+// the mutations route uses after writeGate: applyMutations, or the batcher
+// over it, on a node with a data dir, and reboots a fresh server from it.
 func TestWriteAdmittedBeforeDemotionIsNeverAckedUnshipped(t *testing.T) {
 	ctx := context.Background()
 	edge := func(u int32) []api.Mutation { return []api.Mutation{{Op: api.OpAddEdge, U: u, V: 9}} }
 	primary := func(t *testing.T) (*Server, *httptest.Server, *repl.Feed) {
 		s, ts := fleetNode(t, &tailerGate{})
+		withCatalog(t, s)
 		return s, ts, s.EnableReplicationPrimary(repl.FeedOptions{})
 	}
 	demote := func(t *testing.T, ts *httptest.Server) {
@@ -579,11 +594,17 @@ func TestWriteAdmittedBeforeDemotionIsNeverAckedUnshipped(t *testing.T) {
 		if ds.Version != 0 || st.Head != 0 {
 			t.Fatalf("refused write moved the node: dataset version %d, feed head %d", ds.Version, st.Head)
 		}
+		if cur, _ := reboot(t, s.DataDir()).Dataset("fig5"); cur.Version != 0 {
+			t.Fatalf("refused write left a record: a reboot recovers version %d", cur.Version)
+		}
 	}
-	shipped := func(t *testing.T, feed *repl.Feed, res *api.MutationResult) {
+	shipped := func(t *testing.T, s *Server, feed *repl.Feed, res *api.MutationResult) {
 		t.Helper()
 		if st, _ := feed.Status("fig5"); st.Head != res.Version {
 			t.Fatalf("write acknowledged at version %d but the feed head is %d", res.Version, st.Head)
+		}
+		if cur, _ := reboot(t, s.DataDir()).Dataset("fig5"); cur.Version != res.Version {
+			t.Fatalf("write acknowledged at version %d but a reboot recovers version %d", res.Version, cur.Version)
 		}
 	}
 
@@ -594,7 +615,7 @@ func TestWriteAdmittedBeforeDemotionIsNeverAckedUnshipped(t *testing.T) {
 			t.Fatal(err)
 		}
 		demote(t, ts)
-		shipped(t, feed, res)
+		shipped(t, s, feed, res)
 	})
 	t.Run("demote then apply", func(t *testing.T) {
 		s, ts, feed := primary(t)
@@ -649,11 +670,27 @@ func TestWriteAdmittedBeforeDemotionIsNeverAckedUnshipped(t *testing.T) {
 			if err != nil {
 				refused(t, s, feed, err)
 			} else {
-				shipped(t, feed, res)
+				shipped(t, s, feed, res)
 				acked++
 			}
 		}
 		t.Logf("%d of 50 racing writes acknowledged and shipped, the rest refused", acked)
+	})
+	t.Run("demoted inside the durable step", func(t *testing.T) {
+		s, ts, feed := primary(t)
+		s.beforeDurable = func() { demote(t, ts) }
+		_, err := s.applyMutations(ctx, "fig5", edge(5))
+		refused(t, s, feed, err)
+	})
+	t.Run("shut down inside the durable step", func(t *testing.T) {
+		s, _, feed := primary(t)
+		s.beforeDurable = func() {
+			if err := s.Shutdown(ctx); err != nil {
+				t.Error(err)
+			}
+		}
+		_, err := s.applyMutations(ctx, "fig5", edge(5))
+		refused(t, s, feed, err)
 	})
 }
 
@@ -674,13 +711,17 @@ func (b *firstRead) Read(p []byte) (int, error) {
 // TestUploadOrDeleteAdmittedBeforeDemotionIsRefused: an upload or delete
 // that passed writeGate on a primary either lands with the dataset's feed
 // reset while the node was still a primary, or is refused with 503
-// no_primary and leaves the dataset and the feed as they were, whatever
-// demotion or Shutdown lands between its admission and its commit.
+// no_primary and leaves the dataset, the feed and the data dir as they
+// were, whatever demotion or Shutdown lands between its admission and its
+// commit — a demotion inside its durable step included, after which the
+// catalog is put back.
 func TestUploadOrDeleteAdmittedBeforeDemotionIsRefused(t *testing.T) {
 	upload := `{"vertices":[{"id":0,"name":"a","keywords":["x"]},{"id":1,"name":"b","keywords":["x"]}],"edges":[[0,1]]}`
-	// primary returns a primary node whose feed already holds fig5's state.
+	// primary returns a primary node, with a data dir, whose feed already
+	// holds fig5's state.
 	primary := func(t *testing.T) (*Server, *httptest.Server, *repl.Feed) {
 		s, ts := fleetNode(t, &tailerGate{})
+		withCatalog(t, s)
 		feed := s.EnableReplicationPrimary(repl.FeedOptions{})
 		if _, ok := feed.Epoch("fig5"); !ok {
 			t.Fatal("feed does not know fig5")
@@ -718,6 +759,9 @@ func TestUploadOrDeleteAdmittedBeforeDemotionIsRefused(t *testing.T) {
 		if now, ok := feed.Status("fig5"); !ok || now != st {
 			t.Fatalf("refused write moved the feed: %+v (present %v), was %+v", now, ok, st)
 		}
+		if cur, ok := reboot(t, s.DataDir()).Dataset("fig5"); !ok || cur.Version != ds.Version || cur.Graph.N() != ds.Graph.N() {
+			t.Fatalf("refused write changed the data dir: a reboot recovers fig5 %v", ok)
+		}
 	}
 	before := func(s *Server, feed *repl.Feed) (*api.Dataset, repl.FeedStatus) {
 		ds, _ := s.exp.Dataset("fig5")
@@ -731,17 +775,32 @@ func TestUploadOrDeleteAdmittedBeforeDemotionIsRefused(t *testing.T) {
 		rec := put(ts, &firstRead{strings.NewReader(upload), func() { demote(t, ts) }})
 		unchanged(t, s, feed, ds, st, rec)
 	})
-	t.Run("DELETE committed after demotion", func(t *testing.T) {
-		s, ts, feed := primary(t)
-		ds, st := before(s, feed)
-		demote(t, ts)
-		removed, err := s.exp.Replace("fig5", nil, func() error { return s.commit("fig5", 0, nil) }) // the route's call
-		if removed {
+	del := func(t *testing.T, s *Server) *httptest.ResponseRecorder {
+		_, err := s.replaceDataset("fig5", nil) // the route's write after writeGate
+		if err == nil {
 			t.Fatal("delete applied on a demoted node")
 		}
 		rec := httptest.NewRecorder()
 		s.writeError(rec, err)
-		unchanged(t, s, feed, ds, st, rec)
+		return rec
+	}
+	t.Run("DELETE committed after demotion", func(t *testing.T) {
+		s, ts, feed := primary(t)
+		ds, st := before(s, feed)
+		demote(t, ts)
+		unchanged(t, s, feed, ds, st, del(t, s))
+	})
+	t.Run("DELETE demoted inside its durable step", func(t *testing.T) {
+		s, ts, feed := primary(t)
+		ds, st := before(s, feed)
+		s.beforeDurable = func() { demote(t, ts) }
+		unchanged(t, s, feed, ds, st, del(t, s))
+	})
+	t.Run("PUT demoted inside its durable step", func(t *testing.T) {
+		s, ts, feed := primary(t)
+		ds, st := before(s, feed)
+		s.beforeDurable = func() { demote(t, ts) }
+		unchanged(t, s, feed, ds, st, put(ts, strings.NewReader(upload)))
 	})
 	t.Run("PUT after Shutdown", func(t *testing.T) {
 		s, ts, feed := primary(t)
@@ -779,6 +838,9 @@ func TestUploadOrDeleteAdmittedBeforeDemotionIsRefused(t *testing.T) {
 			}
 			if now, ok := feed.Status("fig5"); ok {
 				t.Fatalf("upload acknowledged without resetting the feed: %+v", now)
+			}
+			if cur, ok := reboot(t, s.DataDir()).Dataset("fig5"); !ok || cur.Graph.N() != 2 {
+				t.Fatal("upload acknowledged but a reboot does not recover it")
 			}
 			acked++
 		}

@@ -4,13 +4,11 @@ package server
 //
 //	POST /api/v1/datasets/{name}/mutations
 //
-// accepts one op or a batch, applies it through Explorer.Mutate (atomic
-// copy-on-write version swap; in-flight searches keep their version), and —
-// when a data directory is configured — appends the batch to the dataset's
-// mutation journal before answering, so a warm restart replays the tail
-// instead of losing acknowledged writes. Once a journal accumulates enough
-// ops the catalog compacts: the snapshot is rewritten at the current
-// version and the journal dropped.
+// accepts one op or a batch and, under the dataset name's writer lock,
+// derives the successor, journals it (with a data directory), publishes it
+// and swaps it in before answering, so a warm restart replays exactly the
+// acknowledged versions. Once a journal holds enough ops the catalog
+// compacts: the snapshot is rewritten and the journal dropped.
 
 import (
 	"cmp"
@@ -21,7 +19,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"slices"
 	"time"
 
 	"cexplorer/internal/api"
@@ -74,22 +71,21 @@ type mutationResponse struct {
 	ElapsedMS float64 `json:"elapsedMs"`
 }
 
-// applyMutations is the one write path every mutation takes — the apply
-// seam the batcher wraps and the direct route calls. It runs the engine
-// apply, keeps the mutation counters, and (with a catalog configured)
-// journals the batch, recording durability in the result:
-//
-//   - Journaled reflects the append alone: a batch whose record was fsynced
-//     IS durable even when the follow-up compaction failed, and reporting
-//     otherwise would invite a client retry that applies the batch twice.
-//     Failures (append or compaction) are logged loudly.
-//   - With batching enabled, one call here may speak for several coalesced
-//     HTTP requests; the batch journals once, under the combined batch's
-//     version, so replay sees exactly the applied lineage.
+// applyMutations is the one write path every mutation takes, the seam the
+// batcher wraps: it derives the successor under the name's writer lock and
+// stores it with the journal append as the durable step (see store), then
+// compacts when due. A coalesced batch journals once, under its version.
 func (s *Server) applyMutations(ctx context.Context, name string, ops []api.Mutation) (*api.MutationResult, error) {
+	w := s.exp.Lock(name)
+	defer w.Unlock()
 	start := time.Now()
-	res, err := s.mutate(ctx, name, ops)
+	next, res, err := w.Mutate(ctx, ops)
 	elapsed := time.Since(start)
+	if err == nil {
+		err = s.store(w, next, func(dir string) (func() error, error) {
+			return appendBatch(journalPath(dir, name), res.Version, ops)
+		}, func() error { return s.commit(name, res.Version, ops) })
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -97,12 +93,8 @@ func (s *Server) applyMutations(ctx context.Context, name string, ops []api.Muta
 	s.stats.mutationOps.Add(int64(len(ops)))
 	s.stats.mutationNanos.Add(elapsed.Nanoseconds())
 	if s.DataDir() != "" {
-		journaled, compacted, jerr := s.journalBatch(name, res.Version, ops)
-		res.Journaled = journaled
-		res.Compacted = compacted
-		if jerr != nil {
-			s.logf("mutations %s: %v (journaled=%v)", name, jerr, journaled)
-		}
+		res.Journaled = true
+		res.Compacted = s.compactIfDue(next, len(ops))
 	}
 	return res, nil
 }
@@ -110,11 +102,35 @@ func (s *Server) applyMutations(ctx context.Context, name string, ops []api.Muta
 // errNoPrimary refuses a write at its commit point (503 no_primary).
 var errNoPrimary = errors.New("this node is not a primary (replica, demoted, or shut down): write refused, nothing applied")
 
-// mutate applies ops through their commit point (see commit).
-func (s *Server) mutate(ctx context.Context, name string, ops []api.Mutation) (*api.MutationResult, error) {
-	return s.exp.MutateThen(ctx, name, ops, func(res *api.MutationResult) error {
-		return s.commit(name, res.Version, ops)
-	})
+// store ends every write to a name (a batch, an upload, a delete) under
+// its writer lock w. A replica refuses. With a catalog, durable makes the
+// write durable in dir (append and fsync a record, persist an upload,
+// remove the files) and returns its undo; then commit runs (see commit)
+// and the registry stores next (nil deletes the name). A failed durable
+// step, or a commit refused after it, is undone, leaving memory, feed and
+// catalog as they were: the answer is 500, or 503 no_primary for the
+// refused commit, and 500 when the undo fails too.
+func (s *Server) store(w *api.Writer, next *api.Dataset, durable func(dir string) (undo func() error, err error), commit func() error) error {
+	if s.role.Load().src != nil {
+		return errNoPrimary
+	}
+	dir := s.DataDir()
+	if dir == "" {
+		return w.Store(next, commit)
+	}
+	if s.beforeDurable != nil {
+		s.beforeDurable()
+	}
+	undo, err := durable(dir)
+	if err == nil {
+		if err = w.Store(next, commit); err == nil {
+			return nil
+		}
+	}
+	if uerr := undo(); uerr != nil {
+		return fmt.Errorf("%v; undoing its durable step: %w", err, uerr)
+	}
+	return err
 }
 
 // commit is every write's commit point, run under the Explorer's registry
@@ -146,14 +162,12 @@ func (s *Server) v1Mutations(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	name := r.PathValue("name")
-	start := time.Now()
-	var res *api.MutationResult
+	apply := s.applyMutations
 	if b := s.mutationBatcher(); b != nil {
-		res, err = b.Mutate(r.Context(), name, ops)
-	} else {
-		res, err = s.applyMutations(r.Context(), name, ops)
+		apply = b.Mutate
 	}
+	start := time.Now()
+	res, err := apply(r.Context(), r.PathValue("name"), ops)
 	elapsed := time.Since(start)
 	if err != nil {
 		s.stats.mutationErrors.Add(1)
@@ -168,116 +182,103 @@ func journalPath(dir, name string) string {
 	return snapshotPath(dir, name) + snapshot.JournalExt
 }
 
-// journalBatch appends one applied batch to the dataset's journal and runs
-// compaction when the journal has absorbed enough ops. The whole operation
-// — append, counter, and any compaction — holds journalMu, so the dataset
-// re-fetched for a compaction snapshot is always at least as new as every
-// record the compaction deletes (concurrent batches publish before they
-// append, and their appends queue behind the lock).
-func (s *Server) journalBatch(name string, version uint64, ops []api.Mutation) (journaled, compacted bool, err error) {
-	dir := s.DataDir()
-	if dir == "" {
-		return false, false, nil
+// appendBatch is a mutation's durable step: it appends and fsyncs the
+// batch's record. undo truncates the journal back to its size before the
+// append (the writer owns the tail), clearing what a failed append left.
+func appendBatch(path string, version uint64, ops []api.Mutation) (undo func() error, err error) {
+	var size int64
+	if st, err := os.Stat(path); err == nil {
+		size = st.Size()
+	} else if !os.IsNotExist(err) {
+		return func() error { return nil }, fmt.Errorf("journal: %w", err)
 	}
-	s.journalMu.Lock()
-	defer s.journalMu.Unlock()
-	rec := snapshot.JournalRecord{Version: version, Ops: repl.ToJournalOps(ops)}
-	if err := snapshot.AppendJournal(journalPath(dir, name), rec); err != nil {
-		return false, false, err
+	undo = func() error {
+		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		if err != nil {
+			return err
+		}
+		return errors.Join(f.Truncate(size), f.Sync(), f.Close())
 	}
-	s.mu.Lock()
-	s.journalOps[name] += len(ops)
-	pending := s.journalOps[name]
-	threshold := s.journalCompactAfter
-	s.mu.Unlock()
-	if threshold <= 0 {
-		threshold = DefaultJournalCompactAfter
-	}
-	if pending < threshold {
-		return true, false, nil
-	}
-	ds, ok := s.exp.Dataset(name)
-	if !ok {
-		return true, false, nil
-	}
-	if _, err := s.persistDatasetLocked(ds, true); err != nil {
-		return true, false, fmt.Errorf("compaction: %w", err)
-	}
-	return true, true, nil
+	return undo, snapshot.AppendJournal(path, snapshot.JournalRecord{Version: version, Ops: repl.ToJournalOps(ops)})
 }
 
-// SetJournalCompactAfter overrides the compaction threshold (ops per
-// journal); n ≤ 0 restores the default. Test hook and ops knob.
-func (s *Server) SetJournalCompactAfter(n int) {
+// compactIfDue counts a journaled batch's ops and, once the journal holds
+// enough, persists ds (the version just stored) and drops the journal; a
+// failure is only logged, as the batch is durable in the journal already.
+func (s *Server) compactIfDue(ds *api.Dataset, ops int) bool {
 	s.mu.Lock()
-	s.journalCompactAfter = n
+	s.journalOps[ds.Name] += ops
+	pending := s.journalOps[ds.Name]
 	s.mu.Unlock()
+	if pending < cmp.Or(s.journalCompactAfter, DefaultJournalCompactAfter) {
+		return false
+	}
+	if _, err := s.persistDataset(ds, true); err != nil {
+		s.logf("mutations %s: compaction: %v", ds.Name, err)
+		return false
+	}
+	return true
 }
 
-// resetJournalLocked drops the dataset's journal and pending-op counter;
-// called after every full snapshot persist (upload, compaction), which
-// supersedes the journal's records. Caller holds journalMu.
-func (s *Server) resetJournalLocked(name string) {
-	dir := s.DataDir()
-	if dir == "" {
-		return
-	}
+// dropJournal removes the dataset's journal and pending-op counter, after
+// a full snapshot persist supersedes them.
+func (s *Server) dropJournal(dir, name string) error {
 	if err := os.Remove(journalPath(dir, name)); err != nil && !os.IsNotExist(err) {
-		s.logf("catalog: removing journal for %s: %v", name, err)
+		return fmt.Errorf("removing the journal: %w", err)
 	}
 	s.mu.Lock()
 	delete(s.journalOps, name)
 	s.mu.Unlock()
+	return nil
 }
 
-// replayJournal applies the journal records a freshly loaded snapshot
-// predates, bringing the dataset to its last acknowledged version. Records
-// at or below the snapshot's version are skipped (the snapshot already
-// contains them). Versions are unique per lineage but append order is not
-// publish order (the journal lock is taken after the version swap), so
-// records are sorted by version and required to be contiguous — a gap
-// means records are missing and replay stops rather than applying batches
-// against the wrong base. Returns how many ops were replayed.
+// replayJournal applies, under the name's writer lock w, the journal
+// records a freshly loaded snapshot predates, and returns how many ops it
+// replayed. Records are appended under that lock in version order, so each
+// must be one version past the one before it and the first past the
+// snapshot must follow it; anything else is corruption. Records at or below
+// the snapshot's version (a compaction's crash leftovers) are skipped.
 //
-// When replay stops early — at a gap, a failed apply, a bad header or a
-// corrupt record — the records left behind can never apply, yet they hold
-// versions the restarted lineage is about to reuse, and later appends would
-// land behind them where no boot reads. So the replayed prefix (every
-// record before the corruption) becomes the durable base before any write
-// is served: a compaction rewrites the snapshot at the current version and
-// drops the journal. A journal that cannot be read (an I/O error, not
-// corruption) is left alone and nothing is applied.
-func (s *Server) replayJournal(name string, baseVersion uint64) (int, error) {
+// When replay stops early, at corruption or a failed apply, the records
+// left behind hold versions the restarted lineage is about to reuse, so a
+// compaction makes the replayed prefix the durable base before any write
+// is served. A journal that cannot be read (an I/O error, not corruption)
+// is left alone and nothing is applied.
+func (s *Server) replayJournal(w *api.Writer, name string, baseVersion uint64) (int, error) {
 	dir := s.DataDir()
 	if dir == "" {
 		return 0, nil
 	}
-	path := journalPath(dir, name)
-	recs, readErr := s.drainJournal(name, path)
+	recs, readErr := s.drainJournal(name, journalPath(dir, name))
 	if readErr != nil && !errors.Is(readErr, snapshot.ErrJournalCorrupt) {
 		// An I/O failure says nothing about the journal's bytes: apply
 		// nothing and leave the file for the next boot.
 		return 0, readErr
 	}
-	slices.SortFunc(recs, func(a, b snapshot.JournalRecord) int { return cmp.Compare(a.Version, b.Version) })
 	replayed := 0
-	next := baseVersion + 1
 	var applyErr error
-	for _, rec := range recs {
+	for i, rec := range recs {
+		want := baseVersion + 1
+		if i > 0 {
+			want = recs[i-1].Version + 1
+		}
+		if rec.Version != want && (i > 0 || rec.Version > baseVersion) {
+			applyErr = fmt.Errorf("%w: record %d has version %d, want %d", snapshot.ErrJournalCorrupt, i+1, rec.Version, want)
+			break
+		}
 		if rec.Version <= baseVersion {
 			continue
 		}
-		if rec.Version != next {
-			applyErr = fmt.Errorf("journal gap: have version %d, want %d", rec.Version, next)
-			break
-		}
 		ops := repl.FromJournalOps(rec.Ops)
-		if _, err := s.mutate(context.Background(), name, ops); err != nil {
+		next, _, err := w.Mutate(context.Background(), ops)
+		if err == nil {
+			err = w.Store(next, func() error { return s.commit(name, rec.Version, ops) })
+		}
+		if err != nil {
 			applyErr = fmt.Errorf("replaying batch for version %d: %w", rec.Version, err)
 			break
 		}
 		replayed += len(ops)
-		next++
 	}
 	s.mu.Lock()
 	s.journalOps[name] += replayed
@@ -286,11 +287,8 @@ func (s *Server) replayJournal(name string, baseVersion uint64) (int, error) {
 	if stop == nil {
 		return replayed, nil
 	}
-	if ds, ok := s.exp.Dataset(name); ok {
-		s.journalMu.Lock()
-		_, err := s.persistDatasetLocked(ds, true)
-		s.journalMu.Unlock()
-		if err != nil {
+	if ds, ok := w.Dataset(); ok {
+		if _, err := s.persistDataset(ds, true); err != nil {
 			return replayed, fmt.Errorf("%w; compacting the replayed prefix: %v", stop, err)
 		}
 	}

@@ -155,7 +155,7 @@ func TestV1MutationsCompaction(t *testing.T) {
 	if _, err := s.PersistDataset(ds); err != nil {
 		t.Fatal(err)
 	}
-	s.SetJournalCompactAfter(3)
+	s.journalCompactAfter = 3
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	url := ts.URL + "/api/v1/datasets/fig5/mutations"
@@ -390,7 +390,7 @@ func TestV1MutationsConcurrentDurability(t *testing.T) {
 	if _, err := s.PersistDataset(ds); err != nil {
 		t.Fatal(err)
 	}
-	s.SetJournalCompactAfter(2)
+	s.journalCompactAfter = 2
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	url := ts.URL + "/api/v1/datasets/fig5/mutations"

@@ -17,7 +17,6 @@ import (
 	"strconv"
 	"time"
 
-	"cexplorer/internal/api"
 	"cexplorer/internal/repl"
 )
 
@@ -225,35 +224,21 @@ func (s *Server) v1JournalShip(w http.ResponseWriter, r *http.Request) {
 
 // v1SnapshotShip streams the dataset's resident-index snapshot — the
 // replica bootstrap image — stamped with the epoch and Version the stream
-// represents. The epoch is read before and after fetching the dataset so a
-// concurrent re-upload cannot pair the new lineage's bytes with the old
-// lineage's epoch (or vice versa); a mismatch simply retries.
+// represents. Both are read under the name's writer lock, so an upload or
+// delete cannot pair one lineage's bytes with another's epoch.
 func (s *Server) v1SnapshotShip(w http.ResponseWriter, r *http.Request) {
 	feed, ok := s.requireFeed(w)
 	if !ok {
 		return
 	}
 	name := r.PathValue("name")
-	var (
-		ds    *api.Dataset
-		epoch uint64
-	)
-	for {
-		e1, ok := feed.Epoch(name)
-		if !ok {
-			writeEnvelope(w, http.StatusNotFound, "dataset not found: "+name, "dataset_not_found")
-			return
-		}
-		ds, ok = s.exp.Dataset(name)
-		if !ok {
-			writeEnvelope(w, http.StatusNotFound, "dataset not found: "+name, "dataset_not_found")
-			return
-		}
-		e2, ok := feed.Epoch(name)
-		if ok && e1 == e2 {
-			epoch = e1
-			break
-		}
+	wr := s.exp.Lock(name)
+	epoch, ok := feed.Epoch(name)
+	ds, registered := wr.Dataset()
+	wr.Unlock()
+	if !ok || !registered {
+		writeEnvelope(w, http.StatusNotFound, "dataset not found: "+name, "dataset_not_found")
+		return
 	}
 	unpin, err := ds.Pin()
 	if err != nil {

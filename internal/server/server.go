@@ -46,15 +46,15 @@ type Server struct {
 	dataDir  string                           // snapshot catalog directory; "" disables persistence
 	openMode snapshot.OpenMode                // how LoadSnapshots materializes catalog files
 
-	// journalMu serializes every journal append, reset, and compaction (a
-	// compaction persists the dataset it re-fetches under this lock, so a
-	// record appended by a concurrent batch can never be deleted before
-	// the snapshot that supersedes it exists). journalOps tracks ops
-	// journaled per dataset since its last full persist; crossing
-	// journalCompactAfter triggers compaction.
-	journalMu           sync.Mutex
+	// journalOps tracks ops journaled per dataset since its last full
+	// persist; crossing journalCompactAfter (DefaultJournalCompactAfter
+	// when zero; tests set it before serving) triggers compaction. Every
+	// journal and snapshot write runs under the name's writer lock (store).
 	journalOps          map[string]int
 	journalCompactAfter int
+
+	// beforeDurable (tests) runs in every write's durable step (store).
+	beforeDurable func()
 
 	logf func(format string, args ...any)
 

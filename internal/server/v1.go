@@ -27,15 +27,14 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"slices"
 	"strconv"
 	"time"
 
 	"cexplorer/internal/api"
+	"cexplorer/internal/graph"
 	"cexplorer/internal/layout"
 	"cexplorer/internal/repl"
 )
@@ -79,39 +78,33 @@ func (s *Server) v1GetDataset(w http.ResponseWriter, r *http.Request) {
 }
 
 // v1PutDataset uploads a graph under {name}, the body being the JSON graph
-// wire format itself, and replaces any dataset of that name wholesale.
-// Replicas refuse it like every write, and so does a node demoted while the
-// body was read: the upload commits like a mutation (see commit).
+// wire format itself, and replaces any dataset of that name wholesale. It
+// stores like every write (see store): with a catalog, a 200 with
+// persistedBytes means the dataset survives a restart, and a failed
+// persist refuses it. The persist builds all indexes, warming the dataset.
 func (s *Server) v1PutDataset(w http.ResponseWriter, r *http.Request) {
 	if !s.writeGate(w, r) {
 		return
 	}
-	name := r.PathValue("name")
-	ds, err := s.exp.Upload(name, r.Body, func() error { return s.commit(name, 0, nil) })
-	if errors.Is(err, errNoPrimary) {
-		s.writeError(w, err)
-		return
+	g, err := graph.LoadJSON(r.Body)
+	if err == nil {
+		err = g.Validate()
 	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "upload: %v", err)
 		return
 	}
+	ds := api.NewDataset(r.PathValue("name"), g)
+	start := time.Now()
+	n, err := s.replaceDataset(ds.Name, ds)
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
 	resp := map[string]any{"name": ds.Name, "stats": ds.Graph.ComputeStats()}
-	// With a catalog configured, the upload persists before the response:
-	// a 200 with persistedBytes means the dataset survives a restart. The
-	// persist builds all indexes, so it also warms the dataset for queries.
 	if s.DataDir() != "" {
-		start := time.Now()
-		n, perr := s.PersistDataset(ds)
-		if perr != nil {
-			// The dataset is still served from memory; surface the broken
-			// durability loudly rather than failing the upload outright.
-			s.logf("upload %s: persist failed: %v", ds.Name, perr)
-			resp["persistError"] = perr.Error()
-		} else {
-			resp["persistedBytes"] = n
-			resp["persistMs"] = msec(time.Since(start))
-		}
+		resp["persistedBytes"] = n
+		resp["persistMs"] = msec(time.Since(start))
 	}
 	writeJSON(w, resp)
 }
@@ -127,33 +120,41 @@ func (s *Server) v1DeleteDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("name")
-	removed, err := s.exp.Replace(name, nil, func() error { return s.commit(name, 0, nil) })
-	if err == nil && !removed {
-		err = fmt.Errorf("%w: %q", api.ErrDatasetNotFound, name)
-	}
-	if err != nil {
+	if _, err := s.replaceDataset(name, nil); err != nil {
 		s.writeError(w, err)
 		return
 	}
-	s.removeCatalogFiles(name)
 	s.logf("dataset %s deleted", name)
 	writeJSON(w, map[string]any{"deleted": name})
 }
 
-// removeCatalogFiles deletes a dataset's snapshot and journal unless the
-// name is registered again: an upload that landed after the delete owns
-// them, and removing them would lose its acknowledged persist at restart.
-func (s *Server) removeCatalogFiles(name string) {
-	dir := s.DataDir()
-	s.journalMu.Lock()
-	defer s.journalMu.Unlock()
-	if _, ok := s.exp.Dataset(name); ok || dir == "" {
-		return
+// replaceDataset is an upload's write (next non-nil) or a delete's: the
+// durable step persists next or removes the catalog files, its undo puts
+// back the displaced dataset, and the commit resets the feed (see store).
+func (s *Server) replaceDataset(name string, next *api.Dataset) (int64, error) {
+	w := s.exp.Lock(name)
+	defer w.Unlock()
+	cur, ok := w.Dataset()
+	if !ok && next == nil {
+		return 0, fmt.Errorf("%w: %q", api.ErrDatasetNotFound, name)
 	}
-	s.resetJournalLocked(name)
-	if err := os.Remove(snapshotPath(dir, name)); err != nil && !os.IsNotExist(err) {
-		s.logf("catalog: removing snapshot for %s: %v", name, err)
-	}
+	var n int64
+	err := s.store(w, next, func(dir string) (func() error, error) {
+		undo := func() error {
+			if cur == nil {
+				return s.removeCatalogFiles(dir, name)
+			}
+			_, err := s.persistDataset(cur, true)
+			return err
+		}
+		if next == nil {
+			return undo, s.removeCatalogFiles(dir, name)
+		}
+		var err error
+		n, err = s.persistDataset(next, false)
+		return undo, err
+	}, func() error { return s.commit(name, 0, nil) })
+	return n, err
 }
 
 // v1GetVertex resolves the {id} path segment as a vertex id when numeric,

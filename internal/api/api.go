@@ -224,6 +224,10 @@ var lineageIDs atomic.Uint64
 
 func newLineage() uint64 { return lineageIDs.Add(1) }
 
+// Lineage identifies d's lineage: an upload or snapshot open and every
+// version mutated from it share it, and no other dataset does.
+func (d *Dataset) Lineage() uint64 { return d.lin }
+
 // NewDataset wraps a graph, starting a new lineage.
 func NewDataset(name string, g *graph.Graph) *Dataset {
 	return &Dataset{Name: name, Graph: g, Info: DatasetInfo{Source: "built"}, lin: newLineage()}

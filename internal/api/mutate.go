@@ -32,8 +32,12 @@ import (
 //     from a snapshot, or bootstrapped on a replica) builds it once from a
 //     peel of the graph (kcore.BuildOrder).
 //   - The CL-tree is repaired through cltree.Repair: shared wholesale when
-//     the batch provably changed no k-core component, otherwise reskeleted
-//     with unchanged inverted lists adopted from the old tree.
+//     no vertex changed level and no k-core component changed; edited in
+//     place when the batch only moved vertices between existing nodes (each
+//     moved vertex leaves its old node and joins the node of its new level,
+//     and the touched nodes' lists are spliced once); rebuilt from scratch,
+//     adopting unchanged inverted lists, only when a component merged,
+//     split, appeared or vanished.
 //   - A borrowed (mmap-backed) base is not repaired: the repaired tree
 //     would share nodes whose vertex and inverted-list arenas alias the
 //     mapping, outliving it once the base is closed. The successor's tree
@@ -84,11 +88,13 @@ type MutationResult struct {
 	// CoreChanged counts vertices whose core number moved (0 when core
 	// numbers were not resident and maintenance stayed lazy).
 	CoreChanged int `json:"coreChanged"`
-	// TreeRepair reports how the CL-tree was maintained: "shared" (the
-	// structural fast path — no k-core component changed), "rebuilt"
-	// (skeleton rebuilt, unchanged inverted lists adopted), or "lazy" (the
-	// successor's tree rebuilds on first use: the base version held no
-	// tree, or held one on a borrowed, mmap-backed graph).
+	// TreeRepair reports how the CL-tree was maintained: "shared" (no
+	// vertex changed level and no k-core component changed: every node is
+	// the base's), "repaired" (vertices moved between existing nodes, which
+	// were edited in place), "rebuilt" (a component merged, split, appeared
+	// or vanished: built from scratch, unchanged inverted lists adopted), or
+	// "lazy" (the successor's tree rebuilds on first use: the base version
+	// held no tree, or held one on a borrowed, mmap-backed graph).
 	TreeRepair string `json:"treeRepair"`
 	// Coalesced is set by the MutationBatcher: the number of caller
 	// submissions that shared this applied batch (0 when unbatched).
@@ -144,15 +150,10 @@ func (d *Dataset) Mutate(ctx context.Context, ops []Mutation) (*Dataset, *Mutati
 	var (
 		edgeOps     []cltree.EdgeOp
 		coreChanged int
-		// changedLevel is the deepest CL-tree level any core change can
-		// have touched (promoted vertices land at their new core, demoted
-		// vertices leave their old one); cltree.Repair uses it to bound the
-		// frontier rebuild.
-		changedLevel int32
-		added        int
-		// singleChanged holds the changed vertices of a single-op batch,
-		// the case cltree.Repair can patch surgically.
-		singleChanged []int32
+		// moved collects every vertex whose core number an op moved, for
+		// cltree.Repair (a vertex moved twice appears twice).
+		moved []int32
+		added int
 	)
 	for i, op := range ops {
 		if err := ctx.Err(); err != nil {
@@ -166,14 +167,7 @@ func (d *Dataset) Mutate(ctx context.Context, ops []Mutation) (*Dataset, *Mutati
 			if maint != nil {
 				ch := maint.InsertEdge(ov, op.U, op.V)
 				coreChanged += len(ch)
-				if len(ch) > 0 {
-					if lvl := maint.Core()[ch[0]]; lvl > changedLevel {
-						changedLevel = lvl
-					}
-					if len(ops) == 1 {
-						singleChanged = slices.Clone(ch)
-					}
-				}
+				moved = append(moved, ch...)
 			}
 			if truss != nil {
 				truss.InsertEdge(op.U, op.V)
@@ -186,15 +180,7 @@ func (d *Dataset) Mutate(ctx context.Context, ops []Mutation) (*Dataset, *Mutati
 			if maint != nil {
 				ch := maint.RemoveEdge(ov, op.U, op.V)
 				coreChanged += len(ch)
-				if len(ch) > 0 {
-					// Demoted vertices left the level one above their new core.
-					if lvl := maint.Core()[ch[0]] + 1; lvl > changedLevel {
-						changedLevel = lvl
-					}
-					if len(ops) == 1 {
-						singleChanged = slices.Clone(ch)
-					}
-				}
+				moved = append(moved, ch...)
 			}
 			if truss != nil {
 				truss.RemoveEdge(op.U, op.V)
@@ -254,13 +240,9 @@ func (d *Dataset) Mutate(ctx context.Context, ops []Mutation) (*Dataset, *Mutati
 	}
 	if tree, ok := d.tree.resident(); ok && maint != nil && !d.Graph.Borrowed() {
 		// A borrowed base is not repaired (see the file comment).
-		repaired, shared := cltree.Repair(tree, g, maint.Core(), changedLevel, added, edgeOps, singleChanged)
+		repaired, how := cltree.Repair(tree, g, maint.Core(), moved, edgeOps)
 		next.tree.seed(repaired)
-		if shared {
-			res.TreeRepair = "shared"
-		} else {
-			res.TreeRepair = "rebuilt"
-		}
+		res.TreeRepair = string(how)
 	}
 	return next, res, nil
 }

@@ -42,7 +42,7 @@ findEdge:
 	if res.Edges != g.M()+1 || next.Graph.M() != g.M()+1 {
 		t.Errorf("edge count: res %d, graph %d, want %d", res.Edges, next.Graph.M(), g.M()+1)
 	}
-	if res.TreeRepair != "shared" && res.TreeRepair != "rebuilt" {
+	if res.TreeRepair != "shared" && res.TreeRepair != "repaired" && res.TreeRepair != "rebuilt" {
 		t.Errorf("tree repair %q with resident indexes", res.TreeRepair)
 	}
 

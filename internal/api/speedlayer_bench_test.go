@@ -9,9 +9,7 @@ package api
 // distinct (version, query) pairs the run touched (here: 1).
 //
 // The batched-ingestion counterpart lives in internal/server — batching's
-// win is at the serving layer (one journal fsync per batch); at the engine
-// layer a resident CL-tree actually favors single-op batches (surgical
-// repair) over the full reskeleton a multi-op batch forces.
+// win is at the serving layer (one journal fsync per batch).
 //
 // Run: go test -bench HotQuery -cpu 1,2 ./internal/api
 

@@ -102,6 +102,6 @@ func BuildBasic(g *graph.Graph) *Tree {
 	}
 	canon(root)
 
-	t.buildInverted(nil, nil)
+	t.buildInverted(nil)
 	return t
 }

@@ -17,7 +17,6 @@ package cltree
 
 import (
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"cexplorer/internal/ds"
@@ -32,15 +31,14 @@ type Node struct {
 	Children []*Node
 	Parent   *Node
 
-	// Inverted keyword list over Vertices: parallel arrays sorted by
-	// (keyword, vertex). invOff is unused; lookups binary-search invKw.
-	invKw []int32
-	invV  []int32
+	// inv is the inverted keyword list over Vertices (see invLists); nil
+	// when they carry no keywords.
+	inv atomic.Pointer[invLists]
 
 	// sub memoizes SubtreeAscending for large subtrees. A node is shared
-	// between tree versions, or cloned with its memo (cloneSubtree), only
-	// when its subtree is unchanged, so the memo is valid wherever it is
-	// reachable, and it dies with the last version that holds it.
+	// between tree versions, or cloned with its memo (Repair), only when
+	// its subtree's vertex set is unchanged, so the memo is valid wherever
+	// it is reachable, and it dies with the last version that holds it.
 	sub atomic.Pointer[[]int32]
 }
 
@@ -55,39 +53,25 @@ type Tree struct {
 
 // Build constructs the CL-tree for g.
 func Build(g *graph.Graph) *Tree {
-	return buildTree(g, kcore.Decompose(g), nil, -1)
+	return buildTree(g, kcore.Decompose(g), nil)
 }
 
 // buildTree constructs the CL-tree for g from precomputed core numbers
 // (the array is adopted, not copied). When reuse is non-nil, nodes whose
 // vertex set is unchanged from the reused tree adopt its inverted keyword
-// lists instead of re-sorting them — the repair path's way of rebuilding
-// only the lists it can no longer trust. The reused tree must index a graph
-// whose per-vertex keyword sets agree with g on every shared vertex (always
-// true under mutation batches, which never rewrite existing attributes).
-//
-// upTo ≥ 0 requests a frontier rebuild: only levels ≤ upTo are recomputed,
-// and every maximal reuse subtree rooted strictly deeper is preserved as a
-// unit — its node skeleton is cloned (so old-tree Parent pointers are never
-// mutated) while its vertex and inverted-list arenas are shared, and the
-// union-find never walks an edge whose endpoints both lie deeper than
-// upTo. Callers must guarantee no k-core component at any level > upTo
-// differs between the reused tree's graph and g (Repair derives that bound
-// from the mutation batch). upTo < 0 rebuilds every level.
-func buildTree(g *graph.Graph, core []int32, reuse *Tree, upTo int32) *Tree {
+// lists instead of re-sorting them, and nodes whose set changed by a few
+// vertices edit them (editLists) — Repair's fallback rebuilds only the
+// lists it can no longer trust. The reused tree must index a graph whose per-vertex
+// keyword sets agree with g on every shared vertex (always true under
+// mutation batches, which never rewrite existing attributes).
+func buildTree(g *graph.Graph, core []int32, reuse *Tree) *Tree {
 	n := g.N()
 	maxCore := kcore.Degeneracy(core)
-	partial := reuse != nil && upTo >= 0 && upTo < maxCore
-	if !partial {
-		upTo = maxCore
-	}
 
-	// Bucket the vertices this rebuild actually processes by core number.
-	buckets := make([][]int32, upTo+1)
+	buckets := make([][]int32, maxCore+1)
 	for v := 0; v < n; v++ {
-		if c := core[v]; c <= upTo {
-			buckets[c] = append(buckets[c], int32(v))
-		}
+		c := core[v]
+		buckets[c] = append(buckets[c], int32(v))
 	}
 
 	uf := ds.NewUnionFind(n)
@@ -104,28 +88,7 @@ func buildTree(g *graph.Graph, core []int32, reuse *Tree, upTo int32) *Tree {
 		groupPos  = make([]int32, n)
 	)
 
-	// repOf maps every vertex deeper than upTo to the union-find
-	// representative of its preserved subtree (the first vertex of the
-	// subtree's top node), filled during cloning so boundary edges resolve
-	// in O(1) instead of climbing the old tree per edge. Deep-deep edges
-	// never cross preserved subtrees (two components of H_{upTo+1} are, by
-	// definition, not adjacent inside H_{upTo+1}), so uniting each boundary
-	// edge with the representative is all the connectivity the skipped
-	// levels require.
-	var repOf []int32
-	preserved := make(map[*Node]bool)
-	if partial {
-		repOf = make([]int32, len(reuse.nodeOf))
-		for _, topNode := range reuse.topsDeeperThan(upTo) {
-			clone := t.cloneSubtree(topNode)
-			preserved[clone] = true
-			rep := clone.Vertices[0]
-			top[rep] = []*Node{clone}
-			stampReps(repOf, clone, rep)
-		}
-	}
-
-	for c := upTo; c >= 1; c-- {
+	for c := maxCore; c >= 1; c-- {
 		level := buckets[c]
 		for _, v := range level {
 			added[v] = true
@@ -133,10 +96,7 @@ func buildTree(g *graph.Graph, core []int32, reuse *Tree, upTo int32) *Tree {
 		for _, v := range level {
 			for _, u := range g.Neighbors(v) {
 				if !added[u] {
-					if !partial || core[u] <= upTo {
-						continue
-					}
-					u = repOf[u] // boundary edge into a preserved subtree
+					continue
 				}
 				ru, rv := uf.Find(u), uf.Find(v)
 				if ru == rv {
@@ -202,61 +162,8 @@ func buildTree(g *graph.Graph, core []int32, reuse *Tree, upTo int32) *Tree {
 	t.nodes++
 	t.root = root
 
-	t.buildInverted(reuse, preserved)
+	t.buildInverted(reuse)
 	return t
-}
-
-// stampReps records rep as the union-find representative for every vertex
-// of a preserved (cloned) subtree.
-func stampReps(repOf []int32, n *Node, rep int32) {
-	for _, v := range n.Vertices {
-		repOf[v] = rep
-	}
-	for _, ch := range n.Children {
-		stampReps(repOf, ch, rep)
-	}
-}
-
-// topsDeeperThan returns the maximal nodes with Core > upTo: the roots of
-// the subtrees a frontier rebuild preserves wholesale. Each is exactly one
-// connected component of H_{upTo+1}.
-func (t *Tree) topsDeeperThan(upTo int32) []*Node {
-	var tops []*Node
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n.Core > upTo {
-			tops = append(tops, n)
-			return
-		}
-		for _, ch := range n.Children {
-			walk(ch)
-		}
-	}
-	walk(t.root)
-	return tops
-}
-
-// cloneSubtree copies a preserved subtree's node skeleton into t — fresh
-// Node structs (so the new tree's Parent/Children pointers never touch the
-// old tree, which pinned queries may still be reading) sharing the old
-// vertex lists and inverted arenas, which are immutable after build. The
-// clone's vertices are pointed at their new nodes in t.nodeOf.
-func (t *Tree) cloneSubtree(on *Node) *Node {
-	nn := &Node{Core: on.Core, Vertices: on.Vertices, invKw: on.invKw, invV: on.invV}
-	nn.sub.Store(on.sub.Load()) // same subtree, same memoized vertex list
-	if len(on.Children) > 0 {
-		nn.Children = make([]*Node, len(on.Children))
-		for i, ch := range on.Children {
-			c := t.cloneSubtree(ch)
-			c.Parent = nn
-			nn.Children[i] = c
-		}
-	}
-	for _, v := range on.Vertices {
-		t.nodeOf[v] = nn
-	}
-	t.nodes++
-	return nn
 }
 
 func minVertex(n *Node) int32 {
@@ -270,250 +177,6 @@ func minVertex(n *Node) int32 {
 		}
 	}
 	return m
-}
-
-// buildInverted fills each node's keyword inverted list from the graph —
-// adopting the list wholesale when the node's vertex set is unchanged from
-// reuse, splicing it when the set changed by a few vertices, and counting-
-// sorting from scratch otherwise. Subtrees rooted at a node in skip were
-// cloned from a preserved subtree and carry their lists already.
-func (t *Tree) buildInverted(reuse *Tree, skip map[*Node]bool) {
-	fillScratch := newInvFiller(t.g.Vocab().Len())
-	var fill func(n *Node)
-	fill = func(n *Node) {
-		if skip[n] {
-			return
-		}
-		if !adoptInverted(reuse, n) && !patchInverted(t.g, reuse, n) {
-			fillScratch.fill(t.g, n)
-		}
-		for _, ch := range n.Children {
-			fill(ch)
-		}
-	}
-	fill(t.root)
-}
-
-// patchInverted derives a node's inverted list from an old node covering
-// almost the same vertex set, by splicing out the departed vertices' pairs
-// and splicing in the arrivals' — sequential segment copies plus a handful
-// of binary searches, instead of re-scattering tens of thousands of pairs.
-// It applies when a level gains or loses a few vertices (the shape every
-// core promotion/demotion produces) and reports false otherwise.
-func patchInverted(g *graph.Graph, old *Tree, n *Node) bool {
-	if old == nil || len(n.Vertices) == 0 {
-		return false
-	}
-	// Candidate old node: most of n's vertices lived somewhere; probe three.
-	var on *Node
-	for _, probe := range [3]int32{n.Vertices[0], n.Vertices[len(n.Vertices)/2], n.Vertices[len(n.Vertices)-1]} {
-		if int(probe) >= len(old.nodeOf) {
-			continue
-		}
-		if c := old.nodeOf[probe]; c != nil && c.Core == n.Core {
-			on = c
-			break
-		}
-	}
-	if on == nil {
-		return false
-	}
-	removed, arrived := diffSorted(on.Vertices, n.Vertices)
-	if d := len(removed) + len(arrived); d == 0 || d > len(n.Vertices)/8+8 {
-		return false // identical is adoption's job; big diffs refill faster
-	}
-	invKw, invV, ok := spliceLists(g, on, removed, arrived)
-	if !ok {
-		return false
-	}
-	n.invKw, n.invV = invKw, invV
-	return true
-}
-
-// spliceLists derives new inverted lists from on's by deleting the removed
-// vertices' pairs and inserting the arrived vertices' — an edit script of
-// binary-searched positions applied with sequential segment copies. ok is
-// false when on's lists disagree with the graph (caller refills instead).
-func spliceLists(g *graph.Graph, on *Node, removed, arrived []int32) (outKw, outV []int32, ok bool) {
-	type edit struct {
-		pos    int
-		kw, v  int32
-		insert bool
-	}
-	var edits []edit
-	locate := func(kw, v int32) (int, bool) {
-		lo, hi := 0, len(on.invKw)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if on.invKw[mid] < kw || (on.invKw[mid] == kw && on.invV[mid] < v) {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return lo, lo < len(on.invKw) && on.invKw[lo] == kw && on.invV[lo] == v
-	}
-	for _, v := range removed {
-		for _, kw := range g.Keywords(v) {
-			pos, found := locate(kw, v)
-			if !found {
-				return nil, nil, false // old list disagrees with the graph
-			}
-			edits = append(edits, edit{pos: pos, kw: kw, v: v})
-		}
-	}
-	for _, v := range arrived {
-		for _, kw := range g.Keywords(v) {
-			pos, found := locate(kw, v)
-			if found {
-				return nil, nil, false // already present: inconsistent
-			}
-			edits = append(edits, edit{pos: pos, kw: kw, v: v, insert: true})
-		}
-	}
-	slices.SortStableFunc(edits, func(a, b edit) int {
-		if a.pos != b.pos {
-			return a.pos - b.pos
-		}
-		if a.kw != b.kw {
-			return int(a.kw - b.kw)
-		}
-		return int(a.v - b.v)
-	})
-
-	total := len(on.invKw)
-	for _, e := range edits {
-		if e.insert {
-			total++
-		} else {
-			total--
-		}
-	}
-	outKw = make([]int32, 0, total)
-	outV = make([]int32, 0, total)
-	cur := 0
-	for _, e := range edits {
-		outKw = append(outKw, on.invKw[cur:e.pos]...)
-		outV = append(outV, on.invV[cur:e.pos]...)
-		cur = e.pos
-		if e.insert {
-			outKw = append(outKw, e.kw)
-			outV = append(outV, e.v)
-		} else {
-			cur++ // skip the deleted pair
-		}
-	}
-	outKw = append(outKw, on.invKw[cur:]...)
-	outV = append(outV, on.invV[cur:]...)
-	return outKw, outV, true
-}
-
-// diffSorted returns the elements only in a (removed) and only in b
-// (arrived), both inputs ascending.
-func diffSorted(a, b []int32) (onlyA, onlyB []int32) {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			i++
-			j++
-		case a[i] < b[j]:
-			onlyA = append(onlyA, a[i])
-			i++
-		default:
-			onlyB = append(onlyB, b[j])
-			j++
-		}
-	}
-	onlyA = append(onlyA, a[i:]...)
-	onlyB = append(onlyB, b[j:]...)
-	return onlyA, onlyB
-}
-
-// adoptInverted tries to adopt the inverted lists of old's node covering the
-// same vertex set as n (identified through old's nodeOf by n's first vertex;
-// components are disjoint, so one probe suffices). The slices are shared,
-// never copied: inverted lists are immutable after build.
-func adoptInverted(old *Tree, n *Node) bool {
-	if old == nil || len(n.Vertices) == 0 {
-		return false
-	}
-	probe := n.Vertices[0]
-	if int(probe) >= len(old.nodeOf) {
-		return false // vertex newer than the reused tree
-	}
-	on := old.nodeOf[probe]
-	if on == nil || on.Core != n.Core || !slices.Equal(on.Vertices, n.Vertices) {
-		return false
-	}
-	n.invKw, n.invV = on.invKw, on.invV
-	return true
-}
-
-// invFiller builds per-node inverted lists with a keyword counting sort:
-// two passes over the node's keyword pairs plus a sort of the distinct
-// keywords only. Node vertices are ascending, so placing pairs in vertex
-// order yields the exact (kw, v) order a comparison sort would — at O(total
-// + distinct·log distinct) instead of O(total·log total), which is what
-// makes rebuilding a multi-thousand-vertex node's list affordable on the
-// mutation path. The counts array (vocab-sized, touched entries re-zeroed
-// after each node) is shared across one build.
-type invFiller struct {
-	counts  []int32
-	touched []int32
-}
-
-func newInvFiller(vocabLen int) *invFiller {
-	return &invFiller{counts: make([]int32, vocabLen)}
-}
-
-func (f *invFiller) fill(g *graph.Graph, n *Node) {
-	total := 0
-	f.touched = f.touched[:0]
-	for _, v := range n.Vertices {
-		kws := g.Keywords(v)
-		total += len(kws)
-		for _, w := range kws {
-			if f.counts[w] == 0 {
-				f.touched = append(f.touched, w)
-			}
-			f.counts[w]++
-		}
-	}
-	if total == 0 {
-		return
-	}
-	slices.Sort(f.touched)
-	n.invKw = make([]int32, total)
-	n.invV = make([]int32, total)
-	// Prefix-sum the touched keywords into placement cursors (stored back
-	// into counts), writing the invKw runs as we go.
-	off := int32(0)
-	for _, w := range f.touched {
-		c := f.counts[w]
-		for i := off; i < off+c; i++ {
-			n.invKw[i] = w
-		}
-		f.counts[w] = off
-		off += c
-	}
-	for _, v := range n.Vertices {
-		for _, w := range g.Keywords(v) {
-			n.invV[f.counts[w]] = v
-			f.counts[w]++
-		}
-	}
-	for _, w := range f.touched {
-		f.counts[w] = 0
-	}
-}
-
-// VerticesWithKeyword returns the node-local vertices carrying keyword w
-// (ascending). The slice aliases index storage.
-func (n *Node) VerticesWithKeyword(w int32) []int32 {
-	lo := sort.Search(len(n.invKw), func(i int) bool { return n.invKw[i] >= w })
-	hi := sort.Search(len(n.invKw), func(i int) bool { return n.invKw[i] > w })
-	return n.invV[lo:hi]
 }
 
 // Graph returns the indexed graph.
@@ -646,7 +309,7 @@ func (t *Tree) Bytes() int64 {
 	walk = func(n *Node) {
 		b += 64 // struct overhead
 		b += int64(len(n.Vertices)) * 4
-		b += int64(len(n.invKw)) * 8
+		b += int64(n.inv.Load().size()) * 8
 		b += int64(len(n.Children)) * 8
 		for _, ch := range n.Children {
 			walk(ch)

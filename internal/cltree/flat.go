@@ -45,8 +45,10 @@ func (t *Tree) Flatten() Flat {
 		f.Parents = append(f.Parents, parent)
 		f.Verts = append(f.Verts, n.Vertices...)
 		f.VertOff = append(f.VertOff, int32(len(f.Verts)))
-		f.InvKw = append(f.InvKw, n.invKw...)
-		f.InvV = append(f.InvV, n.invV...)
+		if l := n.lists(); l != nil {
+			f.InvKw = append(f.InvKw, l.kw...)
+			f.InvV = append(f.InvV, l.v...)
+		}
 		f.InvOff = append(f.InvOff, int32(len(f.InvKw)))
 		self := int32(len(f.Cores) - 1)
 		for _, ch := range n.Children {
@@ -110,11 +112,9 @@ func FromFlat(g *graph.Graph, f Flat) (*Tree, error) {
 	}
 	built := make([]*Node, nodes)
 	for i := 0; i < nodes; i++ {
-		nd := &Node{
-			Core:     f.Cores[i],
-			Vertices: f.Verts[f.VertOff[i]:f.VertOff[i+1]],
-			invKw:    f.InvKw[f.InvOff[i]:f.InvOff[i+1]],
-			invV:     f.InvV[f.InvOff[i]:f.InvOff[i+1]],
+		nd := &Node{Core: f.Cores[i], Vertices: f.Verts[f.VertOff[i]:f.VertOff[i+1]]}
+		if lo, hi := f.InvOff[i], f.InvOff[i+1]; hi > lo {
+			nd.inv.Store(&invLists{kw: f.InvKw[lo:hi], v: f.InvV[lo:hi], arena: true})
 		}
 		built[i] = nd
 		if i > 0 {

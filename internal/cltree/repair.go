@@ -1,38 +1,55 @@
 package cltree
 
 import (
+	"cmp"
+	"slices"
+
 	"cexplorer/internal/graph"
 )
 
-// Localized CL-tree maintenance under streaming edge mutations.
+// Localized CL-tree maintenance under streaming mutations.
 //
 // The tree's shape is a function of two things only: the per-vertex core
 // numbers and the component structure of each k-core H_k. A mutation batch
-// therefore leaves the tree bit-for-bit reusable when (a) no core number
-// moved, (b) no vertex was added, and (c) no component of any H_k merged or
-// split. Repair proves (c) locally, per edge op, without touching the rest
-// of the graph:
+// moves some vertices between levels (the kcore Maintainer's change lists),
+// adds some vertices, and inserts and deletes some edges. When no component
+// of any H_k merged, split, appeared or vanished, the new tree is the old
+// one with those vertices moved: each leaves its old node and joins the node
+// of its new level in the same component. Repair proves that locally, per
+// level k a vertex enters or leaves, writing S_k for the vertices in H_k
+// both before and after the batch (the stayers):
 //
-//   - An inserted edge {u,v} can only merge components, and only in H_k for
-//     k ≤ A = min(core(u), core(v)). If u and v already share the old
-//     tree's anchor node at level A, they were already in one component of
-//     H_A — and, since k-cores nest, in one component of every H_k below.
-//     The insert changes nothing structural.
-//   - A deleted edge can only split components, again only for k ≤ A. If u
-//     and v are still connected inside H_A of the post-mutation graph
-//     (checked by a bidirectional BFS over vertices with core ≥ A), no H_k
-//     splits: connectivity in H_A implies connectivity in every larger
-//     H_k below it, and the witness path survives in all of them.
+//   - Arrivals. Vertices entering H_k are grouped into clusters joined by
+//     arrival–arrival edges. The stayers adjacent to one cluster must all
+//     share one old anchor at level k: the cluster then joins exactly that
+//     old component. A cluster with no stayer neighbour is a new component.
+//   - Inserted edges between stayers of H_k must join endpoints that already
+//     shared an anchor at level k. Checked at the deepest level both
+//     endpoints stay in, it covers every level below (k-cores nest).
+//   - Departures. Vertices leaving H_k are grouped into clusters joined by
+//     old departure–departure edges. The stayers an old edge joins to one
+//     cluster must stay connected in the new H_k; a cluster with no such
+//     stayer was a whole component, which vanishes. Likewise the endpoints
+//     of a deleted edge that both stay.
 //
-// The per-op checks compose across a batch: inserts are checked against the
-// old partition (merges can only coarsen it) and deletes against the final
-// graph (a deleted edge whose endpoints reconnect through edges inserted in
-// the same batch keeps its component whole). When every op passes, the new
-// tree shares every node of the old one — O(1) repair. Otherwise the
-// skeleton is rebuilt from the (incrementally maintained) core numbers,
-// while every node whose vertex set is unchanged adopts the old node's
-// inverted keyword lists, so only the lists the repair can no longer trust
-// are re-sorted.
+// Any old path inside one component can be rerouted along those witness
+// paths, and any new path between stayers crosses only clusters and edges
+// whose endpoints share an old component, so the components of the new H_k
+// correspond one to one with the old ones through their stayers. The
+// connectivity checks use connected's triangle shortcut and its
+// smaller-frontier bidirectional BFS, so a batch that moves a few vertices
+// reads their neighbourhoods and the witness paths, never the whole graph.
+//
+// With the correspondence proven, each moved or added vertex lands in the
+// node of its new level in its component, found through the old tree's
+// anchors. The node skeleton is cloned (fresh structs, so the old tree's
+// Parent pointers are never touched); each touched node's vertex list is
+// spliced once with the batch's whole departed and arrived sets, and its
+// inverted list edited by their keyword pairs (editLists); every other node
+// shares its lists with the old tree. A failed proof, a node that would be
+// created or emptied, or a level with no node to land in falls back to a
+// from-scratch build that still adopts or edits the inverted lists of nodes
+// whose vertex sets barely changed.
 
 // EdgeOp records one applied edge mutation for Repair's locality analysis.
 type EdgeOp struct {
@@ -40,392 +57,412 @@ type EdgeOp struct {
 	Insert bool // true for an insertion, false for a deletion
 }
 
-// Repair produces a tree valid for g — the post-mutation graph — given old
-// (the tree of the pre-mutation graph), the maintained core numbers of g
-// (adopted, not copied), the batch's maximum core-change level (see below;
-// 0 when no core number moved), how many vertices the batch added, and the
-// batch's edge ops. The boolean result reports whether the structural fast
-// path applied (the returned tree shares all nodes with old) or a rebuild
-// ran.
-//
-// changedLevel is the deepest tree level a core-number change can have
-// touched: for each promoted vertex its new core, for each demoted vertex
-// its old core (new+1), maxed over the batch. Together with each edge op's
-// min-endpoint core it bounds the levels whose k-core components can
-// differ from old's, so the rebuild is a frontier rebuild: every subtree
-// strictly deeper than the bound is preserved (skeleton cloned, arenas
-// shared), and the union-find never walks the dense deep-core edges at
-// all.
-//
-// Old trees are never modified; pinned queries on previous versions are
-// unaffected. Shared node slices are immutable after build on both paths.
-// changed lists the vertices whose core number the batch moved, but is
-// consulted only for single-op batches (where a surgical level-move patch
-// may apply — see patchLevelMove); multi-op batches may pass nil.
-func Repair(old *Tree, g *graph.Graph, core []int32, changedLevel int32, verticesAdded int, ops []EdgeOp, changed []int32) (*Tree, bool) {
-	if old != nil && changedLevel == 0 && verticesAdded == 0 && structureUnchanged(old, g, core, ops) {
-		return &Tree{
-			g:      g,
-			root:   old.root,
-			nodeOf: old.nodeOf,
-			core:   core,
-			nodes:  old.nodes,
-		}, true
-	}
-	if old != nil && verticesAdded == 0 && len(ops) == 1 && len(changed) > 0 {
-		if t := patchLevelMove(old, g, core, changed, ops[0]); t != nil {
-			return t, false
-		}
-	}
-	upTo := changedLevel
-	for _, op := range ops {
-		a := core[op.U]
-		if core[op.V] < a {
-			a = core[op.V]
-		}
-		// a uses final core values; an endpoint whose core moved during the
-		// batch is covered by changedLevel, which tracks every level its
-		// trajectory touched.
-		if a > upTo {
-			upTo = a
-		}
-	}
-	if old == nil {
-		return buildTree(g, core, nil, -1), false
-	}
-	return buildTree(g, core, old, upTo), false
-}
+// Outcome says how Repair produced its tree; the values are the mutation
+// response's treeRepair strings.
+type Outcome string
 
-// patchLevelMove is the surgical repair for the most common non-trivial
-// mutation: a single edge op whose only effect on the hierarchy is moving
-// the changed vertices between two adjacent levels of one branch — every
-// single-edge core promotion or demotion has this shape. When the
-// locality conditions below all hold, the new tree is the old one with the
-// node skeleton cloned (struct copies; vertex and inverted arenas shared),
-// the source node's lists spliced down by the moved vertices, and the
-// destination node's spliced up — no union-find, no level scans. Any
-// condition failing returns nil and the caller falls back to the frontier
-// rebuild, so this path never has to handle a case it cannot prove.
-func patchLevelMove(old *Tree, g *graph.Graph, core []int32, changed []int32, op EdgeOp) *Tree {
-	newLvl := core[changed[0]]
-	inChanged := func(x int32) bool { return containsSorted(changed, x) }
-	for _, w := range changed[1:] {
-		if core[w] != newLvl {
-			return nil // mixed levels: not a pure level move
-		}
-	}
-
-	var src, dst *Node
-	if op.Insert {
-		// Promotion: changed rose from newLvl-1 into newLvl.
-		r := newLvl - 1
-		src = old.nodeOf[changed[0]]
-		if src == nil || src.Core != r {
-			return nil
-		}
-		for _, w := range changed[1:] {
-			if old.nodeOf[w] != src {
-				return nil
-			}
-		}
-		if len(changed) == len(src.Vertices) && src != old.root {
-			return nil // source node would empty: structural change
-		}
-		// No component of H_k (k ≤ r) may merge: the inserted edge's
-		// endpoints must already have shared their component at the
-		// deepest level the edge reaches in the old graph.
-		aOld := oldCoreOf(core, inChanged, op.U)
-		if b := oldCoreOf(core, inChanged, op.V); b < aOld {
-			aOld = b
-		}
-		if au, av := old.Anchor(op.U, aOld), old.Anchor(op.V, aOld); au == nil || au != av {
-			return nil
-		}
-		// The promoted set must attach to at most one existing component of
-		// H_{newLvl} and every promoted vertex must reach it; with no
-		// attachment at all, the promoted set itself becomes one new
-		// deepest node under src (the "grew a new top core" shape, e.g.
-		// promoting part of the graph's maximum core one level further).
-		for _, w := range changed {
-			ok := true
-			g.ForEachNeighbor(w, func(x int32) bool {
-				if core[x] < newLvl || inChanged(x) {
-					return true
-				}
-				a := old.Anchor(x, newLvl)
-				if dst == nil {
-					dst = a
-				}
-				if a != dst {
-					ok = false
-					return false
-				}
-				return true
-			})
-			if !ok {
-				return nil
-			}
-		}
-		if dst == nil {
-			if !connectedAmong(g, changed) {
-				return nil // several new components would form
-			}
-			return cloneRestructure(old, g, core, src, nil, changed, modeCreate, newLvl)
-		}
-		if dst.Core != newLvl || dst.Parent != src {
-			return nil
-		}
-		if !movedSetAttaches(g, core, changed, old, dst, newLvl) {
-			return nil
-		}
-	} else {
-		// Demotion: changed fell from newLvl+1 to newLvl.
-		r := newLvl + 1
-		src = old.nodeOf[changed[0]]
-		if src == nil || src.Core != r {
-			return nil
-		}
-		for _, w := range changed[1:] {
-			if old.nodeOf[w] != src {
-				return nil
-			}
-		}
-		dst = src.Parent
-		if dst == nil || dst.Core != newLvl {
-			return nil // level skip below src: a node would need inserting
-		}
-		// No component of H_k (k ≤ newLvl) may split: the deleted edge's
-		// endpoints must still be connected inside H_{newLvl} (vertex sets
-		// there are unchanged, so the one removed edge is the only risk).
-		if newLvl >= 1 && !connectedWithin(g, core, newLvl, op.U, op.V) {
-			return nil
-		}
-		if len(changed) == len(src.Vertices) {
-			// The whole node demotes: a childless src simply dissolves into
-			// its parent (the inverse of the node-create case above);
-			// anything with children would need reparenting — bail.
-			if len(src.Children) > 0 {
-				return nil
-			}
-			return cloneRestructure(old, g, core, src, dst, changed, modeDelete, 0)
-		}
-		// The component of H_r that lost the demoted vertices (and possibly
-		// the edge) must remain a single piece.
-		if !componentIntact(g, core, old, src, len(changed), r) {
-			return nil
-		}
-	}
-	return cloneRestructure(old, g, core, src, dst, changed, modeMove, 0)
-}
-
-// connectedAmong reports whether the vertices of set form one connected
-// subgraph of g using only edges inside the set.
-func connectedAmong(g *graph.Graph, set []int32) bool {
-	if len(set) == 0 {
-		return false
-	}
-	seen := map[int32]bool{set[0]: true}
-	queue := []int32{set[0]}
-	for len(queue) > 0 {
-		w := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, x := range g.Neighbors(w) {
-			if containsSorted(set, x) && !seen[x] {
-				seen[x] = true
-				queue = append(queue, x)
-			}
-		}
-	}
-	return len(seen) == len(set)
-}
-
-// oldCoreOf recovers a vertex's pre-batch core number: changed vertices of
-// an insert were one level lower (this helper is only used on the insert
-// path).
-func oldCoreOf(core []int32, inChanged func(int32) bool, x int32) int32 {
-	if inChanged(x) {
-		return core[x] - 1
-	}
-	return core[x]
-}
-
-// movedSetAttaches verifies every promoted vertex reaches the destination
-// component through promoted vertices and direct supporters: a promoted
-// blob with only internal support would form a new H_{newLvl} component of
-// its own, which the surgical patch must not absorb into dst.
-func movedSetAttaches(g *graph.Graph, core []int32, changed []int32, old *Tree, dst *Node, newLvl int32) bool {
-	attached := make(map[int32]bool, len(changed))
-	queue := make([]int32, 0, len(changed))
-	for _, w := range changed {
-		g.ForEachNeighbor(w, func(x int32) bool {
-			if core[x] >= newLvl && !containsSorted(changed, x) && old.Anchor(x, newLvl) == dst {
-				if !attached[w] {
-					attached[w] = true
-					queue = append(queue, w)
-				}
-				return false
-			}
-			return true
-		})
-	}
-	for len(queue) > 0 {
-		w := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		g.ForEachNeighbor(w, func(x int32) bool {
-			if containsSorted(changed, x) && !attached[x] {
-				attached[x] = true
-				queue = append(queue, x)
-			}
-			return true
-		})
-	}
-	return len(attached) == len(changed)
-}
-
-// componentIntact checks that src's k-core component minus the demoted
-// vertices is still one connected piece of H_r in g: a BFS from any
-// remaining vertex over core ≥ r must reach them all.
-//
-// The walk costs O(component), which is the deep-core region — exactly the
-// region a frontier rebuild (whose cost is the shallow region, core ≤ r)
-// gets to skip. The two are complementary, so the BFS runs whenever the
-// component is at most two thirds of the graph (high- and mid-level
-// demotions, where the frontier would reprocess almost everything) and
-// bails to the frontier only for shallow components, where the frontier is
-// nearly free.
-func componentIntact(g *graph.Graph, core []int32, old *Tree, src *Node, demoted int, r int32) bool {
-	sub := old.SubtreeVertices(src, nil)
-	want := len(sub) - demoted
-	if want <= 0 || want > 2*g.N()/3 {
-		return false
-	}
-	var start int32 = -1
-	for _, v := range sub {
-		if core[v] >= r {
-			start = v
-			break
-		}
-	}
-	if start < 0 {
-		return false
-	}
-	seen := make([]bool, g.N())
-	seen[start] = true
-	queue := []int32{start}
-	reached := 1
-	for len(queue) > 0 && reached <= want {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, x := range g.Neighbors(v) {
-			if core[x] >= r && !seen[x] {
-				seen[x] = true
-				reached++
-				queue = append(queue, x)
-			}
-		}
-	}
-	return reached == want
-}
-
-// Surgical restructure modes.
 const (
-	modeMove   = iota // moved leaves src's vertex list and joins dst's
-	modeCreate        // moved leaves src and becomes a new child node of src
-	modeDelete        // src (childless, fully demoted) dissolves into dst
+	// Shared: no vertex moved and no component changed; the new tree shares
+	// every node of the old one.
+	Shared Outcome = "shared"
+	// Repaired: vertices moved between existing nodes of an unchanged
+	// skeleton, edited in place.
+	Repaired Outcome = "repaired"
+	// Rebuilt: the local proof failed and the tree was built from scratch.
+	Rebuilt Outcome = "rebuilt"
 )
 
-// cloneRestructure copies the old tree's node skeleton and applies one
-// local restructuring: a vertex move between two nodes, the creation of one
-// new deepest node, or the dissolution of one childless node. Every
-// untouched node shares its vertex and inverted arenas with the old tree;
-// the affected nodes' inverted lists are spliced, not re-sorted.
-func cloneRestructure(old *Tree, g *graph.Graph, core []int32, src, dst *Node, moved []int32, mode int, createCore int32) *Tree {
-	t := &Tree{g: g, core: core, nodeOf: make([]*Node, g.N())}
-	filler := newInvFiller(g.Vocab().Len())
-	respliceSub := func(on *Node, nn *Node) {
-		nn.Vertices = subtractSorted(on.Vertices, moved)
-		if kw, vs, ok := spliceLists(g, on, moved, nil); ok {
-			nn.invKw, nn.invV = kw, vs
-		} else {
-			nn.invKw, nn.invV = nil, nil
-			filler.fill(g, nn)
+// Repair produces a tree valid for g — the post-mutation graph — given old
+// (the tree of the pre-mutation graph), the maintained core numbers of g
+// (adopted, not copied), the vertices whose core number the batch may have
+// moved (the union of the kcore Maintainer's change lists, in any order,
+// duplicates allowed) and the batch's edge ops. Vertices g has beyond old's
+// graph are the batch's added vertices. Old trees are never modified;
+// pinned queries on previous versions are unaffected.
+func Repair(old *Tree, g *graph.Graph, core []int32, moved []int32, ops []EdgeOp) (*Tree, Outcome) {
+	if old == nil {
+		return buildTree(g, core, nil), Rebuilt
+	}
+	r := repairer{old: old, g: g, core: core}
+	t, out, ok := r.run(moved, ops)
+	if r.scratch != nil {
+		r.scratch.Release()
+	}
+	if !ok {
+		return buildTree(g, core, old), Rebuilt
+	}
+	return t, out
+}
+
+// repairer holds one local repair's inputs and its work counter.
+type repairer struct {
+	old  *Tree
+	g    *graph.Graph
+	core []int32 // core numbers of g
+	// scanned counts the adjacency lists the repair read: the work the
+	// locality argument bounds.
+	scanned int
+	scratch *graph.Scratch // see scratchSpace
+}
+
+// oldCore is v's core number before the batch, -1 for a vertex it added.
+func (r *repairer) oldCore(v int32) int32 {
+	if int(v) < len(r.old.nodeOf) {
+		return r.old.nodeOf[v].Core
+	}
+	return -1
+}
+
+// arrives, departs and stays classify x against H_k before and after the
+// batch.
+func (r *repairer) arrives(x, k int32) bool { return r.oldCore(x) < k && k <= r.core[x] }
+func (r *repairer) departs(x, k int32) bool { return r.core[x] < k && k <= r.oldCore(x) }
+func (r *repairer) stays(x, k int32) bool   { return r.oldCore(x) >= k && r.core[x] >= k }
+
+// nodeEdit is one touched node's share of the batch, both lists ascending.
+type nodeEdit struct {
+	departed, arrived []int32
+}
+
+// run attempts the local repair; ok is false when the proof fails or the
+// skeleton would change, and the caller rebuilds.
+func (r *repairer) run(moved []int32, ops []EdgeOp) (t *Tree, out Outcome, ok bool) {
+	old, core := r.old, r.core
+	for _, op := range ops {
+		a := min(r.oldCore(op.U), r.oldCore(op.V), core[op.U], core[op.V])
+		if a < 1 {
+			continue // an endpoint enters or leaves every level the edge reaches
+		}
+		if op.Insert {
+			if au := old.Anchor(op.U, a); au == nil || au != old.Anchor(op.V, a) {
+				return nil, "", false
+			}
+		} else if !r.connected(a, op.U, op.V) {
+			return nil, "", false
 		}
 	}
-	respliceAdd := func(on *Node, nn *Node) {
-		nn.Vertices = mergeSorted(on.Vertices, moved)
-		if kw, vs, ok := spliceLists(g, on, nil, moved); ok {
-			nn.invKw, nn.invV = kw, vs
-		} else {
-			nn.invKw, nn.invV = nil, nil
-			filler.fill(g, nn)
+
+	// The vertices that change level, ascending: every vertex the batch
+	// added, and every listed vertex whose core number ended elsewhere.
+	vs := slices.Clone(moved)
+	for v := len(old.nodeOf); v < r.g.N(); v++ {
+		vs = append(vs, int32(v))
+	}
+	slices.Sort(vs)
+	vs = slices.Compact(vs)
+	vs = slices.DeleteFunc(vs, func(v int32) bool { return r.oldCore(v) == core[v] })
+	if len(vs) == 0 {
+		return &Tree{g: r.g, root: old.root, nodeOf: old.nodeOf, core: core, nodes: old.nodes}, Shared, true
+	}
+
+	// Each level a vertex enters or leaves, with its arrivals and departures.
+	var top int32
+	for _, v := range vs {
+		top = max(top, r.oldCore(v), core[v])
+	}
+	arrivals := make([][]int32, top+1)
+	departures := make([][]int32, top+1)
+	for _, v := range vs {
+		for k := max(r.oldCore(v)+1, 1); k <= core[v]; k++ {
+			arrivals[k] = append(arrivals[k], v)
+		}
+		for k := core[v] + 1; k <= r.oldCore(v); k++ {
+			departures[k] = append(departures[k], v)
 		}
 	}
+	dest := make(map[int32]*Node, len(vs)) // arriving vertex -> the old node it joins
+	seen := make(map[int32]int32)          // vertex -> last level whose clusters took it
+	for k := int32(1); k <= top; k++ {
+		if !r.attachArrivals(k, arrivals[k], dest, seen) || !r.departuresStayConnected(k, departures[k], seen) {
+			return nil, "", false
+		}
+	}
+
+	// Every vertex leaves its old node and joins the node of its new level.
+	edits := make(map[*Node]*nodeEdit)
+	edit := func(n *Node) *nodeEdit {
+		e := edits[n]
+		if e == nil {
+			e = &nodeEdit{}
+			edits[n] = e
+		}
+		return e
+	}
+	var pairs [][2]*Node // distinct (from, to) node pairs, for the memo below
+	for _, v := range vs {
+		var to *Node
+		switch c := core[v]; {
+		case c == 0:
+			to = old.root
+		case c > r.oldCore(v):
+			to = dest[v] // set by attachArrivals at level c
+		default:
+			// A demoted vertex stays in H_c, in its old component there.
+			to = old.Anchor(v, c)
+		}
+		if to == nil || to.Core != core[v] {
+			return nil, "", false // no node at this level in the component: one would be created
+		}
+		var from *Node
+		if int(v) < len(old.nodeOf) {
+			from = old.nodeOf[v]
+			e := edit(from)
+			e.departed = append(e.departed, v)
+		}
+		e := edit(to)
+		e.arrived = append(e.arrived, v)
+		if p := [2]*Node{from, to}; !slices.Contains(pairs, p) {
+			pairs = append(pairs, p)
+		}
+	}
+	for n, e := range edits {
+		if n != old.root && len(n.Vertices)-len(e.departed)+len(e.arrived) == 0 {
+			return nil, "", false // the node would empty
+		}
+	}
+	return r.clone(edits, subtreesChanged(pairs)), Repaired, true
+}
+
+// attachArrivals clusters the vertices entering H_k and checks each cluster
+// joins exactly one old component of H_k, recording for the vertices whose
+// new core is k the old node they join.
+func (r *repairer) attachArrivals(k int32, arrivals []int32, dest map[int32]*Node, seen map[int32]int32) bool {
+	var cluster []int32
+	for _, s := range arrivals {
+		if seen[s] == k {
+			continue
+		}
+		seen[s] = k
+		cluster = append(cluster[:0], s)
+		var anchor *Node
+		for i := 0; i < len(cluster); i++ {
+			r.scanned++
+			for _, x := range r.g.Neighbors(cluster[i]) {
+				switch {
+				case r.arrives(x, k):
+					if seen[x] != k {
+						seen[x] = k
+						cluster = append(cluster, x)
+					}
+				case r.stays(x, k):
+					a := r.old.Anchor(x, k)
+					if anchor == nil {
+						anchor = a
+					} else if a != anchor {
+						return false // the cluster merges two components
+					}
+				}
+			}
+		}
+		if anchor == nil {
+			return false // the cluster is a new component
+		}
+		for _, v := range cluster {
+			if r.core[v] == k {
+				dest[v] = anchor
+			}
+		}
+	}
+	return true
+}
+
+// departuresStayConnected clusters the vertices leaving H_k over old edges
+// and checks the stayers each cluster touched are still connected in the
+// new H_k.
+func (r *repairer) departuresStayConnected(k int32, departures []int32, seen map[int32]int32) bool {
+	var cluster, witnesses []int32
+	for _, s := range departures {
+		if seen[s] == k {
+			continue
+		}
+		seen[s] = k
+		cluster = append(cluster[:0], s)
+		witnesses = witnesses[:0]
+		for i := 0; i < len(cluster); i++ {
+			r.scanned++
+			for _, x := range r.old.g.Neighbors(cluster[i]) {
+				switch {
+				case r.departs(x, k):
+					if seen[x] != k {
+						seen[x] = k
+						cluster = append(cluster, x)
+					}
+				case r.stays(x, k):
+					witnesses = append(witnesses, x)
+				}
+			}
+		}
+		if len(witnesses) == 0 {
+			return false // the cluster was a whole component of H_k
+		}
+		slices.Sort(witnesses)
+		if !r.allConnected(k, slices.Compact(witnesses)) {
+			return false
+		}
+	}
+	return true
+}
+
+// allConnected reports whether the distinct vertices ws, all in the new
+// H_k, are connected in it. One sweep over their neighbourhoods joins the
+// ones adjacent or sharing a neighbour (a departed vertex's neighbours
+// mostly are); a BFS (connected) joins each group left over.
+func (r *repairer) allConnected(k int32, ws []int32) bool {
+	if len(ws) < 2 {
+		return true
+	}
+	sc := r.scratchSpace()
+	group := make([]int32, len(ws)) // union-find over indices into ws
+	for i := range group {
+		group[i] = int32(i)
+	}
+	find := func(i int32) int32 {
+		for group[i] != i {
+			group[i] = group[group[i]]
+			i = group[i]
+		}
+		return i
+	}
+	// claimed vertices: sc.Val holds the index of the witness that reached
+	// each first.
+	claimed := &sc.Aux
+	claimed.Reset(r.g.N())
+	for i, w := range ws {
+		claimed.Add(w)
+		sc.Val[w] = int32(i)
+	}
+	for i, w := range ws {
+		r.scanned++
+		for _, x := range r.g.Neighbors(w) {
+			switch {
+			case r.core[x] < k:
+			case claimed.Has(x):
+				group[find(int32(i))] = find(sc.Val[x])
+			default:
+				claimed.Add(x)
+				sc.Val[x] = int32(i)
+			}
+		}
+	}
+	for i := range ws {
+		if find(int32(i)) != find(0) {
+			if !r.connected(k, ws[0], ws[i]) {
+				return false
+			}
+			group[find(int32(i))] = find(0)
+		}
+	}
+	return true
+}
+
+// subtreesChanged returns the old nodes whose subtree vertex set the moves
+// change: on each move's path from its source and from its destination up
+// to (not including) their lowest common ancestor. An added vertex, with no
+// source, changes every subtree above its destination.
+func subtreesChanged(pairs [][2]*Node) map[*Node]bool {
+	changed := make(map[*Node]bool)
+	for _, p := range pairs {
+		from, to := p[0], p[1]
+		onFrom := make(map[*Node]bool)
+		for n := from; n != nil; n = n.Parent {
+			onFrom[n] = true
+		}
+		var lca *Node
+		for n := to; n != nil; n = n.Parent {
+			if onFrom[n] {
+				lca = n
+				break
+			}
+			changed[n] = true
+		}
+		for n := from; n != lca; n = n.Parent {
+			changed[n] = true
+		}
+	}
+	return changed
+}
+
+// clone copies the old tree's node skeleton, applying each touched node's
+// edit: its vertex list is spliced with the departed and arrived vertices,
+// and its inverted list edited by their pairs (see editLists). Untouched
+// nodes share their arenas with the old tree, and nodes whose subtree
+// vertex set is unchanged keep its memo.
+func (r *repairer) clone(edits map[*Node]*nodeEdit, changed map[*Node]bool) *Tree {
+	g := r.g
+	t := &Tree{g: g, core: r.core, nodeOf: make([]*Node, g.N()), nodes: r.old.nodes}
 	var walk func(on *Node) *Node
 	walk = func(on *Node) *Node {
-		nn := &Node{Core: on.Core, Vertices: on.Vertices, invKw: on.invKw, invV: on.invV}
-		switch {
-		case on == src && mode != modeDelete:
-			respliceSub(on, nn)
-		case on == dst && mode != modeCreate:
-			respliceAdd(on, nn)
+		nn := &Node{Core: on.Core, Vertices: on.Vertices}
+		if e := edits[on]; e != nil {
+			nn.Vertices = spliceSorted(on.Vertices, e.departed, e.arrived)
+			editLists(g, on, nn, e.departed, e.arrived)
+		} else {
+			nn.inv.Store(on.inv.Load())
+		}
+		if !changed[on] {
+			nn.sub.Store(on.sub.Load())
 		}
 		for _, v := range nn.Vertices {
 			t.nodeOf[v] = nn
 		}
-		keep := on.Children
-		if mode == modeDelete && on == dst {
-			keep = nil
-			for _, ch := range on.Children {
-				if ch != src {
-					keep = append(keep, ch)
-				}
-			}
-		}
-		extra := 0
-		if mode == modeCreate && on == src {
-			extra = 1
-		}
-		if len(keep)+extra > 0 {
-			nn.Children = make([]*Node, 0, len(keep)+extra)
-			for _, ch := range keep {
+		if len(on.Children) > 0 {
+			nn.Children = make([]*Node, len(on.Children))
+			for i, ch := range on.Children {
 				c := walk(ch)
 				c.Parent = nn
-				nn.Children = append(nn.Children, c)
-			}
-			if extra == 1 {
-				fresh := &Node{Core: createCore, Vertices: moved, Parent: nn}
-				filler.fill(g, fresh)
-				for _, v := range moved {
-					t.nodeOf[v] = fresh
-				}
-				nn.Children = append(nn.Children, fresh)
-				t.nodes++
+				nn.Children[i] = c
 			}
 		}
-		t.nodes++
 		return nn
 	}
-	t.root = walk(old.root)
+	t.root = walk(r.old.root)
 	return t
 }
 
-// subtractSorted returns a ∖ b for ascending slices (b ⊆ a expected).
-func subtractSorted(a, b []int32) []int32 {
-	out := make([]int32, 0, len(a)-len(b))
+// minusSorted returns a ∖ b for ascending slices.
+func minusSorted[T cmp.Ordered](a, b []T) []T {
+	out := make([]T, 0, len(a))
 	j := 0
-	for _, v := range a {
-		if j < len(b) && b[j] == v {
+	for _, x := range a {
+		for j < len(b) && b[j] < x {
 			j++
+		}
+		if j < len(b) && b[j] == x {
 			continue
 		}
-		out = append(out, v)
+		out = append(out, x)
 	}
 	return out
 }
 
+// spliceSorted returns the ascending a without del and with add (del ⊆ a,
+// add disjoint from a, both ascending), copying a segment by segment
+// between binary-searched edit positions.
+func spliceSorted(a, del, add []int32) []int32 {
+	out := make([]int32, 0, len(a)-len(del)+len(add))
+	cur := 0
+	for len(del) > 0 || len(add) > 0 {
+		var x int32
+		if len(del) == 0 || (len(add) > 0 && add[0] < del[0]) {
+			x, add = add[0], add[1:]
+		} else {
+			x, del = del[0], del[1:]
+		}
+		pos, found := slices.BinarySearch(a[cur:], x)
+		out = append(out, a[cur:cur+pos]...)
+		cur += pos
+		if found {
+			cur++ // a departed vertex
+		} else {
+			out = append(out, x)
+		}
+	}
+	return append(out, a[cur:]...)
+}
+
 // mergeSorted merges two disjoint ascending slices.
-func mergeSorted(a, b []int32) []int32 {
-	out := make([]int32, 0, len(a)+len(b))
+func mergeSorted[T cmp.Ordered](a, b []T) []T {
+	out := make([]T, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) || j < len(b) {
 		if j >= len(b) || (i < len(a) && a[i] < b[j]) {
@@ -439,48 +476,21 @@ func mergeSorted(a, b []int32) []int32 {
 	return out
 }
 
-func containsSorted(s []int32, v int32) bool {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// scratchSpace returns the new graph's own scratch, taken on first use
+// (the version's first reads reuse it once Repair releases it).
+func (r *repairer) scratchSpace() *graph.Scratch {
+	if r.scratch == nil {
+		r.scratch = r.g.AcquireScratch()
 	}
-	return lo < len(s) && s[lo] == v
+	return r.scratch
 }
 
-// structureUnchanged reports whether every edge op provably left the
-// component structure of every H_k intact (see the package comment above
-// for why the per-op checks are sound across a whole batch).
-func structureUnchanged(old *Tree, g *graph.Graph, core []int32, ops []EdgeOp) bool {
-	for _, op := range ops {
-		a := core[op.U]
-		if core[op.V] < a {
-			a = core[op.V]
-		}
-		if a < 1 {
-			return false
-		}
-		if op.Insert {
-			au, av := old.Anchor(op.U, a), old.Anchor(op.V, a)
-			if au == nil || au != av {
-				return false
-			}
-		} else if !connectedWithin(g, core, a, op.U, op.V) {
-			return false
-		}
-	}
-	return true
-}
-
-// connectedWithin reports whether u and v are connected inside H_k of g
-// (the subgraph induced by vertices with core ≥ k), via bidirectional BFS:
-// the smaller frontier expands each round, so the walk is bounded by the
-// smaller side of any separation rather than the whole component.
-func connectedWithin(g *graph.Graph, core []int32, k, u, v int32) bool {
+// connected reports whether u and v are connected inside H_k of the new
+// graph (the subgraph induced by vertices with core ≥ k), via bidirectional
+// BFS: the smaller frontier expands each round, so the walk is bounded by
+// the smaller side of any separation rather than the whole component.
+func (r *repairer) connected(k, u, v int32) bool {
+	g, core := r.g, r.core
 	if u == v {
 		return true
 	}
@@ -491,6 +501,7 @@ func connectedWithin(g *graph.Graph, core []int32, k, u, v int32) bool {
 	// leaves a two-hop path through a common neighbor; one sorted-list
 	// intersection answers that without any BFS.
 	nu, nv := g.Neighbors(u), g.Neighbors(v)
+	r.scanned += 2
 	for i, j := 0, 0; i < len(nu) && j < len(nv); {
 		switch {
 		case nu[i] == nv[j]:
@@ -505,36 +516,33 @@ func connectedWithin(g *graph.Graph, core []int32, k, u, v int32) bool {
 			j++
 		}
 	}
-	const sideU, sideV = 1, 2
-	side := map[int32]uint8{u: sideU, v: sideV}
-	frontU := []int32{u}
-	frontV := []int32{v}
+	sc := r.scratchSpace()
+	sideU, sideV := &sc.In, &sc.Seen
+	sideU.Reset(g.N())
+	sideV.Reset(g.N())
+	sideU.Add(u)
+	sideV.Add(v)
+	frontU, frontV := []int32{u}, []int32{v}
 	for len(frontU) > 0 && len(frontV) > 0 {
-		front, mine, theirs := frontU, uint8(sideU), uint8(sideV)
+		front, mine, theirs := &frontU, sideU, sideV
 		if len(frontV) < len(frontU) {
-			front, mine, theirs = frontV, sideV, sideU
+			front, mine, theirs = &frontV, sideV, sideU
 		}
 		var next []int32
-		for _, w := range front {
+		for _, w := range *front {
+			r.scanned++
 			for _, x := range g.Neighbors(w) {
-				if core[x] < k {
-					continue
-				}
-				switch side[x] {
-				case theirs:
+				switch {
+				case core[x] < k || mine.Has(x):
+				case theirs.Has(x):
 					return true
-				case mine:
-					continue
+				default:
+					mine.Add(x)
+					next = append(next, x)
 				}
-				side[x] = mine
-				next = append(next, x)
 			}
 		}
-		if mine == sideU {
-			frontU = next
-		} else {
-			frontV = next
-		}
+		*front = next
 	}
 	return false
 }

@@ -53,15 +53,18 @@ func (t *Tree) validate() error {
 		for _, v := range n.Vertices {
 			want += len(g.Keywords(v))
 		}
-		if len(n.invKw) != want || len(n.invV) != len(n.invKw) {
-			return fmt.Errorf("cltree: inverted list size %d, want %d", len(n.invKw), want)
+		var kw, vs []int32
+		if l := n.lists(); l != nil {
+			kw, vs = l.kw, l.v
 		}
-		for i := range n.invKw {
-			if !g.HasKeyword(n.invV[i], n.invKw[i]) {
-				return fmt.Errorf("cltree: inverted entry (%d,%d) not in graph", n.invKw[i], n.invV[i])
+		if len(kw) != want || len(vs) != len(kw) {
+			return fmt.Errorf("cltree: inverted list size %d, want %d", len(kw), want)
+		}
+		for i := range kw {
+			if !g.HasKeyword(vs[i], kw[i]) {
+				return fmt.Errorf("cltree: inverted entry (%d,%d) not in graph", kw[i], vs[i])
 			}
-			if i > 0 && (n.invKw[i-1] > n.invKw[i] ||
-				(n.invKw[i-1] == n.invKw[i] && n.invV[i-1] >= n.invV[i])) {
+			if i > 0 && (kw[i-1] > kw[i] || (kw[i-1] == kw[i] && vs[i-1] >= vs[i])) {
 				return fmt.Errorf("cltree: inverted list not sorted by (kw,v)")
 			}
 		}

@@ -33,12 +33,18 @@ func TestDynamicEquivalence(t *testing.T) {
 				Ops:       nil,
 			}
 			seedOps := nOps
-			if seed%4 == 0 {
-				// Single-op batches exercise the surgical level-move repair,
-				// which only arms when a batch is exactly one edge op. The
-				// per-batch check runs per op here, so the stream is shorter.
+			switch seed % 4 {
+			case 0:
+				// Single-op batches: the serving shape of unbatched writes.
+				// The per-batch check runs per op here, so the stream is
+				// shorter.
 				sc.BatchSize = 1
 				seedOps = nOps / 5
+			case 2:
+				// Batches of 2-8 ops, whose few level moves the tree repair
+				// edits in place, checked batch by batch.
+				sc.BatchSize = 2 + seed%7
+				seedOps = nOps / 2
 			}
 			sc.Ops = GenOps(baseGraph(sc), seedOps, sc.Seed*7919)
 			if err := Run(sc); err != nil {

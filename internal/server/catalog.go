@@ -143,8 +143,10 @@ func (s *Server) persistDataset(ds *api.Dataset, residentOnly bool) (int64, erro
 		err = s.dropJournal(dir, ds.Name)
 	}
 	if err != nil {
+		s.setCatalogEnd(ds.Name, nil) // unknown: the next write persists first
 		return 0, err
 	}
+	s.setCatalogEnd(ds.Name, endAt(ds, 0))
 	elapsed := time.Since(start)
 	s.stats.snapshotPersists.Add(1)
 	s.stats.snapshotPersistNanos.Add(elapsed.Nanoseconds())
@@ -155,8 +157,48 @@ func (s *Server) persistDataset(ds *api.Dataset, residentOnly bool) (int64, erro
 // removeCatalogFiles is a delete's durable step: it removes the dataset's
 // snapshot and journal.
 func (s *Server) removeCatalogFiles(dir, name string) error {
+	s.setCatalogEnd(name, nil)
 	if err := os.Remove(snapshotPath(dir, name)); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("removing the snapshot: %w", err)
 	}
 	return s.dropJournal(dir, name)
+}
+
+// catalogEnd is where the data dir's files for one dataset name end.
+type catalogEnd struct {
+	lineage uint64 // the lineage of that version (api.Dataset.Lineage)
+	version uint64 // the version a boot from the data dir recovers
+	ops     int    // ops journaled since the last full persist
+}
+
+// endAt is the catalog end at ds, ops journaled since the last persist.
+func endAt(ds *api.Dataset, ops int) *catalogEnd {
+	return &catalogEnd{lineage: ds.Lineage(), version: ds.Version, ops: ops}
+}
+
+// holds reports whether a boot from the data dir recovers ds: the same
+// version of the same lineage, not one a re-upload or a replica's
+// re-bootstrap numbered alike.
+func (e catalogEnd) holds(ds *api.Dataset) bool {
+	return e.lineage == ds.Lineage() && e.version == ds.Version
+}
+
+// catalogEndOf returns the catalog's entry for name; ok is false when the
+// data dir holds no known state for it.
+func (s *Server) catalogEndOf(name string) (catalogEnd, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	e, ok := s.catalog[name]
+	return e, ok
+}
+
+// setCatalogEnd records where name's files end; nil forgets the entry.
+func (s *Server) setCatalogEnd(name string, e *catalogEnd) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e == nil {
+		delete(s.catalog, name)
+	} else {
+		s.catalog[name] = *e
+	}
 }

@@ -708,6 +708,89 @@ func (b *firstRead) Read(p []byte) (int, error) {
 	return b.Reader.Read(p)
 }
 
+// TestWriteAfterAReplicaTermSurvivesReboot: a primary with a data dir
+// writes v1 (edge {5,9}) and is demoted. As a replica it either applies v2
+// and v3 as its tailer does (Explorer.Mutate, which journals nothing), or
+// re-bootstraps a re-uploaded fig5 of another lineage that reached v1 with
+// edge {4,9} of its own. Promoted again, it writes the next version (edge
+// {8,9}). The acknowledged write must survive a reboot from the data dir,
+// on the graph the node served: a journal record behind a version gap is
+// corruption to replay, and one behind another lineage's snapshot replays
+// onto a graph the node never served, so the promoted node's first write
+// must persist the version it serves before journaling.
+func TestWriteAfterAReplicaTermSurvivesReboot(t *testing.T) {
+	ctx := context.Background()
+	edge := func(u int32) []api.Mutation { return []api.Mutation{{Op: api.OpAddEdge, U: u, V: 9}} }
+	for _, tc := range []struct {
+		name         string
+		replicaTerm  func(t *testing.T, s *Server)
+		want, absent []int32 // the ends u of edges {u,9} a reboot must (not) hold
+		version      uint64
+	}{
+		{"applies", func(t *testing.T, s *Server) {
+			for _, u := range []int32{6, 7} {
+				if _, err := s.exp.Mutate(ctx, "fig5", edge(u)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, []int32{5, 6, 7, 8}, nil, 4},
+		{"re-bootstraps another lineage", func(t *testing.T, s *Server) {
+			other := api.NewExplorer()
+			if _, err := other.AddGraph("fig5", gen.Figure5()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := other.Mutate(ctx, "fig5", edge(4)); err != nil {
+				t.Fatal(err)
+			}
+			ds, _ := other.Dataset("fig5")
+			s.exp.RemoveDataset("fig5")
+			if err := s.exp.AddDataset(ds); err != nil {
+				t.Fatal(err)
+			}
+		}, []int32{4, 8}, []int32{5}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := fleetNode(t, &tailerGate{})
+			withCatalog(t, s)
+			s.EnableReplicationPrimary(repl.FeedOptions{})
+			if _, err := s.applyMutations(ctx, "fig5", edge(5)); err != nil {
+				t.Fatal(err)
+			}
+			if code, env, _ := postVerb(t, ts.URL, "/api/v1/demote", map[string]any{"epoch": 2, "primary": "http://p2"}); code != http.StatusOK {
+				t.Fatalf("demote: %d %s", code, env)
+			}
+			tc.replicaTerm(t, s)
+			if code, env, _ := postVerb(t, ts.URL, "/api/v1/promote", map[string]any{"epoch": 3}); code != http.StatusOK {
+				t.Fatalf("promote: %d %s", code, env)
+			}
+			res, err := s.applyMutations(ctx, "fig5", edge(8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Version != tc.version || !res.Journaled {
+				t.Fatalf("write acknowledged at version %d (journaled %v), want %d, journaled", res.Version, res.Journaled, tc.version)
+			}
+			cur, ok := reboot(t, s.DataDir()).Dataset("fig5")
+			if !ok {
+				t.Fatal("a reboot recovers no fig5")
+			}
+			if cur.Version != tc.version {
+				t.Fatalf("write acknowledged at version %d, a reboot recovers version %d", tc.version, cur.Version)
+			}
+			for _, u := range tc.want {
+				if !cur.Graph.HasEdge(u, 9) {
+					t.Errorf("reboot lost edge {%d,9}", u)
+				}
+			}
+			for _, u := range tc.absent {
+				if cur.Graph.HasEdge(u, 9) {
+					t.Errorf("reboot holds edge {%d,9} of a lineage the node no longer served", u)
+				}
+			}
+		})
+	}
+}
+
 // TestUploadOrDeleteAdmittedBeforeDemotionIsRefused: an upload or delete
 // that passed writeGate on a primary either lands with the dataset's feed
 // reset while the node was still a primary, or is refused with 503

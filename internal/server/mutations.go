@@ -83,6 +83,9 @@ func (s *Server) applyMutations(ctx context.Context, name string, ops []api.Muta
 	elapsed := time.Since(start)
 	if err == nil {
 		err = s.store(w, next, func(dir string) (func() error, error) {
+			if err := s.persistBase(w, name, res.Version-1); err != nil {
+				return func() error { return nil }, err
+			}
 			return appendBatch(journalPath(dir, name), res.Version, ops)
 		}, func() error { return s.commit(name, res.Version, ops) })
 	}
@@ -97,6 +100,25 @@ func (s *Server) applyMutations(ctx context.Context, name string, ops []api.Muta
 		res.Compacted = s.compactIfDue(next, len(ops))
 	}
 	return res, nil
+}
+
+// persistBase makes name's catalog end at base, the version the batch's
+// journal record follows, under the name's writer lock w. It ends elsewhere
+// when the node served versions it did not journal (applied or
+// re-bootstrapped as a replica between a demotion and a promotion, or
+// registered without a persist); then the base is persisted (snapshot,
+// journal dropped), so the record lands neither behind a version gap that
+// replay would stop at nor behind another lineage's files.
+func (s *Server) persistBase(w *api.Writer, name string, base uint64) error {
+	cur, ok := w.Dataset()
+	if !ok || cur.Version != base {
+		return fmt.Errorf("persisting the base: %q is not at version %d", name, base)
+	}
+	if end, ok := s.catalogEndOf(name); ok && end.holds(cur) {
+		return nil
+	}
+	_, err := s.persistDataset(cur, true)
+	return err
 }
 
 // errNoPrimary refuses a write at its commit point (503 no_primary).
@@ -202,15 +224,15 @@ func appendBatch(path string, version uint64, ops []api.Mutation) (undo func() e
 	return undo, snapshot.AppendJournal(path, snapshot.JournalRecord{Version: version, Ops: repl.ToJournalOps(ops)})
 }
 
-// compactIfDue counts a journaled batch's ops and, once the journal holds
-// enough, persists ds (the version just stored) and drops the journal; a
-// failure is only logged, as the batch is durable in the journal already.
+// compactIfDue records a journaled batch (ds is the version just stored)
+// and, once the journal holds enough ops, persists ds and drops the
+// journal; a failure is only logged, as the batch is durable in the journal
+// already.
 func (s *Server) compactIfDue(ds *api.Dataset, ops int) bool {
-	s.mu.Lock()
-	s.journalOps[ds.Name] += ops
-	pending := s.journalOps[ds.Name]
-	s.mu.Unlock()
-	if pending < cmp.Or(s.journalCompactAfter, DefaultJournalCompactAfter) {
+	end, _ := s.catalogEndOf(ds.Name)
+	end = *endAt(ds, end.ops+ops)
+	s.setCatalogEnd(ds.Name, &end)
+	if end.ops < cmp.Or(s.journalCompactAfter, DefaultJournalCompactAfter) {
 		return false
 	}
 	if _, err := s.persistDataset(ds, true); err != nil {
@@ -220,15 +242,12 @@ func (s *Server) compactIfDue(ds *api.Dataset, ops int) bool {
 	return true
 }
 
-// dropJournal removes the dataset's journal and pending-op counter, after
-// a full snapshot persist supersedes them.
+// dropJournal removes the dataset's journal, after a full snapshot persist
+// supersedes it.
 func (s *Server) dropJournal(dir, name string) error {
 	if err := os.Remove(journalPath(dir, name)); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("removing the journal: %w", err)
 	}
-	s.mu.Lock()
-	delete(s.journalOps, name)
-	s.mu.Unlock()
 	return nil
 }
 
@@ -243,16 +262,23 @@ func (s *Server) dropJournal(dir, name string) error {
 // left behind hold versions the restarted lineage is about to reuse, so a
 // compaction makes the replayed prefix the durable base before any write
 // is served. A journal that cannot be read (an I/O error, not corruption)
-// is left alone and nothing is applied.
+// is left alone and nothing is applied; the catalog then ends nowhere
+// known, so the next write persists its base first, superseding the
+// unread tail rather than appending behind it.
 func (s *Server) replayJournal(w *api.Writer, name string, baseVersion uint64) (int, error) {
 	dir := s.DataDir()
 	if dir == "" {
 		return 0, nil
 	}
+	base, _ := w.Dataset()
+	end := endAt(base, 0)
+	defer func() { s.setCatalogEnd(name, end) }()
 	recs, readErr := s.drainJournal(name, journalPath(dir, name))
 	if readErr != nil && !errors.Is(readErr, snapshot.ErrJournalCorrupt) {
 		// An I/O failure says nothing about the journal's bytes: apply
-		// nothing and leave the file for the next boot.
+		// nothing and leave the file, for the next boot to read unless a
+		// write persists its base over it first.
+		end = nil
 		return 0, readErr
 	}
 	replayed := 0
@@ -279,18 +305,18 @@ func (s *Server) replayJournal(w *api.Writer, name string, baseVersion uint64) (
 			break
 		}
 		replayed += len(ops)
+		end = endAt(next, replayed)
 	}
-	s.mu.Lock()
-	s.journalOps[name] += replayed
-	s.mu.Unlock()
 	stop := errors.Join(readErr, applyErr)
 	if stop == nil {
 		return replayed, nil
 	}
 	if ds, ok := w.Dataset(); ok {
 		if _, err := s.persistDataset(ds, true); err != nil {
+			end = nil // unknown: the next write persists first
 			return replayed, fmt.Errorf("%w; compacting the replayed prefix: %v", stop, err)
 		}
+		end = endAt(ds, 0)
 	}
 	return replayed, fmt.Errorf("%w (replayed prefix compacted)", stop)
 }

@@ -46,11 +46,14 @@ type Server struct {
 	dataDir  string                           // snapshot catalog directory; "" disables persistence
 	openMode snapshot.OpenMode                // how LoadSnapshots materializes catalog files
 
-	// journalOps tracks ops journaled per dataset since its last full
-	// persist; crossing journalCompactAfter (DefaultJournalCompactAfter
-	// when zero; tests set it before serving) triggers compaction. Every
-	// journal and snapshot write runs under the name's writer lock (store).
-	journalOps          map[string]int
+	// catalog tracks, per dataset name the data dir holds, the version a
+	// boot from it recovers and the ops journaled since its last full
+	// persist. A write whose base is not that version persists its base
+	// before journaling; crossing journalCompactAfter
+	// (DefaultJournalCompactAfter when zero; tests set it before serving)
+	// triggers compaction. Every journal and snapshot write, and every
+	// update of an entry, runs under the name's writer lock (store).
+	catalog             map[string]catalogEnd
 	journalCompactAfter int
 
 	// beforeDurable (tests) runs in every write's durable step (store).
@@ -214,12 +217,12 @@ func New(exp *api.Explorer, logf func(string, ...any)) *Server {
 		logf = func(string, ...any) {}
 	}
 	s := &Server{
-		exp:        exp,
-		profiles:   make(map[string]map[int32]gen.Profile),
-		journalOps: make(map[string]int),
-		logf:       logf,
-		searchSem:  make(chan struct{}, 2*runtime.GOMAXPROCS(0)),
-		started:    time.Now(),
+		exp:       exp,
+		profiles:  make(map[string]map[int32]gen.Profile),
+		catalog:   make(map[string]catalogEnd),
+		logf:      logf,
+		searchSem: make(chan struct{}, 2*runtime.GOMAXPROCS(0)),
+		started:   time.Now(),
 	}
 	// A new server is standalone; that is its first transition.
 	s.transition(func(*nodeRole, *FleetControl) (*nodeRole, *refusal) { return &nodeRole{}, nil })

@@ -113,7 +113,7 @@ func BenchmarkE3_Fig6aQualityBars(b *testing.B) {
 	comm := res[0].Vertices
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = CPJ(g, comm)
+		_, _ = CPJ(context.Background(), g, comm)
 		_ = CMF(g, comm, q)
 	}
 }

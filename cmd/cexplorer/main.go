@@ -91,12 +91,12 @@ func runServer() {
 		name          = flag.String("name", "uploaded", "dataset name for -edges")
 		dblpN         = flag.Int("dblp.n", 20000, "synthetic DBLP size (0 disables)")
 		dblpSeed      = flag.Int64("dblp.seed", 1, "synthetic DBLP seed")
-		searchLimit   = flag.Int("search.limit", 0, "max concurrent searches (0 = 2×GOMAXPROCS)")
-		searchTimeout = flag.Duration("search.timeout", 0, "deadline per search-class request, queue wait included (0 = none)")
+		searchLimit   = flag.Int("search.limit", 0, "max computations running at once on this node; a cache miss past it waits (0 = 2×GOMAXPROCS)")
+		searchTimeout = flag.Duration("search.timeout", 0, "deadline per search-class request, compute-slot wait included (0 = none)")
 		exploreTTL    = flag.Duration("explore.ttl", 0, "idle lifetime of exploration sessions (0 = 15m default)")
 		indexWorkers  = flag.Int("index.workers", 0, "workers for index construction and snapshot encode/decode (0 = GOMAXPROCS)")
 		openModeFlag  = flag.String("open.mode", "auto", "how catalog snapshots are materialized: auto (mmap when eligible), mmap (require zero-copy), copy (always heap-decode)")
-		cacheEntries  = flag.Int("cache.entries", servecache.DefaultMaxEntries, "result-cache capacity in entries (0 disables the cache)")
+		cacheEntries  = flag.Int("cache.entries", servecache.DefaultMaxEntries, "result-cache capacity in entries (0 = the default; the cache is always on)")
 		cacheBytes    = flag.Int64("cache.bytes", servecache.DefaultMaxBytes, "result-cache capacity in bytes")
 		shedInflight  = flag.Int("shed.inflight", 0, "max concurrent cache-miss computations per dataset before shedding with 429 (0 = no shedding)")
 		batchSize     = flag.Int("batch.size", api.DefaultBatchMaxOps, "mutation batcher flush threshold in ops (0 disables batching)")
@@ -132,18 +132,14 @@ func runServer() {
 	exp := api.NewExplorer()
 	srv := server.New(exp, log.Printf)
 	srv.SetOpenMode(openMode)
-	if *searchLimit > 0 {
-		srv.SetSearchLimit(*searchLimit)
-	}
+	srv.SetSearchLimit(*searchLimit)
 	if *searchTimeout > 0 {
 		srv.SetSearchTimeout(*searchTimeout)
 	}
 	if *exploreTTL > 0 {
 		exp.SetExploreTTL(*exploreTTL)
 	}
-	if *cacheEntries > 0 {
-		srv.EnableCache(*cacheEntries, *cacheBytes, *shedInflight)
-	}
+	srv.EnableCache(*cacheEntries, *cacheBytes, *shedInflight)
 	if *batchSize > 0 {
 		srv.EnableBatcher(api.BatcherOptions{MaxOps: *batchSize, MaxWait: *batchWait})
 	}

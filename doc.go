@@ -87,11 +87,15 @@
 //     predecessor's carry on a mutation), and reads after that take no
 //     lock.
 //
-// The HTTP layer (internal/server) additionally bounds concurrent search
-// execution with a worker limit (default 2×GOMAXPROCS, -search.limit on the
-// cexplorer command), deadline-bounds search-class requests when
-// -search.timeout is set (the budget covers queue wait plus computation),
-// and reports request-level counters at /api/stats.
+// Read work is admitted in one place, the Explorer's result cache: a
+// cache-miss computation runs only while it holds one of the node's compute
+// slots (default 2×GOMAXPROCS, -search.limit on the cexplorer command) and
+// waits for one otherwise, while hits and requests coalesced onto a running
+// computation never wait. The HTTP layer (internal/server) deadline-bounds
+// search-class requests when -search.timeout is set (the budget covers the
+// slot wait plus computation) and reports request-level counters at
+// /api/stats, the in-flight gauge (inFlight against computeLimit) inside
+// its cache block.
 //
 // # Query pipeline
 //
@@ -148,8 +152,9 @@
 //
 // # Serve-time speed layer
 //
-// Query serving sits behind a result cache (internal/servecache) keyed by
-// (dataset, version, canonical query): because a search is a pure function
+// Query serving sits behind a result cache (internal/servecache), always
+// installed, keyed by (dataset, version, canonical query); exploration steps
+// read ACQ answers through it too. Because a search is a pure function
 // of the immutable version it resolves, a mutation's version bump makes
 // every stale entry unreachable with no invalidation protocol at all.
 // Concurrent requests for the same key coalesce through singleflight (one

@@ -132,7 +132,9 @@ type Community struct {
 // CSAlgorithm is a pluggable community-search algorithm (query-based,
 // online — Global, Local, ACQ, k-truss, or user-provided). Search must
 // observe ctx: return ctx.Err() (or a wrapper) promptly once the context is
-// canceled, so a dropped client or an expired deadline frees the worker.
+// canceled, so a dropped client or an expired deadline frees the compute
+// slot it runs in. It must not wait on another read of the Explorer, which
+// would need a second slot.
 type CSAlgorithm interface {
 	Name() string
 	Search(ctx context.Context, ds *Dataset, q Query) ([]Community, error)
@@ -555,9 +557,9 @@ type Explorer struct {
 	writersMu sync.Mutex
 	writers   map[string]*nameLock
 
-	// cache, when non-nil, is the serve-time result cache (see cache.go):
-	// Search/Detect/Analyze become version-keyed cache lookups with
-	// singleflight coalescing and per-dataset admission control.
+	// cache is the serve-time result cache (see cache.go) and the one
+	// admission point of read work: Search, Detect, Analyze and every
+	// exploration step are version-keyed lookups in it.
 	cache *servecache.Cache
 
 	// explore holds the live exploration sessions (the paper's Figure 1/6
@@ -566,13 +568,15 @@ type Explorer struct {
 }
 
 // NewExplorer returns an Explorer with the built-in algorithms registered
-// (ACQ, Global, Local, KTruss; CODICIL).
+// (ACQ, Global, Local, KTruss; CODICIL) and a result cache of the default
+// size (replace it with SetCache).
 func NewExplorer() *Explorer {
 	e := &Explorer{
 		datasets: make(map[string]*Dataset),
 		writers:  make(map[string]*nameLock),
 		cs:       make(map[string]CSAlgorithm),
 		cd:       make(map[string]CDAlgorithm),
+		cache:    NewServeCache(0, 0, 0),
 	}
 	e.explore.init()
 	e.RegisterCS(&ACQAlgorithm{Variant: core.Dec})
@@ -728,9 +732,7 @@ func (w *Writer) Store(next *Dataset, commit func() error) error {
 	if !ok || next != nil && next.lin == prev.lin {
 		return nil
 	}
-	if c != nil {
-		c.Purge(w.name)
-	}
+	c.Purge(w.name)
 	if next == nil {
 		e.explore.dropDataset(w.name)
 		prev.Close()
@@ -787,11 +789,11 @@ func (e *Explorer) Datasets() []string {
 
 // Search runs a registered CS algorithm (Figure 4's search). It observes
 // ctx: cancellation or an expired deadline stops the computation inside the
-// algorithm kernel, and the error wraps ErrCanceled or ErrTimeout. With a
-// result cache installed (SetCache), the call is a version-keyed cache
-// lookup: hits skip the kernel entirely, concurrent misses for one query
-// coalesce onto a single computation, and the per-dataset admission bound
-// can shed it with ErrOverloaded.
+// algorithm kernel, or its wait for a compute slot, and the error wraps
+// ErrCanceled or ErrTimeout. The call is a version-keyed lookup in the
+// result cache: hits skip the kernel entirely, concurrent misses for one
+// query coalesce onto a single computation, and the per-dataset admission
+// bound can shed it with ErrOverloaded.
 func (e *Explorer) Search(ctx context.Context, dataset, algo string, q Query) ([]Community, error) {
 	ds, err := e.resolve(ctx, "search: ", dataset)
 	if err != nil {
@@ -811,29 +813,18 @@ func (e *Explorer) SearchOn(ctx context.Context, ds *Dataset, algo string, q Que
 	}
 	e.mu.RLock()
 	a, ok := e.cs[algo]
-	c := e.cache
 	e.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: search: no CS algorithm %q", ErrUnknownAlgorithm, algo)
 	}
-	if c == nil {
-		return e.searchKernel(ctx, ds, a, q)
-	}
-	return e.cachedCommunities(ctx, c, ds, searchKey(algo, q), func(ctx context.Context) ([]Community, error) {
-		return e.searchKernel(ctx, ds, a, q)
+	return e.cachedCommunities(ctx, ds, searchKey(algo, q), func(ctx context.Context) ([]Community, error) {
+		unpin, err := ds.Pin()
+		if err != nil {
+			return nil, err
+		}
+		defer unpin()
+		return a.Search(ctx, ds, q)
 	})
-}
-
-// searchKernel is the uncached search core: pin the dataset version for the
-// computation's lifetime and run the kernel.
-func (e *Explorer) searchKernel(ctx context.Context, ds *Dataset, a CSAlgorithm, q Query) ([]Community, error) {
-	unpin, err := ds.Pin()
-	if err != nil {
-		return nil, err
-	}
-	defer unpin()
-	out, err := a.Search(ctx, ds, q)
-	return out, wrapContextErr(err)
 }
 
 // Detect runs a registered CD algorithm (Figure 4's detect), observing ctx
@@ -845,28 +836,18 @@ func (e *Explorer) Detect(ctx context.Context, dataset, algo string) ([]Communit
 	}
 	e.mu.RLock()
 	a, ok := e.cd[algo]
-	c := e.cache
 	e.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: detect: no CD algorithm %q", ErrUnknownAlgorithm, algo)
 	}
-	if c == nil {
-		return e.detectOn(ctx, ds, a)
-	}
-	return e.cachedCommunities(ctx, c, ds, detectKey(algo), func(ctx context.Context) ([]Community, error) {
-		return e.detectOn(ctx, ds, a)
+	return e.cachedCommunities(ctx, ds, detectKey(algo), func(ctx context.Context) ([]Community, error) {
+		unpin, err := ds.Pin()
+		if err != nil {
+			return nil, err
+		}
+		defer unpin()
+		return a.Detect(ctx, ds)
 	})
-}
-
-// detectOn is the uncached detection core.
-func (e *Explorer) detectOn(ctx context.Context, ds *Dataset, a CDAlgorithm) ([]Community, error) {
-	unpin, err := ds.Pin()
-	if err != nil {
-		return nil, err
-	}
-	defer unpin()
-	out, err := a.Detect(ctx, ds)
-	return out, wrapContextErr(err)
 }
 
 // Analysis is the report the analyze function produces for one community —
@@ -880,22 +861,18 @@ type Analysis struct {
 }
 
 // Analyze computes quality metrics for a community against query vertex q
-// (Figure 4's analyze), consulting the result cache when one is installed.
+// (Figure 4's analyze) as a lookup in the result cache. It observes ctx like
+// Search does: CPJ is quadratic in the community, and its pair loop stops
+// at the next row once ctx is done.
 func (e *Explorer) Analyze(ctx context.Context, dataset string, c Community, q int32) (*Analysis, error) {
 	ds, err := e.resolve(ctx, "analyze: ", dataset)
 	if err != nil {
 		return nil, err
 	}
-	e.mu.RLock()
-	sc := e.cache
-	e.mu.RUnlock()
-	if sc == nil {
-		return e.analyzeOn(ds, c, q)
-	}
-	v, err := sc.Do(ctx, dataset, ds.lin, ds.Version, analyzeKey(c, q), func(context.Context) (any, int64, error) {
-		a, err := e.analyzeOn(ds, c, q)
+	v, err := e.Cache().Do(ctx, dataset, ds.lin, ds.Version, analyzeKey(c, q), func(ctx context.Context) (any, int64, error) {
+		a, err := analyzeOn(ctx, ds, c, q)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, wrapContextErr(err)
 		}
 		return a, int64(len(a.Method)) + 256, nil
 	})
@@ -905,8 +882,8 @@ func (e *Explorer) Analyze(ctx context.Context, dataset string, c Community, q i
 	return v.(*Analysis), nil
 }
 
-// analyzeOn is the uncached analysis core.
-func (e *Explorer) analyzeOn(ds *Dataset, c Community, q int32) (*Analysis, error) {
+// analyzeOn is the analysis a cache miss computes.
+func analyzeOn(ctx context.Context, ds *Dataset, c Community, q int32) (*Analysis, error) {
 	unpin, err := ds.Pin()
 	if err != nil {
 		return nil, err
@@ -918,9 +895,13 @@ func (e *Explorer) analyzeOn(ds *Dataset, c Community, q int32) (*Analysis, erro
 	if err := checkIDs(ds.Graph, "analyze", c.Vertices); err != nil {
 		return nil, err
 	}
+	cpj, err := metrics.CPJ(ctx, ds.Graph, c.Vertices)
+	if err != nil {
+		return nil, err
+	}
 	return &Analysis{
 		Method: c.Method,
-		CPJ:    metrics.CPJ(ds.Graph, c.Vertices),
+		CPJ:    cpj,
 		CMF:    metrics.CMF(ds.Graph, c.Vertices, q),
 		Stats:  metrics.Stats(ds.Graph, c.Vertices),
 		Theme:  metrics.Theme(ds.Graph, c.Vertices, 8),

@@ -1,15 +1,16 @@
 package api
 
 // The serve-time result cache (see internal/servecache). Search, Detect,
-// and Analyze are pure functions of (dataset version, query): once an
-// Explorer is given a cache, each of them becomes a cache lookup keyed by
-// the dataset name, its lineage, its immutable Version, and a canonicalized
-// rendering of the request — a mutation publishes a successor version and a
-// re-upload starts a new lineage, so stale entries (late fills included) are
-// unreachable by construction and age out of the LRU. Concurrent
-// requests for one missing key coalesce onto a single computation
-// (singleflight), deterministic failures (unknown vertex, invalid query)
-// negative-cache, and per-dataset admission control sheds work beyond the
+// Analyze and exploration steps are pure functions of (dataset version,
+// query): every Explorer has a cache, and each of them is a cache lookup
+// keyed by the dataset name, its lineage, its immutable Version, and a
+// canonicalized rendering of the request — a mutation publishes a successor
+// version and a re-upload starts a new lineage, so stale entries (late
+// fills included) are unreachable by construction and age out of the LRU.
+// Concurrent requests for one missing key coalesce onto a single
+// computation (singleflight), deterministic failures (unknown vertex,
+// invalid query) negative-cache, a computation waits for one of the node's
+// compute slots, and per-dataset admission control sheds work beyond the
 // configured in-flight bound with ErrOverloaded instead of queueing.
 
 import (
@@ -45,16 +46,19 @@ func NewServeCache(maxEntries int, maxBytes int64, maxInflight int) *servecache.
 	})
 }
 
-// SetCache installs (or, with nil, removes) the serve-time result cache.
-// Set it before serving; it is safe to swap mid-flight, but in-flight
-// requests finish on the cache they started with.
+// SetCache replaces the serve-time result cache (nil installs a fresh one
+// of the default size). Set it before serving; it is safe to swap
+// mid-flight, but in-flight requests finish on the cache they started with.
 func (e *Explorer) SetCache(c *servecache.Cache) {
+	if c == nil {
+		c = NewServeCache(0, 0, 0)
+	}
 	e.mu.Lock()
 	e.cache = c
 	e.mu.Unlock()
 }
 
-// Cache returns the installed result cache (nil when caching is off).
+// Cache returns the installed result cache.
 func (e *Explorer) Cache() *servecache.Cache {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -165,11 +169,11 @@ func communitiesBytes(cs []Community) int64 {
 // cached slice is shared across callers and with the cache itself: callers
 // must treat it as read-only (pagination subslicing and DTO building are
 // fine) and clone it before any in-place filter or sort.
-func (e *Explorer) cachedCommunities(ctx context.Context, c *servecache.Cache, ds *Dataset, key string, compute func(context.Context) ([]Community, error)) ([]Community, error) {
-	v, err := c.Do(ctx, ds.Name, ds.lin, ds.Version, key, func(ctx context.Context) (any, int64, error) {
+func (e *Explorer) cachedCommunities(ctx context.Context, ds *Dataset, key string, compute func(context.Context) ([]Community, error)) ([]Community, error) {
+	v, err := e.Cache().Do(ctx, ds.Name, ds.lin, ds.Version, key, func(ctx context.Context) (any, int64, error) {
 		out, err := compute(ctx)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, wrapContextErr(err)
 		}
 		return out, communitiesBytes(out), nil
 	})

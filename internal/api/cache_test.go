@@ -153,7 +153,7 @@ func TestReuploadNeverServesReplacedLineage(t *testing.T) {
 	}
 	path := func() *graph.Graph { return smallGraph(4, [2]int32{0, 1}, [2]int32{1, 2}, [2]int32{2, 3}) }
 	q := Query{Vertices: []int32{0}, K: 2}
-	// check searches "d" and compares with the uncached kernel on the
+	// check searches "d" and compares with the kernel run directly on the
 	// registered dataset.
 	check := func(t *testing.T, e *Explorer) {
 		t.Helper()
@@ -162,7 +162,7 @@ func TestReuploadNeverServesReplacedLineage(t *testing.T) {
 			t.Fatal(err)
 		}
 		cur, _ := e.Dataset("d")
-		want, err := e.searchKernel(ctx, cur, GlobalAlgorithm{}, q)
+		want, err := GlobalAlgorithm{}.Search(ctx, cur, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -192,3 +192,28 @@ func TestCancelDetectPrompt(t *testing.T) {
 		t.Fatal("Detect did not observe cancellation within the hang bound")
 	}
 }
+
+// TestAnalyzeHonoursContext: the analysis a cache miss computes hands its
+// ctx to CPJ's pair loop (the checks before it never look at ctx, so the
+// context error can only come from there), Analyze maps a canceled or
+// expired ctx to ErrCanceled or ErrTimeout, and neither is cached.
+func TestAnalyzeHonoursContext(t *testing.T) {
+	e, ds := figure5Explorer(t)
+	c := Community{Method: "ACQ", Vertices: []int32{0, 2, 3}}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancelExpired()
+	if _, err := analyzeOn(canceled, ds, c, 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("analyzeOn under a canceled ctx: %v", err)
+	}
+	if _, err := e.Analyze(canceled, "fig5", c, 0); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("Analyze under a canceled ctx: %v, want ErrCanceled", err)
+	}
+	if _, err := e.Analyze(expired, "fig5", c, 0); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("Analyze under an expired ctx: %v, want ErrTimeout", err)
+	}
+	if a, err := e.Analyze(context.Background(), "fig5", c, 0); err != nil || a.CPJ <= 0 {
+		t.Fatalf("Analyze after the failures = %+v, %v", a, err)
+	}
+}

@@ -8,31 +8,28 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"cexplorer/internal/cltree"
-	"cexplorer/internal/core"
-	"cexplorer/internal/metrics"
 )
 
 // Exploration sessions are the paper's defining interaction — the Figure
 // 1/6 browse loop, where a user anchors at a query vertex and repeatedly
 // expands (smaller k, larger community) or contracts (larger k, smaller,
-// denser community) — lifted into server-side state. A session pins one
-// warm query engine for its whole lifetime, so every step reuses the
-// engine's peeler scratch and interned keyword tables instead of paying
-// pool checkout + rewarming per step, and it tracks its CL-tree anchor so
-// each step reports where in the k-core hierarchy the browse currently
-// sits. VCExplorer and GMine (PAPERS.md) take the same position: stateful
-// drill-down sessions, not one-shot queries, are the natural API for
-// interactive graph exploration.
+// denser community) — lifted into server-side state. A session is a cursor:
+// its dataset version (pinned for the session's lifetime), the position
+// (q, k, keywords) and the last state. Each open or step is a read with the
+// same lookups a search uses: the ring is the CL-tree's anchor subtree, and
+// the attributed communities are the cached answer of the ACQ search for
+// (q, k, keywords), so sessions and searches share cache entries and a step
+// back to a visited k is a hit. VCExplorer and GMine (PAPERS.md) navigate a
+// precomputed hierarchy the same way.
 
 // DefaultExploreTTL is how long an idle session survives before eviction
-// reclaims its pinned engine.
+// releases its pin.
 const DefaultExploreTTL = 15 * time.Minute
 
 // maxExploreSessions caps live sessions; creating one past the cap evicts
-// the least-recently-used session first (each pins an engine, which is O(n)
-// scratch, so unbounded growth would be a memory leak with a public face).
+// the least-recently-used session first (each holds its state and pins a
+// dataset version, so unbounded growth would be a memory leak with a public
+// face).
 const maxExploreSessions = 1024
 
 // ExploreState is the client-visible snapshot of a session after creation
@@ -77,26 +74,25 @@ type ExploreStats struct {
 
 // exploreSession is one live browse loop.
 type exploreSession struct {
-	// mu serializes steps: the pinned engine carries per-query scratch and
-	// must never run two searches at once. The engine is released back to
-	// the pool only under mu with closed set (see closeAndRelease), so an
-	// eviction or DELETE racing an in-flight step can never hand the
-	// engine to a new query while the step still uses it.
+	// mu serializes steps and guards the pin: the session's reads run on
+	// the pinned version without a pin of their own, and closeAndRelease
+	// unpins only under mu with closed set, so an eviction or DELETE racing
+	// an in-flight step never unmaps the pages the step reads.
 	mu       sync.Mutex
 	closed   bool
 	id       string
 	ds       *Dataset
 	unpin    func() // releases the dataset backing pinned at creation
 	q        int32
-	k        int
 	keywords []string
-	eng      *core.Engine
-	anchor   *cltree.Node
-	ring     []int32
-	comms    []Community
-	steps    int
-	created  time.Time
-	lastUsed time.Time
+	// The last state: k and what read returned for it.
+	k          int
+	anchorCore int32
+	ring       []int32
+	comms      []Community
+	steps      int
+	created    time.Time
+	lastUsed   time.Time
 }
 
 // exploreManager owns the session table. It lives inside Explorer.
@@ -195,15 +191,14 @@ func (m *exploreManager) evictOldestLocked() *exploreSession {
 	return oldest
 }
 
-// closeAndRelease marks the session closed and returns its pinned engine
-// to the pool. Taking s.mu first means an in-flight step finishes before
-// the engine changes hands; the closed flag stops any step that was
-// already queued on the lock from touching the engine afterwards.
+// closeAndRelease marks the session closed and releases its pin. Taking
+// s.mu first means an in-flight step finishes before the pin drops; the
+// closed flag stops any step that was already queued on the lock from
+// reading the dataset afterwards.
 func (s *exploreSession) closeAndRelease() {
 	s.mu.Lock()
 	if !s.closed {
 		s.closed = true
-		s.ds.ReleaseEngine(s.eng)
 		s.unpin()
 	}
 	s.mu.Unlock()
@@ -259,24 +254,17 @@ func (e *Explorer) Explore(ctx context.Context, dataset string, q Query) (*Explo
 	if k < 1 {
 		k = 1
 	}
-	if core := ds.CoreNumbers(); int(core[v]) < k {
-		return nil, fmt.Errorf("%w: explore: vertex %d has no community at k=%d (max k=%d)",
-			ErrInvalidQuery, v, k, core[v])
-	}
 
 	s := &exploreSession{
 		id:       newSessionID(),
 		ds:       ds,
 		unpin:    unpin,
 		q:        v,
-		k:        k,
 		keywords: append([]string(nil), q.Keywords...),
-		eng:      ds.AcquireEngine(),
 		created:  time.Now(),
 	}
-	if err := s.run(ctx); err != nil {
-		ds.ReleaseEngine(s.eng)
-		return nil, wrapContextErr(err)
+	if err := e.read(ctx, s, k); err != nil {
+		return nil, err
 	}
 	published = true
 
@@ -318,10 +306,9 @@ func (e *Explorer) lookupSession(dataset, id string) (*exploreSession, time.Dura
 
 // ExploreStep moves a session along the browse loop. action is "expand"
 // (k-1: a larger, looser community), "contract" (k+1: a smaller, denser
-// one), or "set" with an explicit k. The step reuses the session's pinned
-// engine; if the new k admits no community the session keeps its previous
-// position and an ErrInvalidQuery is returned, so a client can probe the
-// boundary freely.
+// one), or "set" with an explicit k. A failed step — the new k admits no
+// community (ErrInvalidQuery), or the read fails — leaves the session where
+// it was, so a client can probe the boundary freely.
 func (e *Explorer) ExploreStep(ctx context.Context, dataset, id, action string, k int) (*ExploreState, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, wrapContextErr(err)
@@ -335,7 +322,7 @@ func (e *Explorer) ExploreStep(ctx context.Context, dataset, id, action string, 
 	defer s.mu.Unlock()
 	if s.closed {
 		// Evicted or deleted while this step was queued on the session
-		// lock; the engine is no longer ours.
+		// lock; the pin is gone.
 		return nil, fmt.Errorf("%w: %q", ErrSessionNotFound, id)
 	}
 	newK := s.k
@@ -352,15 +339,8 @@ func (e *Explorer) ExploreStep(ctx context.Context, dataset, id, action string, 
 	if newK < 1 {
 		return nil, fmt.Errorf("%w: explore step: already at the loosest community (k=1)", ErrInvalidQuery)
 	}
-	if core := s.ds.CoreNumbers(); int(core[s.q]) < newK {
-		return nil, fmt.Errorf("%w: explore step: no community at k=%d (max k=%d)", ErrInvalidQuery, newK, core[s.q])
-	}
-
-	oldK, oldAnchor, oldRing, oldComms := s.k, s.anchor, s.ring, s.comms
-	s.k = newK
-	if err := s.run(ctx); err != nil {
-		s.k, s.anchor, s.ring, s.comms = oldK, oldAnchor, oldRing, oldComms
-		return nil, wrapContextErr(err)
+	if err := e.read(ctx, s, newK); err != nil {
+		return nil, err
 	}
 	s.steps++
 	e.explore.steps.Add(1)
@@ -381,8 +361,8 @@ func (e *Explorer) ExploreGet(dataset, id string) (*ExploreState, error) {
 	return s.state(dataset, ttl), nil
 }
 
-// ExploreClose ends a session, returning its pinned engine to the pool
-// once any in-flight step on it has finished.
+// ExploreClose ends a session, releasing its pin once any in-flight step
+// on it has finished.
 func (e *Explorer) ExploreClose(dataset, id string) error {
 	m := &e.explore
 	m.mu.Lock()
@@ -401,54 +381,39 @@ func (e *Explorer) ExploreClose(dataset, id string) error {
 	return nil
 }
 
-// run recomputes the session's ring and attributed communities at the
-// current k on the pinned engine. The CL-tree anchor moves incrementally:
-// an expand step climbs Parent pointers from the current ring (O(levels)
-// instead of a fresh root-to-leaf walk), a contract step re-anchors from
-// the vertex's leaf node. Caller must hold s.mu (or own s exclusively, as
-// Explore does before publishing).
-func (s *exploreSession) run(ctx context.Context) error {
-	tree := s.eng.Tree()
-	k := int32(s.k)
-	a := s.anchor
-	switch {
-	case a == nil || k > a.Core:
-		// First run, or contracting into a deeper ring: locate from the
-		// leaf. (For k ≤ a.Core no node above a can host the new anchor —
-		// everything above the old anchor has a strictly smaller core.)
-		a = tree.Anchor(s.q, k)
-	default:
-		// Expanding (or staying): the new anchor is an ancestor of the
-		// current one; climb from where the session already sits.
-		for a.Parent != nil && a.Parent.Core >= k {
-			a = a.Parent
-		}
-	}
+// read moves the session to k: the ring is the CL-tree's anchor subtree at
+// (q, k), and the communities are the answer of the ACQ search for (q, k,
+// keywords), read through the result cache under that search's key. On
+// failure the session keeps its state. Caller holds s.mu (or owns s
+// exclusively, as Explore does before publishing): the session's pin keeps
+// the version mapped, so a miss runs the kernel with no pin of its own,
+// which a closed dataset would refuse.
+func (e *Explorer) read(ctx context.Context, s *exploreSession, k int) error {
+	tree := s.ds.Tree()
+	a := tree.Anchor(s.q, int32(k))
 	if a == nil {
-		return fmt.Errorf("%w: no community at k=%d", ErrInvalidQuery, s.k)
+		return fmt.Errorf("%w: explore: vertex %d has no community at k=%d (max k=%d)",
+			ErrInvalidQuery, s.q, k, s.ds.CoreNumbers()[s.q])
 	}
-	res, err := s.eng.SearchContext(ctx, s.q, k, resolveKeywords(s.ds.Graph, s.keywords), core.Dec)
+	q := Query{Vertices: []int32{s.q}, K: k, Keywords: s.keywords}
+	e.mu.RLock()
+	acq := e.cs["ACQ"]
+	e.mu.RUnlock()
+	comms, err := e.cachedCommunities(ctx, s.ds, searchKey("ACQ", q), func(ctx context.Context) ([]Community, error) {
+		return acq.Search(ctx, s.ds, q)
+	})
 	if err != nil {
 		return err
 	}
-	s.anchor = a
+	s.k, s.anchorCore, s.comms = k, a.Core, comms
 	s.ring = tree.SubtreeAscending(a) // shared with the index: read-only
-	s.comms = make([]Community, 0, len(res))
-	for _, c := range res {
-		s.comms = append(s.comms, Community{
-			Method:         "ACQ",
-			Vertices:       c.Vertices,
-			SharedKeywords: s.ds.Graph.Vocab().Words(c.SharedKeywords),
-			Theme:          metrics.Theme(s.ds.Graph, c.Vertices, 5),
-		})
-	}
 	return nil
 }
 
 // state renders the client-visible snapshot. Caller must hold s.mu (or own
 // s exclusively).
 func (s *exploreSession) state(dataset string, ttl time.Duration) *ExploreState {
-	st := &ExploreState{
+	return &ExploreState{
 		ID:          s.id,
 		Dataset:     dataset,
 		Vertex:      s.q,
@@ -456,14 +421,11 @@ func (s *exploreSession) state(dataset string, ttl time.Duration) *ExploreState 
 		Keywords:    s.keywords,
 		Steps:       s.steps,
 		MaxK:        int(s.ds.CoreNumbers()[s.q]),
+		AnchorCore:  s.anchorCore,
 		Ring:        s.ring,
 		RingSize:    len(s.ring),
 		Communities: s.comms,
 		CreatedAt:   s.created,
 		ExpiresAt:   time.Now().Add(ttl),
 	}
-	if s.anchor != nil {
-		st.AnchorCore = s.anchor.Core
-	}
-	return st
 }

@@ -193,43 +193,60 @@ func TestExploreStatsCounts(t *testing.T) {
 }
 
 // TestExploreConcurrentStepCloseRace hammers one session with concurrent
-// steps, gets, closes, and fresh searches on the same dataset. Under
-// -race this pins the engine-handoff contract: a DELETE or eviction racing
-// an in-flight step must never hand the session's pinned engine to a new
-// query while the step still uses it.
+// steps, gets, closes, and fresh searches on the same dataset, heap-built
+// and mmap-backed; on the mapped one the dataset itself is closed in the
+// race too. Under -race this pins the pin contract: a close never unmaps
+// under a step — the session's reads run on its pin, which drops only once
+// an in-flight step is done.
 func TestExploreConcurrentStepCloseRace(t *testing.T) {
-	e, _ := figure5Explorer(t)
 	ctx := context.Background()
-	for round := 0; round < 8; round++ {
-		st, err := e.Explore(ctx, "fig5", Query{Vertices: []int32{0}, K: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for i := 0; i < 4; i++ {
-				action := "contract"
-				if i%2 == 1 {
-					action = "expand"
-				}
-				// ErrSessionNotFound / ErrInvalidQuery are fine here — the
-				// close may win; data races are what the test hunts.
-				_, _ = e.ExploreStep(ctx, "fig5", st.ID, action, 0)
-				_, _ = e.ExploreGet("fig5", st.ID)
+	for _, mapped := range []bool{false, true} {
+		for round := 0; round < 8; round++ {
+			ds := NewDataset("fig5", gen.Figure5())
+			if mapped {
+				ds = openMmapDataset(t, ds)
 			}
-		}()
-		go func() {
-			// Concurrent searches pull engines from the same pool: if a
-			// closed session's engine were double-released or released
-			// mid-step, scratch corruption shows up here under -race.
-			_, _ = e.Search(ctx, "fig5", "ACQ", Query{Vertices: []int32{0}, K: 2})
-		}()
-		_ = e.ExploreClose("fig5", st.ID)
-		<-done
-	}
-	if stats := e.ExploreStats(); stats.Active != 0 {
-		t.Fatalf("sessions leaked: %+v", stats)
+			e := NewExplorer()
+			if err := e.AddDataset(ds); err != nil {
+				t.Fatal(err)
+			}
+			st, err := e.Explore(ctx, "fig5", Query{Vertices: []int32{0}, K: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stepped, done := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(done)
+				for i := 0; i < 8; i++ {
+					if i == 1 {
+						close(stepped) // the close races the steps after the first
+					}
+					action := "contract"
+					if i%2 == 1 {
+						action = "expand"
+					}
+					// ErrSessionNotFound / ErrInvalidQuery are fine here — the
+					// close may win; data races and reads of unmapped pages
+					// are what the test hunts.
+					_, _ = e.ExploreStep(ctx, "fig5", st.ID, action, 0)
+					_, _ = e.ExploreGet("fig5", st.ID)
+				}
+			}()
+			go func() {
+				// A search pins on its own, or fails typed once the
+				// dataset is closed.
+				_, _ = e.Search(ctx, "fig5", "ACQ", Query{Vertices: []int32{0}, K: 3})
+			}()
+			// Closing the dataset first leaves the session's pin as the
+			// mapping's last reference, so the session close unmaps.
+			<-stepped
+			ds.Close()
+			_ = e.ExploreClose("fig5", st.ID)
+			<-done
+			if stats := e.ExploreStats(); stats.Active != 0 {
+				t.Fatalf("mapped=%v: sessions leaked: %+v", mapped, stats)
+			}
+		}
 	}
 }
 

@@ -1,11 +1,11 @@
 package dyntest
 
 // The serve-time cache's equivalence layer: RunCached replays a scenario's
-// mutation stream through Explorer.Mutate while issuing the same query
-// panel against two Explorers over identical graph lineages — one serving
-// through the version-keyed result cache, one computing uncached — and
-// requires every cached answer to equal the uncached oracle at the served
-// version. Each query runs twice per round, so the comparison covers both
+// mutation stream through Explorer.Mutate into two Explorers over identical
+// graph lineages, issues the query panel through one of them, which serves
+// through the version-keyed result cache, and requires every cached answer
+// to equal the oracle: the ACQ algorithm run directly on the other's
+// dataset at the same version. Each query runs twice per round, so the comparison covers both
 // the miss path (leader computes, result cached) and the hit path (the
 // stored value is served verbatim); mutating between rounds then proves
 // version keying makes every stale entry unreachable: a cache serving any
@@ -18,6 +18,7 @@ import (
 	"slices"
 
 	"cexplorer/internal/api"
+	"cexplorer/internal/core"
 )
 
 // CachedQueries is how many (vertex, k, keywords) probes each round of
@@ -39,8 +40,10 @@ func RunCached(sc Scenario) error {
 		return err
 	}
 
+	acq := &api.ACQAlgorithm{Variant: core.Dec}
 	check := func(round string) error {
 		ds, _ := cached.Dataset("dyn")
+		ods, _ := oracle.Dataset("dyn")
 		n := int32(ds.Graph.N())
 		stride := n/CachedQueries + 1
 		for q := int32(0); q < n; q += stride {
@@ -53,7 +56,7 @@ func RunCached(sc Scenario) error {
 				// second is a guaranteed hit at this version.
 				for pass := 0; pass < 2; pass++ {
 					got, gotErr := cached.Search(ctx, "dyn", "ACQ", query)
-					want, wantErr := oracle.Search(ctx, "dyn", "ACQ", query)
+					want, wantErr := acq.Search(ctx, ods, query)
 					if (gotErr == nil) != (wantErr == nil) {
 						return fmt.Errorf("%s q=%d k=%d pass %d: cached err %v, oracle err %v",
 							round, q, k, pass, gotErr, wantErr)

@@ -137,7 +137,8 @@ func E2Fig6aTable(w io.Writer, env *Env) ([]Fig6aRow, error) {
 			row.AvgVertices += float64(st.Vertices)
 			row.AvgEdges += float64(st.Edges)
 			row.AvgDegree += st.AvgDegree
-			row.CPJ += metrics.CPJ(g, c)
+			cpj, _ := metrics.CPJ(context.Background(), g, c) // never done
+			row.CPJ += cpj
 			row.CMF += metrics.CMF(g, c, q)
 		}
 		if len(comms) > 0 {

@@ -19,7 +19,7 @@ import (
 type DBLPConfig struct {
 	Authors           int     // number of author vertices
 	Communities       int     // number of research communities (ground truth)
-	EdgeFactor        float64 // intra-community edge attempts per membership (≈ avg degree / 2)
+	EdgeFactor        float64 // intra-community edge attempts per membership (≈ avg degree / 4: 2.6 gives 10.5–10.9)
 	CrossFrac         float64 // extra cross-community edges, as a fraction of intra edges
 	KeywordsPerAuthor int     // cap on keywords per author (paper: 20)
 	SecondaryProb     float64 // probability an author joins a second community

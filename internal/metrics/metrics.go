@@ -6,6 +6,7 @@
 package metrics
 
 import (
+	"context"
 	"math"
 	"slices"
 
@@ -17,20 +18,24 @@ import (
 // pairs of vertices" (§4): the mean Jaccard similarity of the keyword sets
 // of every vertex pair in the community. Higher means the members' content
 // is more mutually similar. Returns 0 for communities of fewer than 2
-// vertices.
-func CPJ(g *graph.Graph, community []int32) float64 {
+// vertices. The pair loop is quadratic, so it checks ctx once per row and
+// returns ctx.Err() once it is done.
+func CPJ(ctx context.Context, g *graph.Graph, community []int32) (float64, error) {
 	n := len(community)
 	if n < 2 {
-		return 0
+		return 0, nil
 	}
 	total := 0.0
 	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
 		wi := g.Keywords(community[i])
 		for j := i + 1; j < n; j++ {
 			total += ds.JaccardSorted(wi, g.Keywords(community[j]))
 		}
 	}
-	return total / float64(n*(n-1)/2)
+	return total / float64(n*(n-1)/2), nil
 }
 
 // CMF — community member frequency — is "the average frequency of keywords

@@ -1,10 +1,13 @@
 package metrics
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"cexplorer/internal/gen"
 	"cexplorer/internal/graph"
@@ -19,13 +22,38 @@ func TestCPJ(t *testing.T) {
 	g := fixture(t)
 	// {A,C,D}: W(A)={w,x,y}, W(C)={x,y}, W(D)={x,y,z}.
 	// J(A,C)=2/3, J(A,D)=2/4, J(C,D)=2/3 → mean = (2/3+1/2+2/3)/3.
-	got := CPJ(g, []int32{0, 2, 3})
+	got, err := CPJ(context.Background(), g, []int32{0, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := (2.0/3 + 0.5 + 2.0/3) / 3
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("CPJ = %f, want %f", got, want)
 	}
-	if CPJ(g, []int32{0}) != 0 || CPJ(g, nil) != 0 {
+	if cpj(g, []int32{0}) != 0 || cpj(g, nil) != 0 {
 		t.Fatal("degenerate CPJ should be 0")
+	}
+}
+
+// cpj is CPJ under a context that is never done.
+func cpj(g *graph.Graph, vs []int32) float64 {
+	c, _ := CPJ(context.Background(), g, vs)
+	return c
+}
+
+// TestCPJStopsOnDoneContext: a canceled or expired ctx stops the pair loop
+// and is reported as the context's error.
+func TestCPJStopsOnDoneContext(t *testing.T) {
+	g := fixture(t)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := CPJ(canceled, g, []int32{0, 2, 3}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled: err = %v", err)
+	}
+	expired, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancel()
+	if _, err := CPJ(expired, g, []int32{0, 2, 3}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired: err = %v", err)
 	}
 }
 
@@ -40,7 +68,7 @@ func TestCPJRange(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			vs = append(vs, int32(rng.Intn(g.Graph.N())))
 		}
-		c := CPJ(g.Graph, vs)
+		c := cpj(g.Graph, vs)
 		return c >= 0 && c <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
@@ -159,8 +187,8 @@ func TestACQBeatsRandomOnQuality(t *testing.T) {
 	g := fixture(t)
 	acq := []int32{0, 2, 3}    // the ACQ answer for (A,2,{w,x,y})
 	random := []int32{0, 5, 8} // A, F, I
-	if CPJ(g, acq) <= CPJ(g, random) {
-		t.Fatalf("CPJ(acq)=%f ≤ CPJ(random)=%f", CPJ(g, acq), CPJ(g, random))
+	if cpj(g, acq) <= cpj(g, random) {
+		t.Fatalf("CPJ(acq)=%f ≤ CPJ(random)=%f", cpj(g, acq), cpj(g, random))
 	}
 	if CMF(g, acq, 0) <= CMF(g, random, 0) {
 		t.Fatalf("CMF(acq) ≤ CMF(random)")

@@ -1,6 +1,7 @@
-// Package servecache is the serve-time speed layer: a version-keyed LRU
-// result cache with singleflight coalescing and per-dataset admission
-// control.
+// Package servecache is the serve-time speed layer and the one admission
+// point of read work: a version-keyed LRU result cache with singleflight
+// coalescing, a node-wide bound on computing leaders, and per-dataset
+// shedding.
 //
 // Searches are pure functions of (dataset version, query): the same query
 // against the same immutable dataset version always yields the same
@@ -21,11 +22,15 @@
 //     fails with a transient error (its own cancellation or deadline) does
 //     not poison its followers: they retry, and the first live one becomes
 //     the new leader.
-//   - Admission control: the number of concurrently *computing* leaders per
-//     dataset is bounded. Past the bound, new leaders are shed immediately
-//     with ErrOverloaded (the HTTP layer's 429) instead of queueing — the
+//   - Admission: a leader computes only while it holds one of the node's
+//     compute slots (SetComputeLimit; 2×GOMAXPROCS by default), waiting for
+//     one until its ctx is done — a wait that fails transiently, so its
+//     followers retry. Optionally, the number of leaders per dataset is
+//     bounded too: past that bound new leaders are shed immediately with
+//     ErrOverloaded (the HTTP layer's 429) instead of queueing — the
 //     load-shedding alternative to queue collapse. Cache hits and
-//     singleflight followers are never shed; they add no work.
+//     singleflight followers never wait and are never shed; they add no
+//     work.
 //
 // Negative caching: deterministic failures (vertex not found, invalid
 // query) are results too — they are cached like values so a storm of bad
@@ -39,6 +44,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -59,7 +65,7 @@ const (
 )
 
 // Config tunes a Cache. Zero values take the defaults above; MaxInflight 0
-// disables admission control (never shed).
+// disables shedding.
 type Config struct {
 	// MaxEntries bounds the number of cached results.
 	MaxEntries int
@@ -97,6 +103,10 @@ type Stats struct {
 	Computations int64 `json:"computations"`
 	// Shedded counts lookups rejected by admission control.
 	Shedded int64 `json:"shedded"`
+	// InFlight is the number of leaders computing now, each holding one
+	// of the ComputeLimit compute slots (SetComputeLimit).
+	InFlight     int64 `json:"inFlight"`
+	ComputeLimit int   `json:"computeLimit"`
 	// Evictions counts entries dropped by the LRU caps; purges (explicit
 	// dataset invalidation) are counted separately.
 	Evictions int64 `json:"evictions"`
@@ -147,12 +157,17 @@ type Cache struct {
 	bytes    int64
 	perDS    map[string]DatasetStats
 	inflight map[key]*call
-	// computing counts in-flight leaders per dataset (admission control).
+	// computing counts in-flight leaders per dataset, computing or waiting
+	// for a slot (shedding).
 	computing map[string]int
+	// slots holds one token per computing leader; its capacity is the
+	// compute limit. SetComputeLimit swaps in a new channel, and a leader
+	// returns its token to the channel it took it from.
+	slots chan struct{}
 
 	hits, negHits, misses, coalesced atomic.Int64
 	computations, shedded, evictions atomic.Int64
-	purged                           atomic.Int64
+	purged, inFlight                 atomic.Int64
 }
 
 // New returns a Cache with the given config (zero fields defaulted).
@@ -170,7 +185,22 @@ func New(cfg Config) *Cache {
 		perDS:     make(map[string]DatasetStats),
 		inflight:  make(map[key]*call),
 		computing: make(map[string]int),
+		slots:     make(chan struct{}, defaultComputeLimit()),
 	}
+}
+
+func defaultComputeLimit() int { return 2 * runtime.GOMAXPROCS(0) }
+
+// SetComputeLimit bounds the leaders computing at once, across every
+// dataset, at n (n ≤ 0 restores the default, 2×GOMAXPROCS). Leaders that
+// already hold or wait for a slot finish under the old bound.
+func (c *Cache) SetComputeLimit(n int) {
+	if n <= 0 {
+		n = defaultComputeLimit()
+	}
+	c.mu.Lock()
+	c.slots = make(chan struct{}, n)
+	c.mu.Unlock()
 }
 
 // Do returns the cached result for (dataset, lineage, version, query), or
@@ -179,8 +209,10 @@ func New(cfg Config) *Cache {
 // reports the value, its approximate byte size, and an error; a nil error
 // always caches, an error caches only if cfg.Cacheable says so, and a
 // transient error (cfg.Transient) is returned to the leader alone while
-// followers retry. When the dataset already has cfg.MaxInflight
-// computations running, Do fails fast with ErrOverloaded instead of queueing.
+// followers retry. A leader computes only once it holds a compute slot; it
+// waits for one until ctx is done, and that failure is transient too. When
+// the dataset already has cfg.MaxInflight leaders, Do fails fast with
+// ErrOverloaded instead of queueing.
 //
 // The returned value is shared across callers and with the cache itself:
 // treat it as immutable.
@@ -217,7 +249,8 @@ func (c *Cache) Do(ctx context.Context, dataset string, lineage, version uint64,
 				return nil, ctx.Err()
 			}
 		}
-		// Leader path: admission control, then compute without the lock.
+		// Leader path: shedding, then a slot and the computation without
+		// the lock.
 		c.misses.Add(1)
 		if c.cfg.MaxInflight > 0 && c.computing[dataset] >= c.cfg.MaxInflight {
 			c.mu.Unlock()
@@ -228,20 +261,21 @@ func (c *Cache) Do(ctx context.Context, dataset string, lineage, version uint64,
 		cl := &call{done: make(chan struct{})}
 		c.inflight[k] = cl
 		c.computing[dataset]++
+		slots := c.slots
 		c.mu.Unlock()
 
-		return c.lead(ctx, k, cl, compute)
+		return c.lead(ctx, k, cl, slots, compute)
 	}
 }
 
-// lead runs one computation as key k's leader and publishes the outcome to
-// followers. All bookkeeping runs in a defer: compute may panic (net/http
-// recovers per request, so the process survives), and without deferred
-// cleanup every future request for the key would coalesce onto the dead
-// call forever while the dataset permanently lost an admission slot. A
-// panicked call is marked transient so followers retry as new leaders, then
-// the panic is re-raised for the leader's own handler.
-func (c *Cache) lead(ctx context.Context, k key, cl *call, compute func(context.Context) (any, int64, error)) (any, error) {
+// lead waits for a slot in slots, runs one computation as key k's leader
+// and publishes the outcome to followers. All bookkeeping runs in defers:
+// compute may panic (net/http recovers per request, so the process
+// survives), and without deferred cleanup every future request for the key
+// would coalesce onto the dead call forever while the node permanently lost
+// a compute slot. A panicked call is marked transient so followers retry as
+// new leaders, then the panic is re-raised for the leader's own handler.
+func (c *Cache) lead(ctx context.Context, k key, cl *call, slots chan struct{}, compute func(context.Context) (any, int64, error)) (any, error) {
 	completed := false
 	var bytes int64
 	defer func() {
@@ -263,12 +297,36 @@ func (c *Cache) lead(ctx context.Context, k key, cl *call, compute func(context.
 		close(cl.done)
 	}()
 
+	if err := acquire(ctx, slots); err != nil {
+		cl.err, cl.transient, completed = err, true, true
+		return nil, err
+	}
+	c.inFlight.Add(1)
+	defer func() {
+		c.inFlight.Add(-1)
+		<-slots
+	}()
 	c.computations.Add(1)
 	val, n, err := compute(ctx)
 	cl.val, cl.err, bytes = val, err, n
 	cl.transient = err != nil && c.cfg.Transient != nil && c.cfg.Transient(err)
 	completed = true
 	return val, err
+}
+
+// acquire takes a slot, or fails once ctx is done. When both are ready
+// select may pick the slot; the recheck gives it back rather than compute
+// for a caller that is gone.
+func acquire(ctx context.Context, slots chan struct{}) error {
+	select {
+	case slots <- struct{}{}:
+		if ctx.Err() == nil {
+			return nil
+		}
+		<-slots
+	case <-ctx.Done():
+	}
+	return fmt.Errorf("servecache: waiting for a compute slot: %w", ctx.Err())
 }
 
 // Get reports a cached value without computing (test and introspection
@@ -362,6 +420,7 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	entries := c.lru.Len()
 	bytes := c.bytes
+	limit := cap(c.slots)
 	c.mu.Unlock()
 	return Stats{
 		Hits:         c.hits.Load(),
@@ -372,6 +431,8 @@ func (c *Cache) Stats() Stats {
 		Shedded:      c.shedded.Load(),
 		Evictions:    c.evictions.Load(),
 		Purged:       c.purged.Load(),
+		InFlight:     c.inFlight.Load(),
+		ComputeLimit: limit,
 		Entries:      entries,
 		Bytes:        bytes,
 	}

@@ -206,6 +206,7 @@ func TestCanceledFollowerReturnsPromptly(t *testing.T) {
 
 func TestAdmissionControlSheds(t *testing.T) {
 	c := newTest(Config{MaxInflight: 2})
+	c.SetComputeLimit(4) // room for the blocked pair and the other dataset's leader on any host
 	ctx := context.Background()
 	release := make(chan struct{})
 	var started sync.WaitGroup
@@ -251,6 +252,83 @@ func TestAdmissionControlSheds(t *testing.T) {
 		return "v", 8, nil
 	}); err != nil {
 		t.Fatalf("post-drain Do: %v", err)
+	}
+}
+
+// TestLeadersWaitForComputeSlot holds the only compute slot and checks the
+// admission rules around it: a hit and a coalesced follower never wait, a
+// new leader waits until its ctx is done and fails transiently, and its
+// follower takes over as leader and computes once the slot frees.
+func TestLeadersWaitForComputeSlot(t *testing.T) {
+	c := newTest(Config{})
+	c.SetComputeLimit(1)
+	ctx := context.Background()
+	if _, err := c.Do(ctx, "ds", 1, 0, "hot", func(context.Context) (any, int64, error) { return "hot", 8, nil }); err != nil {
+		t.Fatal(err)
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	holder := make(chan error, 1)
+	go func() {
+		_, err := c.Do(ctx, "ds", 1, 0, "slow", func(context.Context) (any, int64, error) {
+			close(started)
+			<-release
+			return "slow", 8, nil
+		})
+		holder <- err
+	}()
+	<-started
+	if st := c.Stats(); st.InFlight != 1 || st.ComputeLimit != 1 {
+		t.Fatalf("while held: %+v", st)
+	}
+	if v, err := c.Do(ctx, "ds", 1, 0, "hot", nil); err != nil || v != "hot" {
+		t.Fatalf("hit = %v, %v", v, err)
+	}
+	joined := make(chan any, 1)
+	go func() {
+		v, _ := c.Do(ctx, "ds", 1, 0, "slow", nil)
+		joined <- v
+	}()
+
+	// A new leader waits; its follower outlives it.
+	waitCtx, cancel := context.WithCancel(ctx)
+	waiting := make(chan error, 1)
+	go func() {
+		_, err := c.Do(waitCtx, "ds", 1, 0, "cold", func(context.Context) (any, int64, error) {
+			return nil, 0, errors.New("the waiting leader must not compute")
+		})
+		waiting <- err
+	}()
+	for c.Stats().Misses < 3 { // "hot", "slow", then "cold" is registered
+		time.Sleep(time.Millisecond)
+	}
+	follower := make(chan any, 1)
+	go func() {
+		v, _ := c.Do(ctx, "ds", 1, 0, "cold", func(context.Context) (any, int64, error) { return "cold", 8, nil })
+		follower <- v
+	}()
+	for c.Stats().Coalesced < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-waiting; !errors.Is(err, context.Canceled) {
+		t.Fatalf("waiting leader err = %v, want context.Canceled", err)
+	}
+	if st := c.Stats(); st.Computations != 2 {
+		t.Fatalf("computations while the slot is held = %d, want 2", st.Computations)
+	}
+
+	close(release)
+	if err := <-holder; err != nil {
+		t.Fatal(err)
+	}
+	if v := <-joined; v != "slow" {
+		t.Fatalf("coalesced follower = %v", v)
+	}
+	if v := <-follower; v != "cold" {
+		t.Fatalf("retrying follower = %v", v)
+	}
+	if st := c.Stats(); st.InFlight != 0 {
+		t.Fatalf("after release: %+v", st)
 	}
 }
 

@@ -118,6 +118,10 @@ func (s *Server) PersistDataset(ds *api.Dataset) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("persist: %w: %q", api.ErrDatasetNotFound, ds.Name)
 	}
+	end, _ := s.catalogEndOf(ds.Name)
+	if err := end.readable(ds.Name); err != nil {
+		return 0, err
+	}
 	return s.persistDataset(cur, false)
 }
 
@@ -169,6 +173,9 @@ type catalogEnd struct {
 	lineage uint64 // the lineage of that version (api.Dataset.Lineage)
 	version uint64 // the version a boot from the data dir recovers
 	ops     int    // ops journaled since the last full persist
+	// unread marks a journal this boot could not read: where the files
+	// end is unknown, and nothing may persist over them (readable).
+	unread bool
 }
 
 // endAt is the catalog end at ds, ops journaled since the last persist.
@@ -181,6 +188,15 @@ func endAt(ds *api.Dataset, ops int) *catalogEnd {
 // re-bootstrap numbered alike.
 func (e catalogEnd) holds(ds *api.Dataset) bool {
 	return e.lineage == ds.Lineage() && e.version == ds.Version
+}
+
+// readable refuses, with errJournalUnreadable, to persist over name's
+// files while its journal is unread.
+func (e catalogEnd) readable(name string) error {
+	if e.unread {
+		return fmt.Errorf("%w: %q", errJournalUnreadable, name)
+	}
+	return nil
 }
 
 // catalogEndOf returns the catalog's entry for name; ok is false when the

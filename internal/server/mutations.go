@@ -114,7 +114,11 @@ func (s *Server) persistBase(w *api.Writer, name string, base uint64) error {
 	if !ok || cur.Version != base {
 		return fmt.Errorf("persisting the base: %q is not at version %d", name, base)
 	}
-	if end, ok := s.catalogEndOf(name); ok && end.holds(cur) {
+	end, ok := s.catalogEndOf(name)
+	if err := end.readable(name); err != nil {
+		return err
+	}
+	if ok && end.holds(cur) {
 		return nil
 	}
 	_, err := s.persistDataset(cur, true)
@@ -123,6 +127,11 @@ func (s *Server) persistBase(w *api.Writer, name string, base uint64) error {
 
 // errNoPrimary refuses a write at its commit point (503 no_primary).
 var errNoPrimary = errors.New("this node is not a primary (replica, demoted, or shut down): write refused, nothing applied")
+
+// errJournalUnreadable refuses a write to a name whose journal this boot
+// could not read (503 journal_unreadable): persisting the name's base would
+// drop the acknowledged records the journal may hold.
+var errJournalUnreadable = errors.New("journal unreadable: write refused until a boot reads it, nothing applied")
 
 // store ends every write to a name (a batch, an upload, a delete) under
 // its writer lock w. A replica refuses. With a catalog, durable makes the
@@ -262,9 +271,10 @@ func (s *Server) dropJournal(dir, name string) error {
 // left behind hold versions the restarted lineage is about to reuse, so a
 // compaction makes the replayed prefix the durable base before any write
 // is served. A journal that cannot be read (an I/O error, not corruption)
-// is left alone and nothing is applied; the catalog then ends nowhere
-// known, so the next write persists its base first, superseding the
-// unread tail rather than appending behind it.
+// is left alone and nothing is applied, and the name is marked unread:
+// mutations to it are refused (errJournalUnreadable) until a boot reads the
+// journal, since persisting their base would drop it. An upload or a
+// delete, which replaces the lineage on purpose, clears the mark.
 func (s *Server) replayJournal(w *api.Writer, name string, baseVersion uint64) (int, error) {
 	dir := s.DataDir()
 	if dir == "" {
@@ -276,9 +286,8 @@ func (s *Server) replayJournal(w *api.Writer, name string, baseVersion uint64) (
 	recs, readErr := s.drainJournal(name, journalPath(dir, name))
 	if readErr != nil && !errors.Is(readErr, snapshot.ErrJournalCorrupt) {
 		// An I/O failure says nothing about the journal's bytes: apply
-		// nothing and leave the file, for the next boot to read unless a
-		// write persists its base over it first.
-		end = nil
+		// nothing and leave the file for the next boot to read.
+		end = &catalogEnd{unread: true}
 		return 0, readErr
 	}
 	replayed := 0

@@ -1,7 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"sync"
@@ -370,6 +374,89 @@ func TestV1MutationsReplayStopNeverResurfaces(t *testing.T) {
 			t.Fatalf("snapshotLoadErrors = %d, want 1", got)
 		}
 	})
+}
+
+// TestV1MutationsRefusedOnUnreadableJournal: a boot that cannot read a
+// journal (its path is a directory, so every read is EISDIR) refuses
+// mutations to the name with a typed 503 instead of persisting the base
+// over the journal, so the acknowledged records are still there for the
+// next boot that reads it. An upload replaces the lineage on purpose and
+// is allowed; it clears the mark.
+func TestV1MutationsRefusedOnUnreadableJournal(t *testing.T) {
+	_, h0, dir := catalogNode(t)
+	for i, e := range [][2]int32{{0, 4}, {0, 5}} {
+		serve(h0, "POST", "/api/v1/datasets/fig5/mutations", addEdge(e[0], e[1])).wait(t, fmt.Sprint("write ", i))
+	}
+	jpath, snap := journalPath(dir, "fig5"), snapshotPath(dir, "fig5")
+	journal, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapBytes, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(jpath, jpath+".aside"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(jpath, 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	boot := func() (*Server, *api.Explorer) {
+		exp := api.NewExplorer()
+		s := New(exp, t.Logf)
+		if err := s.SetDataDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.LoadSnapshots(); err != nil {
+			t.Fatal(err)
+		}
+		return s, exp
+	}
+	s1, _ := boot()
+	c := serve(s1.Handler(), "POST", "/api/v1/datasets/fig5/mutations", addEdge(0, 7))
+	<-c.done
+	var env envelope
+	json.Unmarshal(c.rec.Body.Bytes(), &env)
+	if c.rec.Code != http.StatusServiceUnavailable || env.Code != "journal_unreadable" || c.rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("write on an unread journal: status %d, Retry-After %q, %s", c.rec.Code, c.rec.Header().Get("Retry-After"), c.rec.Body)
+	}
+	if st, err := os.Stat(jpath); err != nil || !st.IsDir() {
+		t.Fatalf("unreadable journal removed: %v", err)
+	}
+	if b, err := os.ReadFile(snap); err != nil || !bytes.Equal(b, snapBytes) {
+		t.Fatalf("snapshot rewritten on an unreadable journal: %v", err)
+	}
+
+	// Once the journal reads again, the next boot recovers every
+	// acknowledged write from it.
+	if err := os.Remove(jpath); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(jpath+".aside", jpath); err != nil {
+		t.Fatal(err)
+	}
+	_, exp2 := boot()
+	cur, _ := exp2.Dataset("fig5")
+	if cur.Version != 2 || !cur.Graph.HasEdge(0, 4) || !cur.Graph.HasEdge(0, 5) || cur.Graph.HasEdge(0, 7) {
+		t.Fatalf("boot after the refusal at version %d", cur.Version)
+	}
+	if b, err := os.ReadFile(jpath); err != nil || !bytes.Equal(b, journal) {
+		t.Fatalf("journal changed: %v", err)
+	}
+
+	// An upload over an unread journal is allowed and clears the mark.
+	if err := os.Rename(jpath, jpath+".aside"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(jpath, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s3, _ := boot()
+	h3 := s3.Handler()
+	serve(h3, "PUT", "/api/v1/datasets/fig5", gen.Figure5().ToJSONGraph("fig5")).wait(t, "upload")
+	serve(h3, "POST", "/api/v1/datasets/fig5/mutations", addEdge(0, 7)).wait(t, "write after the upload")
 }
 
 // TestV1MutationsConcurrentDurability hammers the mutation route from

@@ -8,15 +8,16 @@
 // GET /api/stats reports request-level serving statistics and GET / serves
 // the embedded UI, which speaks v1 like any other client.
 //
-// Handlers run concurrently (one goroutine per request, as net/http does);
-// search-class work (search, detect, compare, explore) is additionally
-// bounded by a worker limit so a burst of heavy queries cannot
-// oversubscribe the CPU — excess requests queue for a slot rather than
-// piling onto the scheduler. Every search-class request carries a
-// context.Context derived from the client connection (plus the optional
+// Handlers run concurrently (one goroutine per request, as net/http does).
+// Read work is admitted in one place, the Explorer's result cache: a
+// computation waits for one of the node's compute slots (-search.limit), so
+// a burst of heavy queries cannot oversubscribe the CPU, while cache hits
+// and requests coalesced onto a running computation never wait. Every
+// search-class request (search, detect, compare, analyze, explore) carries
+// a context.Context derived from the client connection (plus the optional
 // server-wide search timeout): a dropped client or an expired deadline
-// cancels the computation inside the algorithm kernels and frees the
-// worker slot instead of burning it.
+// cancels the computation inside the algorithm kernels, or its wait for a
+// slot, instead of burning it.
 package server
 
 import (
@@ -24,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,13 +61,8 @@ type Server struct {
 
 	logf func(format string, args ...any)
 
-	// searchSem bounds the number of searches executing at once; cap is the
-	// worker limit. Acquisition queues (fairly, via channel semantics) until
-	// a slot frees or the client gives up.
-	searchSem chan struct{}
-
 	// searchTimeout, when positive, deadline-bounds every search-class
-	// request (queue wait + computation). Atomic so SetSearchTimeout is safe
+	// request (slot wait + computation). Atomic so SetSearchTimeout is safe
 	// mid-serve.
 	searchTimeout atomic.Int64 // nanoseconds
 
@@ -97,11 +92,10 @@ type Server struct {
 // serverStats holds request-level counters, all updated atomically so the
 // hot path takes no lock.
 type serverStats struct {
-	requests       atomic.Int64
-	errors         atomic.Int64
-	searches       atomic.Int64
-	searchInFlight atomic.Int64
-	searchNanos    atomic.Int64
+	requests    atomic.Int64
+	errors      atomic.Int64
+	searches    atomic.Int64
+	searchNanos atomic.Int64
 
 	// Snapshot catalog counters: cumulative load/persist counts and wall
 	// time, so the cold-start trajectory is observable at /api/stats.
@@ -140,14 +134,10 @@ type serverStats struct {
 
 // StatsSnapshot is the /api/stats payload.
 type StatsSnapshot struct {
-	Requests int64 `json:"requests"`
-	Errors   int64 `json:"errors"`
-	Searches int64 `json:"searches"`
-	// SearchInFlight counts current worker-slot holders across all
-	// search-class endpoints (search, detect, compare).
-	SearchInFlight        int64   `json:"searchInFlight"`
-	AvgSearchMS           float64 `json:"avgSearchMs"`
-	MaxConcurrentSearches int     `json:"maxConcurrentSearches"`
+	Requests    int64   `json:"requests"`
+	Errors      int64   `json:"errors"`
+	Searches    int64   `json:"searches"`
+	AvgSearchMS float64 `json:"avgSearchMs"`
 
 	// Datasets counts currently registered datasets; the snapshot fields
 	// accumulate catalog activity since boot (counts and total wall time),
@@ -175,7 +165,7 @@ type StatsSnapshot struct {
 
 	// Canceled and TimedOut count search-class requests that ended early
 	// because the client went away or the search timeout expired — both
-	// freed their worker slot at that moment.
+	// freed their compute slot, or stopped waiting for one, at that moment.
 	Canceled int64 `json:"canceled"`
 	TimedOut int64 `json:"timedOut"`
 	// ResponseAborts counts responses cut short because the client hung up
@@ -199,8 +189,9 @@ type StatsSnapshot struct {
 	IndexBuilds  api.IndexTimings `json:"indexBuilds"`
 
 	// Cache reports the serve-time result cache (hits, misses, coalesced,
-	// negativeHits, shedded, occupancy); absent when caching is off.
-	Cache *servecache.Stats `json:"cache,omitempty"`
+	// negativeHits, shedded, occupancy) and its admission: inFlight
+	// computations against computeLimit, the -search.limit bound.
+	Cache *servecache.Stats `json:"cache"`
 	// Batcher reports the mutation batcher (submissions, batches,
 	// opsPerBatch); absent when batching is off.
 	Batcher *api.BatcherStats `json:"batcher,omitempty"`
@@ -210,19 +201,18 @@ type StatsSnapshot struct {
 }
 
 // New returns a server over the given engine. logf may be nil (silent). The
-// search worker limit defaults to 2×GOMAXPROCS; tune it with SetSearchLimit
-// before serving.
+// node's compute limit defaults to 2×GOMAXPROCS; tune it with
+// SetSearchLimit.
 func New(exp *api.Explorer, logf func(string, ...any)) *Server {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	s := &Server{
-		exp:       exp,
-		profiles:  make(map[string]map[int32]gen.Profile),
-		catalog:   make(map[string]catalogEnd),
-		logf:      logf,
-		searchSem: make(chan struct{}, 2*runtime.GOMAXPROCS(0)),
-		started:   time.Now(),
+		exp:      exp,
+		profiles: make(map[string]map[int32]gen.Profile),
+		catalog:  make(map[string]catalogEnd),
+		logf:     logf,
+		started:  time.Now(),
 	}
 	// A new server is standalone; that is its first transition.
 	s.transition(func(*nodeRole, *FleetControl) (*nodeRole, *refusal) { return &nodeRole{}, nil })
@@ -250,36 +240,22 @@ func (s *Server) OpenMode() snapshot.OpenMode {
 	return s.openMode
 }
 
-// SetSearchLimit caps concurrent search execution at n workers (n ≥ 1).
-// The new limit governs requests that arrive after the call; requests
-// already executing or already queued stay on the old semaphore and drain
-// under the old limit (so best set it once at startup, as cmd/cexplorer's
-// -search.limit does).
+// SetSearchLimit bounds the computations the node runs at once, across
+// every dataset and read route, at n (n ≤ 0: 2×GOMAXPROCS): it is the
+// compute limit of the Explorer's result cache. Computations already
+// running or waiting finish under the old bound.
 func (s *Server) SetSearchLimit(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.mu.Lock()
-	s.searchSem = make(chan struct{}, n)
-	s.mu.Unlock()
+	s.exp.Cache().SetComputeLimit(n)
 }
 
-// searchSemaphore reads the current semaphore under the lock so that
-// SetSearchLimit is safe even while requests are in flight.
-func (s *Server) searchSemaphore() chan struct{} {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.searchSem
-}
-
-// EnableCache installs the serve-time result cache: Search/Detect/Analyze
-// become version-keyed cache lookups with singleflight coalescing, negative
-// caching, and — when shedInflight > 0 — per-dataset admission control that
-// sheds excess computations with a 429 instead of queueing them. entries
-// and bytes bound the cache (≤ 0 take the servecache defaults). Call before
-// serving.
+// EnableCache replaces the Explorer's result cache, keeping its compute
+// limit. entries and bytes bound the cache (≤ 0 take the servecache
+// defaults); shedInflight > 0 sheds a dataset's computations past that many
+// with a 429 instead of letting them wait. Call before serving.
 func (s *Server) EnableCache(entries int, bytes int64, shedInflight int) {
-	s.exp.SetCache(api.NewServeCache(entries, bytes, shedInflight))
+	c := api.NewServeCache(entries, bytes, shedInflight)
+	c.SetComputeLimit(s.exp.Cache().Stats().ComputeLimit)
+	s.exp.SetCache(c)
 }
 
 // EnableBatcher turns on write-side mutation batching: concurrent
@@ -300,9 +276,9 @@ func (s *Server) mutationBatcher() *api.MutationBatcher {
 }
 
 // SetSearchTimeout deadline-bounds every search-class request (search,
-// detect, compare, explore): the budget covers both the wait for a worker
-// slot and the computation itself, and an expired deadline cancels the
-// kernel and answers 504. d ≤ 0 disables the bound (the default).
+// detect, compare, analyze, explore): the budget covers both the wait for a
+// compute slot and the computation itself, and an expired deadline cancels
+// the kernel and answers 504. d ≤ 0 disables the bound (the default).
 func (s *Server) SetSearchTimeout(d time.Duration) {
 	s.searchTimeout.Store(int64(d))
 }
@@ -320,23 +296,21 @@ func (s *Server) searchContext(r *http.Request) (context.Context, context.Cancel
 // Stats returns a snapshot of the serving counters.
 func (s *Server) Stats() StatsSnapshot {
 	snap := StatsSnapshot{
-		Requests:              s.stats.requests.Load(),
-		Errors:                s.stats.errors.Load(),
-		Searches:              s.stats.searches.Load(),
-		SearchInFlight:        s.stats.searchInFlight.Load(),
-		MaxConcurrentSearches: cap(s.searchSemaphore()),
-		Datasets:              len(s.exp.Datasets()),
-		DataDir:               s.DataDir(),
-		SnapshotLoads:         s.stats.snapshotLoads.Load(),
-		SnapshotLoadMS:        float64(s.stats.snapshotLoadNanos.Load()) / 1e6,
-		SnapshotLoadErrors:    s.stats.snapshotLoadErrors.Load(),
-		SnapshotPersists:      s.stats.snapshotPersists.Load(),
-		SnapshotPersistMS:     float64(s.stats.snapshotPersistNanos.Load()) / 1e6,
-		Canceled:              s.stats.canceled.Load(),
-		TimedOut:              s.stats.timedOut.Load(),
-		ResponseAborts:        s.stats.responseAborts.Load(),
-		SearchTimeoutMS:       float64(time.Duration(s.searchTimeout.Load())) / float64(time.Millisecond),
-		Explore:               s.exp.ExploreStats(),
+		Requests:           s.stats.requests.Load(),
+		Errors:             s.stats.errors.Load(),
+		Searches:           s.stats.searches.Load(),
+		Datasets:           len(s.exp.Datasets()),
+		DataDir:            s.DataDir(),
+		SnapshotLoads:      s.stats.snapshotLoads.Load(),
+		SnapshotLoadMS:     float64(s.stats.snapshotLoadNanos.Load()) / 1e6,
+		SnapshotLoadErrors: s.stats.snapshotLoadErrors.Load(),
+		SnapshotPersists:   s.stats.snapshotPersists.Load(),
+		SnapshotPersistMS:  float64(s.stats.snapshotPersistNanos.Load()) / 1e6,
+		Canceled:           s.stats.canceled.Load(),
+		TimedOut:           s.stats.timedOut.Load(),
+		ResponseAborts:     s.stats.responseAborts.Load(),
+		SearchTimeoutMS:    float64(time.Duration(s.searchTimeout.Load())) / float64(time.Millisecond),
+		Explore:            s.exp.ExploreStats(),
 	}
 	for _, name := range s.exp.Datasets() {
 		if ds, ok := s.exp.Dataset(name); ok {
@@ -351,10 +325,8 @@ func (s *Server) Stats() StatsSnapshot {
 	}
 	snap.IndexWorkers = par.Workers()
 	snap.IndexBuilds = api.BuildTotals()
-	if c := s.exp.Cache(); c != nil {
-		cs := c.Stats()
-		snap.Cache = &cs
-	}
+	cs := s.exp.Cache().Stats()
+	snap.Cache = &cs
 	if b := s.mutationBatcher(); b != nil {
 		bs := b.Stats()
 		snap.Batcher = &bs
@@ -492,43 +464,6 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// acquireSearchSlot blocks until a search worker slot is free or ctx is
-// done (client gone, or past the search deadline while still queued); the
-// returned release must be called when the work is done. It covers every
-// search-class endpoint (search, detect, compare, explore), so a burst of
-// heavy queries of any flavor is bounded by the same worker limit. On
-// failure it returns the typed error for the envelope (ErrTimeout or
-// ErrCanceled).
-func (s *Server) acquireSearchSlot(ctx context.Context) (release func(), err error) {
-	sem := s.searchSemaphore()
-	select {
-	case sem <- struct{}{}:
-		// When a slot and the cancellation are both ready, select may pick
-		// the slot: recheck so a disconnected client queued behind a slow
-		// search does not burn a worker on a response nobody reads.
-		if ctx.Err() != nil {
-			<-sem
-			return nil, slotErr(ctx)
-		}
-		// The in-flight gauge counts slot holders — search, detect, and
-		// compare alike — so /api/stats reflects true worker saturation.
-		s.stats.searchInFlight.Add(1)
-		return func() {
-			s.stats.searchInFlight.Add(-1)
-			<-sem
-		}, nil
-	case <-ctx.Done():
-		return nil, slotErr(ctx)
-	}
-}
-
-func slotErr(ctx context.Context) error {
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		return fmt.Errorf("%w: while queued for a search slot", api.ErrTimeout)
-	}
-	return fmt.Errorf("%w: while queued for a search slot", api.ErrCanceled)
-}
-
 // writeError renders the shared error envelope (see http.go) for a typed
 // error. Cancellations and timeouts also bump their stats counters here,
 // the one funnel every search-class failure passes through.
@@ -540,6 +475,9 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 		s.stats.timedOut.Add(1)
 	case errors.Is(err, errNoPrimary):
 		writeEnvelope(w, http.StatusServiceUnavailable, err.Error(), repl.CodeNoPrimary)
+		return
+	case errors.Is(err, errJournalUnreadable):
+		writeEnvelope(w, http.StatusServiceUnavailable, err.Error(), "journal_unreadable")
 		return
 	}
 	writeEnvelope(w, errStatus(err), err.Error(), api.ErrorCode(err))
@@ -633,7 +571,7 @@ type graphInfo struct {
 	// over from the predecessor version).
 	IndexBuildMS api.IndexTimings `json:"indexBuildMs"`
 	// CacheEntries/CacheBytes are this dataset's slice of the serve-time
-	// result cache, across all its versions (zero when caching is off).
+	// result cache, across all its versions.
 	CacheEntries int   `json:"cacheEntries,omitempty"`
 	CacheBytes   int64 `json:"cacheBytes,omitempty"`
 	// Replication is the node's replication position for this dataset
@@ -658,11 +596,8 @@ func (s *Server) datasetInfo(name string, ds *api.Dataset) graphInfo {
 		Indexes:       ds.Indexes(),
 		IndexBuildMS:  ds.BuildTimings(),
 	}
-	if c := s.exp.Cache(); c != nil {
-		cs := c.DatasetStats(name)
-		info.CacheEntries = cs.Entries
-		info.CacheBytes = cs.Bytes
-	}
+	cs := s.exp.Cache().DatasetStats(name)
+	info.CacheEntries, info.CacheBytes = cs.Entries, cs.Bytes
 	if rs := s.role.Load(); rs.name != "" {
 		p := rs.position(name, ds)
 		info.Replication = &p
@@ -690,17 +625,8 @@ func (s *Server) resolveQuery(ds *api.Dataset, names []string, vertices []int32)
 	return out, nil
 }
 
-// runSearch executes the bounded, instrumented part of the search core. The
-// worker slot and in-flight gauge are released by defer so that a panicking
-// search (recovered by the logging middleware) cannot leak a slot and wedge
-// the search path — and a canceled or timed-out search frees its slot the
-// moment the kernel observes ctx and returns.
+// runSearch executes the instrumented part of the search core.
 func (s *Server) runSearch(ctx context.Context, ds *api.Dataset, req searchRequest, qv []int32) (comms []api.Community, elapsed time.Duration, err error) {
-	release, err := s.acquireSearchSlot(ctx)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer release()
 	start := time.Now()
 	comms, err = s.exp.SearchOn(ctx, ds, req.Algorithm, api.Query{
 		Vertices: qv, K: req.K, Keywords: req.Keywords, Params: req.Params,

@@ -348,10 +348,10 @@ func TestStatsEndpoint(t *testing.T) {
 	}, nil)
 	var snap StatsSnapshot
 	doJSON(t, "GET", ts.URL+"/api/stats", nil, &snap)
-	if snap.Searches != 1 || snap.Requests < 2 || snap.MaxConcurrentSearches < 1 {
+	if snap.Searches != 1 || snap.Requests < 2 || snap.Cache.ComputeLimit < 1 {
 		t.Fatalf("stats = %+v", snap)
 	}
-	if snap.SearchInFlight != 0 {
+	if snap.Cache.InFlight != 0 {
 		t.Fatalf("searches still in flight: %+v", snap)
 	}
 	// Errors counter sees a failed request.
@@ -362,8 +362,9 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-// TestSearchLimitQueues pins the worker limit to 1 and fires a burst of
-// searches: all must queue for the single slot and still succeed.
+// TestSearchLimitQueues pins the compute limit to 1 and fires a burst of
+// searches: all must wait for the single slot (or join the computation
+// holding it) and still succeed.
 func TestSearchLimitQueues(t *testing.T) {
 	s, ts := testServer(t)
 	s.SetSearchLimit(1)
@@ -396,7 +397,7 @@ func TestSearchLimitQueues(t *testing.T) {
 
 // TestConcurrentMixedRequestsRace drives every mutable code path reachable
 // from Handler() at once — searches, vertex lookups with profile reads,
-// profile installs, uploads, stats reads, and a worker-limit change — so
+// profile installs, uploads, stats reads, and a compute-limit change — so
 // `go test -race ./internal/server` audits the server's shared state.
 func TestConcurrentMixedRequestsRace(t *testing.T) {
 	s, ts := testServer(t)

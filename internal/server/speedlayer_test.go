@@ -5,14 +5,18 @@ package server
 // mutation route. Named TestV1* so the CI API-contract gate runs them.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"cexplorer/internal/api"
+	"cexplorer/internal/gen"
 	"cexplorer/internal/servecache"
 )
 
@@ -226,5 +230,86 @@ func TestV1BatchedMutationRoute(t *testing.T) {
 	doJSON(t, "GET", ts.URL+"/api/stats", nil, &st)
 	if st.Batcher.Fallbacks != 1 {
 		t.Fatalf("fallback not counted: %+v", st.Batcher)
+	}
+}
+
+// blockCS holds its caller until release closes, ignoring ctx, so a test
+// can fill every compute slot for as long as it likes.
+type blockCS struct{ started, release chan struct{} }
+
+func (blockCS) Name() string { return "Block" }
+
+func (b blockCS) Search(context.Context, *api.Dataset, api.Query) ([]api.Community, error) {
+	b.started <- struct{}{}
+	<-b.release
+	return nil, nil
+}
+
+// TestV1BlockedLeadersNeverDelayHits fills every compute slot with a
+// plugin that blocks on a channel, and checks the one admission point:
+// while they hold the slots a cached hit answers 200 and a session's state
+// reads back, and a new miss waits for a slot until the search timeout
+// answers a typed 504. After the release the in-flight gauge reads 0.
+func TestV1BlockedLeadersNeverDelayHits(t *testing.T) {
+	exp := api.NewExplorer()
+	if _, err := exp.AddGraph("fig5", gen.Figure5()); err != nil {
+		t.Fatal(err)
+	}
+	b := blockCS{started: make(chan struct{}), release: make(chan struct{})}
+	exp.RegisterCS(b)
+	s := New(exp, nil)
+	const slots = 2
+	s.SetSearchLimit(slots)
+	s.SetSearchTimeout(100 * time.Millisecond)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	search := ts.URL + "/api/v1/datasets/fig5/search"
+
+	// A hang-catcher: what is checked is the answers, not their latency.
+	hang := time.AfterFunc(30*time.Second, func() { panic("TestV1BlockedLeadersNeverDelayHits hung for 30 s") })
+	defer hang.Stop()
+	hot := map[string]any{"algorithm": "ACQ", "names": []string{"A"}, "k": 2}
+	if resp := doJSON(t, "POST", search, hot, nil); resp.StatusCode != 200 {
+		t.Fatalf("warming search: status %d", resp.StatusCode)
+	}
+	var st api.ExploreState
+	if resp := doJSON(t, "POST", ts.URL+"/api/v1/datasets/fig5/explore", map[string]any{"vertex": 0, "k": 2}, &st); resp.StatusCode != 200 {
+		t.Fatalf("explore: status %d", resp.StatusCode)
+	}
+
+	// Released on every exit, so a failure does not leave ts.Close waiting
+	// on the blocked requests.
+	release := sync.OnceFunc(func() { close(b.release) })
+	defer release()
+	var held sync.WaitGroup
+	for k := 1; k <= slots; k++ {
+		held.Add(1)
+		go func() {
+			defer held.Done()
+			body, _ := json.Marshal(map[string]any{"algorithm": "Block", "vertices": []int32{0}, "k": k})
+			if resp, err := http.Post(search, "application/json", bytes.NewReader(body)); err == nil {
+				resp.Body.Close()
+			}
+		}()
+	}
+	for range slots {
+		<-b.started
+	}
+	if got := s.Stats().Cache.InFlight; got != slots {
+		t.Fatalf("in flight with every slot held = %d, want %d", got, slots)
+	}
+
+	if resp := doJSON(t, "POST", search, hot, nil); resp.StatusCode != 200 {
+		t.Fatalf("cached hit: status %d", resp.StatusCode)
+	}
+	if resp := doJSON(t, "GET", ts.URL+"/api/v1/datasets/fig5/explore/"+st.ID, nil, nil); resp.StatusCode != 200 {
+		t.Fatalf("explore get: status %d", resp.StatusCode)
+	}
+	wantEnvelope(t, "POST", search, map[string]any{"algorithm": "Global", "names": []string{"A"}, "k": 2}, 504, "timeout")
+
+	release()
+	held.Wait()
+	if got := s.Stats().Cache.InFlight; got != 0 {
+		t.Fatalf("in flight after the release = %d, want 0", got)
 	}
 }

@@ -199,9 +199,9 @@ func (s *Server) v1GetVertex(w http.ResponseWriter, r *http.Request) {
 }
 
 // v1Search resolves the dataset once and keeps that version pinned until
-// the body is out, resolves the query on it, waits for a worker slot under
-// the request's (possibly deadline-bounded) context, runs the algorithm,
-// paginates, and streams the page. The names (and, with Layout, the
+// the body is out, resolves the query on it, runs the algorithm under the
+// request's (possibly deadline-bounded) context, paginates, and streams the
+// page. The names (and, with Layout, the
 // placements, computed only for the page returned) come from the version
 // that produced the ids: a mutation that lands mid-request cannot hand the
 // encoder an id its graph does not have.
@@ -263,12 +263,6 @@ func (s *Server) v1Detect(w http.ResponseWriter, r *http.Request) {
 	if req.Algorithm == "" {
 		req.Algorithm = "CODICIL"
 	}
-	release, err := s.acquireSearchSlot(ctx)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	defer release()
 	start := time.Now()
 	comms, err := s.exp.Detect(ctx, r.PathValue("name"), req.Algorithm)
 	if err != nil {
@@ -325,14 +319,8 @@ func (s *Server) v1Compare(w http.ResponseWriter, r *http.Request) {
 	if len(algos) == 0 {
 		algos = []string{"Global", "Local", "CODICIL", "ACQ"}
 	}
-	// One worker slot covers the whole comparison: the rows run serially,
-	// so a compare request is one unit of heavy work like a search.
-	release, err := s.acquireSearchSlot(ctx)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	defer release()
+	// The rows run serially, each admitted like the search, detect or
+	// analyze it is.
 	rows := make([]compareRow, 0, len(algos))
 	for _, name := range algos {
 		rows = append(rows, s.compareOne(ctx, dataset, ds, name, q, req.K))
@@ -345,7 +333,9 @@ func (s *Server) v1Analyze(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	a, err := s.exp.Analyze(r.Context(), r.PathValue("name"), api.Community{Method: req.Method, Vertices: req.Vertices}, req.Query)
+	ctx, cancel := s.searchContext(r)
+	defer cancel()
+	a, err := s.exp.Analyze(ctx, r.PathValue("name"), api.Community{Method: req.Method, Vertices: req.Vertices}, req.Query)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -422,14 +412,6 @@ func (s *Server) v1ExploreCreate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, fmt.Errorf("%w: explore: no anchor vertex given (set name or vertex)", api.ErrInvalidQuery))
 		return
 	}
-	// Session creation runs a search, so it pays for a worker slot like any
-	// other search-class request.
-	release, err := s.acquireSearchSlot(ctx)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	defer release()
 	start := time.Now()
 	st, err := s.exp.Explore(ctx, dataset, api.Query{Vertices: []int32{v}, K: req.K, Keywords: req.Keywords})
 	elapsed := time.Since(start)
@@ -458,12 +440,6 @@ func (s *Server) v1ExploreStep(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.searchContext(r)
 	defer cancel()
-	release, err := s.acquireSearchSlot(ctx)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	defer release()
 	start := time.Now()
 	st, err := s.exp.ExploreStep(ctx, r.PathValue("name"), r.PathValue("id"), req.Action, req.K)
 	elapsed := time.Since(start)

@@ -464,10 +464,10 @@ func (slowCS) Search(ctx context.Context, ds *api.Dataset, q api.Query) ([]api.C
 	return nil, ctx.Err()
 }
 
-// TestV1SearchTimeoutFreesSlot pins the worker limit to 1, sets a short
+// TestV1SearchTimeoutFreesSlot pins the compute limit to 1, sets a short
 // search timeout, and fires a request at an algorithm that never returns on
-// its own: the response must be a typed 504, the semaphore slot must be
-// free again afterwards (a fast follow-up search succeeds), and the
+// its own: the response must be a typed 504, the compute slot must be free
+// again afterwards (a fast follow-up search succeeds), and the cache's
 // in-flight gauge must drop to zero.
 func TestV1SearchTimeoutFreesSlot(t *testing.T) {
 	exp := api.NewExplorer()
@@ -489,7 +489,7 @@ func TestV1SearchTimeoutFreesSlot(t *testing.T) {
 	if lat := time.Since(start); lat > 30*time.Second {
 		t.Fatalf("timed-out request took %v", lat)
 	}
-	if snap := s.Stats(); snap.SearchInFlight != 0 || snap.TimedOut == 0 {
+	if snap := s.Stats(); snap.Cache.InFlight != 0 || snap.TimedOut == 0 {
 		t.Fatalf("stats after timeout = %+v", snap)
 	}
 
